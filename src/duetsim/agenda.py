@@ -7,9 +7,8 @@ the user pops its next acts.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -154,9 +153,14 @@ def _pop_turn(agenda: Agenda) -> list[DialogueAct]:
 def agenda_step(agenda: Agenda, system_acts) -> tuple[list[DialogueAct], Agenda]:
     """Apply system acts to the agenda, then pop the next user turn.
 
-    Pure transition: the input agenda is left untouched.
+    Pure transition: the input agenda is left untouched. The goal and the
+    acts are frozen and shared; only the mutable containers are copied.
     """
-    updated = copy.deepcopy(agenda)
+    updated = replace(agenda, stack=list(agenda.stack),
+                      request_status=dict(agenda.request_status),
+                      ask_counts=dict(agenda.ask_counts),
+                      informed=list(agenda.informed),
+                      booking_done=dict(agenda.booking_done))
     _apply_system_acts(updated, system_acts)
     acts = _pop_turn(updated)
     return acts, updated
@@ -171,7 +175,7 @@ def _nlg_tables() -> dict:
 
 
 def template_nlg(acts, side: str = "user") -> str:
-    """Deterministic fill-in NLG; multi-act turns joined with ". "."""
+    """Deterministic fill-in NLG; one template per act, joined with " "."""
     table = _nlg_tables()[side]
     pieces = []
     for act in acts:

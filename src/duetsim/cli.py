@@ -39,7 +39,7 @@ class ExperimentConfig:
     dialogues: int = 100
     seed: int = 0
     turn_cap: int = DEFAULT_TURN_CAP
-    parallelism: int = 4
+    parallelism: int | None = None  # None: see workers()
     output_dir: str = "runs/latest"
     context_mode: str = "utterances"
     omit_goal: bool = False
@@ -56,13 +56,21 @@ class ExperimentConfig:
             raise ConfigError("dialogues", "must be >= 1")
         if self.turn_cap < 1:
             raise ConfigError("turn_cap", "must be >= 1")
-        if self.parallelism < 1:
+        if self.parallelism is not None and self.parallelism < 1:
             raise ConfigError("parallelism", "must be >= 1")
         if self.context_mode not in ("utterances", "acts"):
             raise ConfigError("context_mode", "must be 'utterances' or 'acts'")
         if self.simulator.startswith("duet") and not self.generator_backend:
             raise ConfigError("generator_backend",
                               "required for duet simulators")
+
+    def workers(self) -> int:
+        """Worker threads: the configured value, else 1 for agenda runs
+        (CPU-bound, where threads only add contention) and 4 for duet runs
+        (backend-bound)."""
+        if self.parallelism is not None:
+            return self.parallelism
+        return 1 if self.simulator == "agenda" else 4
 
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -89,11 +97,15 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             raise ConfigError("config", str(e)) from e
         except yaml.YAMLError as e:
             raise ConfigError("config", f"invalid YAML: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError("config", "top level must be a mapping")
     doc = _interpolate_env(doc)
     doc.update({k: v for k, v in overrides.items() if v is not None})
+    for key in doc:
+        if key not in ExperimentConfig.__dataclass_fields__:
+            raise ConfigError(str(key), "unknown field")
     loop_doc = doc.pop("loop", {}) or {}
-    config = ExperimentConfig(**{k: v for k, v in doc.items()
-                                 if k in ExperimentConfig.__dataclass_fields__})
+    config = ExperimentConfig(**doc)
     try:
         config.loop = LoopConfig(**loop_doc)
     except (TypeError, ValueError) as e:
@@ -199,7 +211,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                             max_user_turns=config.turn_cap, seed=seed)
 
     results: dict[int, DialogueLog] = {}
-    workers = 1 if sequential else config.parallelism
+    workers = 1 if sequential else config.workers()
     with open(log_path, "w", encoding="utf-8") as log_file:
         next_to_write = 0
 
@@ -296,7 +308,9 @@ def _fail(error: DuetSimError, code: int):
 @click.option("--dialogues", "-n", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--turn-cap", type=int, default=None)
-@click.option("--parallelism", type=int, default=None)
+@click.option("--parallelism", type=int, default=None,
+              help="Worker threads. Default: 1 for agenda runs, 4 for duet "
+                   "runs; an explicit value is always used.")
 @click.option("--output-dir", "-o", type=click.Path(), default=None)
 @click.option("--context-mode", type=click.Choice(["utterances", "acts"]),
               default=None)

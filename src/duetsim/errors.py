@@ -25,6 +25,10 @@ class WorldError(DuetSimError):
     pass
 
 
+class WorldLoadError(WorldError):
+    """World file could not be read."""
+
+
 class ParseError(WorldError):
     """World file is not valid JSON."""
 
@@ -158,10 +162,6 @@ class ConfigError(DuetSimError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config field '{field}': {message}")
-
-
-class WorldLoadError(DuetSimError):
-    pass
 
 
 class LogParseError(DuetSimError):

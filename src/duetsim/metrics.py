@@ -12,8 +12,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from scipy.stats import hypergeom
-
 from .errors import EmptyLogSet, ShortStream, ZeroFactors
 from .world import query_entities
 
@@ -80,17 +78,32 @@ def msttr(stream, segment_length: int = MSTTR_SEGMENT) -> float:
     return sum(ratios) / len(ratios)
 
 
+def _p_absent(total: int, count: int, sample_size: int) -> float:
+    """P(X=0) for X ~ Hypergeometric(total, count, sample_size).
+
+    Closed form C(total-count, n) / C(total, n), taken as the product of
+    (total-count-i) / (total-i) for i < n; 0 once a factor reaches 0.
+    """
+    p = 1.0
+    for i in range(sample_size):
+        factor = (total - count - i) / (total - i)
+        if factor <= 0.0:
+            return 0.0
+        p *= factor
+    return p
+
+
 def hdd(stream, sample_size: int = HDD_SAMPLE) -> float:
     """Hypergeometric lexical diversity over draws of ``sample_size`` tokens."""
     total = len(stream)
     if total < sample_size:
         raise ShortStream(f"need at least {sample_size} tokens, got {total}")
-    counts = Counter(stream)
+    # types sharing a frequency share P(X=0): frequency -> number of types
+    by_count = Counter(Counter(stream).values())
     value = 0.0
-    for c in counts.values():
-        p_absent = hypergeom.pmf(0, total, c, sample_size)
-        value += (1.0 - p_absent) / sample_size
-    return float(value)
+    for c, types in by_count.items():
+        value += types * (1.0 - _p_absent(total, c, sample_size)) / sample_size
+    return value
 
 
 def _mtld_one_direction(stream, threshold: float) -> float:

@@ -20,6 +20,7 @@ from .errors import (
     SchemaViolation,
     UnbookableDomain,
     UnknownDomain,
+    WorldLoadError,
 )
 
 BUNDLED_WORLD = "world.json"
@@ -54,6 +55,37 @@ class Entity:
 
     def get(self, slot: str) -> str:
         return self.attributes.get(slot, "")
+
+
+class EntityIndex(tuple):
+    """An immutable entity sequence, indexed by domain for querying.
+
+    Each domain keeps its entities sorted by id, paired with their attribute
+    values already stripped and lowercased. ``load_world`` returns one;
+    ``query_entities`` and ``generate_goal`` index any other sequence on the
+    call.
+    """
+
+    def __new__(cls, entities=()):
+        self = super().__new__(cls, entities)
+        groups: dict[str, list[Entity]] = {}
+        for e in self:
+            groups.setdefault(e.domain, []).append(e)
+        self._rows = {}
+        for domain, group in groups.items():
+            group.sort(key=lambda e: e.id)
+            self._rows[domain] = tuple(
+                (e, {s: v.strip().lower() for s, v in e.attributes.items()})
+                for e in group)
+        return self
+
+    def rows(self, domain: str) -> tuple[tuple[Entity, dict[str, str]], ...]:
+        """(entity, normalized attributes) pairs of a domain, ordered by id."""
+        return self._rows.get(domain, ())
+
+
+def _index(entities) -> EntityIndex:
+    return entities if isinstance(entities, EntityIndex) else EntityIndex(entities)
 
 
 @dataclass(frozen=True)
@@ -139,7 +171,7 @@ def _check(cond: bool, location: str, message: str) -> None:
         raise SchemaViolation(location, message)
 
 
-def _parse_world(doc: dict, source: str) -> tuple[Ontology, list[Entity]]:
+def _parse_world(doc: dict, source: str) -> tuple[Ontology, EntityIndex]:
     _check(isinstance(doc, dict), source, "top level must be an object")
     _check("ontology" in doc, source, "missing 'ontology' section")
     _check("entities" in doc, source, "missing 'entities' section")
@@ -183,18 +215,22 @@ def _parse_world(doc: dict, source: str) -> tuple[Ontology, list[Entity]]:
             _check(slot in attrs, f"{loc}.attributes",
                    f"entity missing value for slot {slot!r}")
         entities.append(Entity(domain=domain, id=str(raw["id"]), attributes=attrs))
-    return ontology, entities
+    return ontology, EntityIndex(entities)
 
 
-def load_world(path: str | None = None) -> tuple[Ontology, list[Entity]]:
+def load_world(path: str | None = None) -> tuple[Ontology, EntityIndex]:
     """Load and validate a world file; None loads the bundled world."""
-    if path is None:
-        text = resources.files("duetsim.data").joinpath(BUNDLED_WORLD).read_text()
-        source = BUNDLED_WORLD
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        source = str(path)
+    source = BUNDLED_WORLD if path is None else str(path)
+    try:
+        if path is None:
+            text = resources.files("duetsim.data").joinpath(BUNDLED_WORLD).read_text()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+    except OSError as e:
+        raise WorldLoadError(f"{source}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{source}: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -202,30 +238,27 @@ def load_world(path: str | None = None) -> tuple[Ontology, list[Entity]]:
     return _parse_world(doc, source)
 
 
-def query_entities(entities: list[Entity], ontology: Ontology, domain: str,
+def query_entities(entities, ontology: Ontology, domain: str,
                    constraints: dict[str, str]) -> list[Entity]:
-    """All entities of a domain matching every constraint.
+    """All entities of a domain matching every constraint, ordered by id.
 
-    Matching is case-insensitive exact equality; empty constraints return
-    every entity of the domain, ordered by id.
+    Matching is case-insensitive exact equality after stripping whitespace;
+    empty constraints return every entity of the domain.
     """
     if not ontology.has_domain(domain):
         raise UnknownDomain(domain)
+    wanted = [(slot, value.strip().lower()) for slot, value in constraints.items()]
     out = []
-    for e in entities:
-        if e.domain != domain:
-            continue
-        ok = True
-        for slot, value in constraints.items():
-            if e.get(slot).strip().lower() != value.strip().lower():
-                ok = False
+    for entity, attrs in _index(entities).rows(domain):
+        for slot, value in wanted:
+            if attrs.get(slot, "") != value:
                 break
-        if ok:
-            out.append(e)
-    return sorted(out, key=lambda e: e.id)
+        else:
+            out.append(entity)
+    return out
 
 
-def generate_goal(seed: int, ontology: Ontology, entities: list[Entity]) -> UserGoal:
+def generate_goal(seed: int, ontology: Ontology, entities) -> UserGoal:
     """Sample a satisfiable user goal, deterministically from the seed.
 
     1-2 domains; per domain 1-3 info constraints copied from a real entity
@@ -233,6 +266,7 @@ def generate_goal(seed: int, ontology: Ontology, entities: list[Entity]) -> User
     info, and a booking section with probability 0.5 when the domain is
     bookable.
     """
+    index = _index(entities)
     rng = random.Random(seed)
     names = sorted(ontology.domains)
     k = rng.randint(1, min(2, len(names)))
@@ -240,7 +274,7 @@ def generate_goal(seed: int, ontology: Ontology, entities: list[Entity]) -> User
     goal_domains = {}
     for domain in sorted(chosen):
         schema = ontology.domains[domain]
-        pool = sorted((e for e in entities if e.domain == domain), key=lambda e: e.id)
+        pool = [e for e, _ in index.rows(domain)]
         if not pool:
             raise EmptyWorld(f"no entities for domain {domain!r}")
         entity = rng.choice(pool)

@@ -1,7 +1,11 @@
+import copy
+from dataclasses import fields
+
 import pytest
 
 from duetsim.acts import DialogueAct
 from duetsim.agenda import (
+    Agenda,
     AgendaUserSimulator,
     agenda_step,
     init_agenda,
@@ -80,11 +84,27 @@ class TestRules:
         assert len(acts) == 3
 
     def test_transition_is_pure(self):
-        goal = simple_goal(info={"food": "chinese"}, reqt=("phone",))
+        goal = simple_goal(info={"food": "chinese", "area": "north"},
+                           reqt=("phone", "address"),
+                           book={"book day": "tuesday"})
         agenda = init_agenda(goal)
-        before = list(agenda.stack)
-        agenda_step(agenda, [])
-        assert agenda.stack == before
+        _, agenda = agenda_step(agenda, [])  # informs area + food
+        _, agenda = agenda_step(agenda, [])  # requests address + phone
+        before = copy.deepcopy(agenda)
+        system_acts = [
+            act("request", "restaurant", "pricerange"),   # stack
+            act("inform", "restaurant", "phone", "01223000111"),  # request_status
+            act("nooffer", "restaurant"),                 # relaxed
+            act("offer_book", "restaurant"),
+            act("offer_booked", "restaurant", "ref", "ABCD1234"),  # booking_done
+        ]
+        _, updated = agenda_step(agenda, system_acts)
+        for f in fields(Agenda):
+            assert getattr(agenda, f.name) == getattr(before, f.name), f.name
+        # the step did write to every mutable container of its own copy
+        for name in ("stack", "request_status", "ask_counts", "informed",
+                     "booking_done", "relaxed"):
+            assert getattr(updated, name) != getattr(before, name), name
 
     def test_determinism(self):
         goal = simple_goal(info={"food": "chinese"}, reqt=("phone", "address"))

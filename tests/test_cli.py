@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,31 @@ class TestConfig:
         path.write_text("a: [unclosed")
         with pytest.raises(ConfigError):
             load_config(str(path), {})
+
+    def test_unknown_field_rejected(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({"dialouges": 3}))
+        with pytest.raises(ConfigError) as e:
+            load_config(str(path), {})
+        assert e.value.field == "dialouges"
+
+    def test_non_mapping_yaml_rejected(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("- dialogues\n- 3\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path), {})
+
+    def test_default_parallelism_by_simulator(self):
+        assert load_config(None, {}).workers() == 1
+        duet = ExperimentConfig(simulator="duet",
+                                generator_backend={"kind": "http"})
+        assert duet.workers() == 4
+
+    def test_explicit_parallelism_honoured(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({"parallelism": 3}))
+        assert load_config(str(path), {}).workers() == 3
+        assert load_config(None, {"parallelism": 2}).workers() == 2
 
 
 class TestReadLogs:
@@ -146,6 +172,25 @@ class TestCommands:
     def test_goals_bad_count(self):
         assert self.invoke("goals", "--count", "0").exit_code == 1
 
+    def test_unknown_config_field_exit_1(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({"dialouges": 3}))
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 1
+        assert "dialouges" in result.output
+
+    def test_missing_world_exit_2(self, tmp_path):
+        missing = str(tmp_path / "absent.json")
+        out = tmp_path / "run"
+        assert self.invoke("simulate", "-n", "2", "-o", str(out)).exit_code == 0
+        for args in (["goals", "--world", missing],
+                     ["simulate", "-n", "2", "-o", str(tmp_path / "x"),
+                      "--world", missing],
+                     ["evaluate", str(out / "logs.jsonl"), "--world", missing]):
+            result = self.invoke(*args)
+            assert result.exit_code == 2, (args, result.output)
+            assert "error:" in result.output
+
 
 class TestDeterminism:
     def test_same_seed_same_logs(self, tmp_path):
@@ -158,3 +203,19 @@ class TestDeterminism:
             assert result.exit_code == 0, result.output
             paths.append(out / "logs.jsonl")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# sha256 of agenda logs.jsonl for seeds 0-199, turn_cap 20, bundled world,
+# recorded before the agenda, world and metrics hot paths were rewritten.
+# Any change to it means a change in agenda behaviour.
+AGENDA_SEEDS_0_199_SHA256 = (
+    "49ff18977a64cc0f958ee44656c5107716a1cd83daade87a1c64a4e9a6fa4373")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_agenda_logs_pinned(tmp_path, parallelism):
+    config = ExperimentConfig(simulator="agenda", dialogues=200, seed=0,
+                              turn_cap=20, parallelism=parallelism,
+                              output_dir=str(tmp_path / "run"))
+    data = (run_experiment(config) / "logs.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == AGENDA_SEEDS_0_199_SHA256

@@ -1,7 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
+
+import duetsim
 
 from duetsim.errors import EmptyLogSet, ShortStream, ZeroFactors
 from duetsim.metrics import (
@@ -166,6 +175,28 @@ class TestHdd:
         low = ["a"] * 60
         high = [f"t{i % 10}" for i in range(60)]
         assert hdd(high) > hdd(low)
+
+    @given(st.data())
+    def test_matches_exact_hypergeometric(self, data):
+        sample_size = data.draw(st.integers(1, 60))
+        stream = data.draw(st.lists(st.sampled_from(WORDS),
+                                    min_size=sample_size, max_size=300))
+        total, n = len(stream), sample_size
+        exact = sum(1 - Fraction(math.comb(total - c, n), math.comb(total, n))
+                    for c in Counter(stream).values()) / n
+        assert abs(hdd(stream, sample_size) - float(exact)) <= 1e-12
+
+    def test_import_does_not_load_scipy(self):
+        """The HD-D closed form keeps scipy, ~1 s of start-up, out."""
+        src = str(Path(duetsim.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, duetsim.cli; "
+             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+            capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestMtld:

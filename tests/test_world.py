@@ -1,15 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from duetsim.errors import (
     InvalidBookingSlot,
     ParseError,
     SchemaViolation,
     UnknownDomain,
+    WorldError,
+    WorldLoadError,
 )
 from duetsim.world import (
     BookingLedger,
+    Entity,
+    EntityIndex,
     describe_goal,
     generate_goal,
     load_world,
@@ -48,6 +53,20 @@ class TestLoadWorld:
         with pytest.raises(ParseError):
             load_world(str(path))
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(WorldLoadError) as e:
+            load_world(str(tmp_path / "absent.json"))
+        assert isinstance(e.value, WorldError)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        with pytest.raises(ParseError):
+            load_world(str(path))
+
+    def test_returns_index(self, entities):
+        assert isinstance(entities, EntityIndex)
+
 
 class TestQuery:
     def test_empty_constraints_return_all(self, ontology, entities):
@@ -73,6 +92,64 @@ class TestQuery:
         narrow = query_entities(entities, ontology, "hotel",
                                 {"area": "north", "pricerange": "cheap"})
         assert set(e.id for e in narrow) <= set(e.id for e in broad)
+
+
+def naive_query(entities, domain, constraints):
+    """Reference semantics: scan every entity, then sort by id."""
+    out = [e for e in entities if e.domain == domain
+           and all(e.get(s).strip().lower() == v.strip().lower()
+                   for s, v in constraints.items())]
+    return sorted(out, key=lambda e: e.id)
+
+
+def _cased(value):
+    """A value in random case with random edge padding."""
+    return st.tuples(st.sampled_from(["", " ", "  "]),
+                     st.sampled_from([value, value.upper(), value.title()]),
+                     st.sampled_from(["", " ", "\t"])).map("".join)
+
+
+VALUES = ["thai", "north", "Cheap", "ugly duckling", ""]
+SLOTS = ["food", "area", "name", "no-such-slot"]
+
+constraint_dicts = st.dictionaries(
+    st.sampled_from(SLOTS), st.sampled_from(VALUES).flatmap(_cased), max_size=3)
+
+synthetic_entities = st.lists(st.builds(
+    Entity,
+    domain=st.sampled_from(["restaurant", "hotel"]),
+    id=st.sampled_from(["a", "b", "c", "d"]),  # duplicate ids keep list order
+    attributes=st.dictionaries(st.sampled_from(SLOTS[:3]),
+                               st.sampled_from(VALUES).flatmap(_cased),
+                               max_size=3),
+), max_size=12)
+
+
+class TestIndexedQuery:
+    @given(domain=st.sampled_from(["restaurant", "hotel"]),
+           constraints=constraint_dicts)
+    def test_bundled_world_matches_scan(self, ontology, entities, domain,
+                                        constraints):
+        got = query_entities(entities, ontology, domain, constraints)
+        assert got == naive_query(entities, domain, constraints)
+        plain = query_entities(list(entities), ontology, domain, constraints)
+        assert plain == got
+
+    @given(entity_list=synthetic_entities,
+           domain=st.sampled_from(["restaurant", "hotel"]),
+           constraints=constraint_dicts)
+    def test_synthetic_world_matches_scan(self, ontology, entity_list, domain,
+                                          constraints):
+        want = naive_query(entity_list, domain, constraints)
+        assert query_entities(entity_list, ontology, domain, constraints) == want
+        index = EntityIndex(entity_list)
+        got = query_entities(index, ontology, domain, constraints)
+        assert [id(e) for e in got] == [id(e) for e in want]
+
+    def test_plain_list_same_goals(self, ontology, entities):
+        for seed in range(50):
+            assert (generate_goal(seed, ontology, list(entities))
+                    == generate_goal(seed, ontology, entities))
 
 
 class TestGoals:
