@@ -7,19 +7,23 @@ point, so any backend that satisfies the Backend protocol (an object with
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import os
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
-
-import requests as _requests
 
 from .errors import (
     CassetteIOError,
     CassetteMiss,
     EndpointError,
+    MalformedResponse,
     RetriesExhausted,
     ScriptExhausted,
     Timeout,
@@ -63,6 +67,9 @@ class BackendConfig:
             raise ValueError("timeout must be positive")
         if not 0 <= self.retries <= 5:
             raise ValueError("retries must be between 0 and 5")
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url {self.base_url!r} is not an http(s) URL")
 
 
 def request_digest(request: CompletionRequest) -> str:
@@ -110,23 +117,44 @@ class HTTPBackend:
 
     Transient failures (connection errors, timeouts, 429, 5xx) are retried
     up to ``config.retries`` times with exponential backoff; other 4xx
-    responses fail immediately.
+    responses and malformed bodies fail immediately.
+
+    Each thread that calls ``complete`` keeps one keep-alive connection of
+    its own. A connection is closed and forgotten after a transport error or
+    a response that ends it; one the server closed while it sat idle is
+    replaced without spending a retry. ``http_proxy``, ``https_proxy`` and
+    ``no_proxy`` are read from the environment when the backend is built,
+    and TLS is verified against the system trust store. ``close`` closes
+    every connection still open.
     """
 
-    def __init__(self, config: BackendConfig, session=None, sleep=time.sleep):
+    def __init__(self, config: BackendConfig, sleep=time.sleep):
         self.config = config
-        self._session = session or _requests.Session()
         self._sleep = sleep
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open: set[http.client.HTTPConnection] = set()
+
+        url = urllib.parse.urlsplit(config.base_url)
+        self._https = url.scheme == "https"
+        self._address = (url.hostname, url.port or (443 if self._https else 80))
+        self._ssl_context = ssl.create_default_context() if self._https else None
+        self._target = url.path.rstrip("/") + "/chat/completions" + \
+            (f"?{url.query}" if url.query else "")
+        self._proxy, self._proxy_headers = resolve_proxy(url)
+        if self._proxy and not self._https:
+            self._target = f"http://{url.netloc.rpartition('@')[2]}{self._target}"
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": "duetsim"}
         key = os.environ.get(self.config.api_key_env) if self.config.api_key_env else None
         if key:
             headers["Authorization"] = f"Bearer {key}"
+        if not self._https:
+            headers.update(self._proxy_headers)
         return headers
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
         messages = []
         if request.system_text:
             messages.append({"role": "system", "content": request.system_text})
@@ -139,6 +167,8 @@ class HTTPBackend:
         }
         if request.stop_sequences:
             payload["stop"] = list(request.stop_sequences)
+        body = json.dumps(payload).encode("utf-8")
+        headers = self._headers()
 
         last_error: Exception | None = None
         for attempt in range(self.config.retries + 1):
@@ -146,30 +176,122 @@ class HTTPBackend:
                 self._sleep(self.config.backoff_base * (2 ** (attempt - 1)))
             start = time.monotonic()
             try:
-                resp = self._session.post(url, json=payload,
-                                          headers=self._headers(),
-                                          timeout=self.config.timeout)
-            except _requests.Timeout as e:
-                last_error = Timeout(str(e))
+                status, data = self._post(body, headers)
+            except TimeoutError as e:
+                last_error = Timeout(str(e) or "timed out")
                 continue
-            except _requests.RequestException as e:
+            except (OSError, http.client.HTTPException) as e:
                 last_error = e
                 continue
-            if resp.status_code in RETRYABLE_STATUS:
-                last_error = EndpointError(resp.status_code, resp.text)
+            if status in RETRYABLE_STATUS:
+                last_error = EndpointError(status, data.decode("utf-8", "replace"))
                 continue
-            if resp.status_code >= 400:
-                raise EndpointError(resp.status_code, resp.text)
-            data = resp.json()
-            usage = data.get("usage") or {}
+            if status >= 400:
+                raise EndpointError(status, data.decode("utf-8", "replace"))
+            text, usage = parse_completion(data)
             return CompletionResult(
-                text=data["choices"][0]["message"]["content"],
+                text=text,
                 prompt_tokens=usage.get("prompt_tokens"),
                 completion_tokens=usage.get("completion_tokens"),
                 latency=time.monotonic() - start,
             )
         raise RetriesExhausted(
-            f"{self.config.retries + 1} attempts failed; last: {last_error}")
+            f"{self.config.retries + 1} attempts failed; last: {last_error}"
+        ) from last_error
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """POST on this thread's connection; returns (status, body)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            try:
+                return self._exchange(conn, body, headers)
+            except ConnectionError:
+                pass  # closed by the server while idle: resend on a new one
+        conn = self._connect()
+        return self._exchange(conn, body, headers)
+
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = self._proxy or self._address
+        if self._https:
+            conn = http.client.HTTPSConnection(host, port, timeout=self.config.timeout,
+                                               context=self._ssl_context)
+            if self._proxy:
+                conn.set_tunnel(*self._address, headers=self._proxy_headers)
+        else:
+            conn = http.client.HTTPConnection(host, port, timeout=self.config.timeout)
+        self._local.conn = conn
+        with self._lock:
+            self._open.add(conn)
+        return conn
+
+    def _exchange(self, conn, body: bytes, headers: dict) -> tuple[int, bytes]:
+        try:
+            conn.request("POST", self._target, body, headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            self._discard(conn)
+            raise
+        if resp.will_close:
+            self._discard(conn)
+        return resp.status, data
+
+    def _discard(self, conn) -> None:
+        conn.close()
+        self._local.conn = None
+        with self._lock:
+            self._open.discard(conn)
+
+    def close(self) -> None:
+        """Close every connection, including those of threads that have
+        exited; a later call reconnects."""
+        with self._lock:
+            conns = list(self._open)
+        for conn in conns:
+            conn.close()
+
+
+def resolve_proxy(url) -> tuple[tuple[str, int] | None, dict[str, str]]:
+    """((host, port) of the proxy for ``url`` or None, headers for the proxy).
+
+    Reads ``<scheme>_proxy`` and ``no_proxy`` from the environment.
+    """
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if not proxy or urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+        return None, {}
+    if "://" not in proxy:
+        proxy = "http://" + proxy
+    proxy_url = urllib.parse.urlsplit(proxy)
+    if proxy_url.scheme != "http" or not proxy_url.hostname:
+        raise ValueError(f"unsupported proxy URL {proxy!r}: expected http://host:port")
+    headers = {}
+    if proxy_url.username is not None:
+        credentials = (f"{urllib.parse.unquote(proxy_url.username)}:"
+                       f"{urllib.parse.unquote(proxy_url.password or '')}")
+        token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+        headers["Proxy-Authorization"] = f"Basic {token}"
+    return (proxy_url.hostname, proxy_url.port or 80), headers
+
+
+def parse_completion(data: bytes) -> tuple[str, dict]:
+    """(content of the first choice, usage) from a chat-completions body."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise MalformedResponse(f"body is not UTF-8: {e}") from e
+    except json.JSONDecodeError as e:
+        raise MalformedResponse(f"body is not JSON: {e}") from e
+    choices = doc.get("choices") if isinstance(doc, dict) else None
+    if not isinstance(choices, list) or not choices:
+        raise MalformedResponse("body has no choices")
+    try:
+        content = choices[0]["message"]["content"]
+    except (KeyError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        raise MalformedResponse("choices[0].message.content is not a string")
+    usage = doc.get("usage")
+    return content, usage if isinstance(usage, dict) else {}
 
 
 class CassetteBackend:

@@ -120,8 +120,17 @@ def _build_backend(spec: dict, role: str):
         path = spec.get("script_file")
         if not path:
             raise ConfigError(f"{role}.script_file", "required for scripted backend")
-        with open(path, encoding="utf-8") as f:
-            responses = [json.loads(line) for line in f if line.strip()]
+        responses = []
+        try:
+            with open(path, encoding="utf-8") as f:
+                for number, line in enumerate(f, start=1):
+                    if line.strip():
+                        responses.append(json.loads(line))
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{role}.script_file", str(e)) from e
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{role}.script_file",
+                              f"{path} line {number}: {e}") from e
         return ScriptedBackend(responses)
     if kind == "http":
         try:
@@ -135,6 +144,8 @@ def _build_backend(spec: dict, role: str):
             ))
         except KeyError as e:
             raise ConfigError(f"{role}.{e.args[0]}", "missing") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(role, str(e)) from e
     raise ConfigError(f"{role}.kind", f"unknown backend kind {kind!r}")
 
 
@@ -152,14 +163,15 @@ def _wrap_cassette(backend, cassette: dict):
 
 
 def build_simulator_factory(config: ExperimentConfig, ontology, entities):
-    """Returns (factory(goal) -> user simulator, sequential_required)."""
+    """Returns (factory(goal) -> user simulator, sequential_required, backends)."""
     if config.simulator == "agenda":
-        return (lambda goal: AgendaUserSimulator(goal)), False
+        return (lambda goal: AgendaUserSimulator(goal)), False, ()
 
     gen_backend = _build_backend(config.generator_backend, "generator_backend")
     ver_spec = config.verifier_backend or config.generator_backend
     same = ver_spec is config.generator_backend or ver_spec == config.generator_backend
     ver_backend = gen_backend if same else _build_backend(ver_spec, "verifier_backend")
+    backends = (gen_backend, ver_backend)
     sequential = isinstance(gen_backend, ScriptedBackend)
     cassette_mode = config.cassette.get("mode", "off")
     gen_backend = _wrap_cassette(gen_backend, config.cassette)
@@ -184,7 +196,7 @@ def build_simulator_factory(config: ExperimentConfig, ontology, entities):
                               prompt_config=prompt_config)
         return DuetUserSimulator(session)
 
-    return factory, sequential
+    return factory, sequential, backends
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
@@ -193,7 +205,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     ontology, entities = load_world(config.world)
     lint_all_templates()
-    factory, sequential = build_simulator_factory(config, ontology, entities)
+    factory, sequential, backends = build_simulator_factory(config, ontology, entities)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -204,44 +216,32 @@ def run_experiment(config: ExperimentConfig) -> Path:
     failures = []
 
     def run_one(seed: int):
-        goal = generate_goal(seed, ontology, entities)
-        user = factory(goal)
-        system = SystemAgent(ontology, entities, seed=seed)
-        return run_dialogue(goal, user, system,
-                            max_user_turns=config.turn_cap, seed=seed)
+        """(log, failure entry or None); a failed dialogue gets an error log."""
+        try:
+            goal = generate_goal(seed, ontology, entities)
+            user = factory(goal)
+            system = SystemAgent(ontology, entities, seed=seed)
+            return run_dialogue(goal, user, system,
+                                max_user_turns=config.turn_cap, seed=seed), None
+        except Exception as e:
+            return (_error_log(seed, ontology, entities),
+                    {"seed": seed, "error": str(e)})
 
-    results: dict[int, DialogueLog] = {}
     workers = 1 if sequential else config.workers()
-    with open(log_path, "w", encoding="utf-8") as log_file:
-        next_to_write = 0
-
-        def flush_ready():
-            nonlocal next_to_write
-            while next_to_write < len(seeds) and seeds[next_to_write] in results:
-                log = results.pop(seeds[next_to_write])
+    try:
+        with open(log_path, "w", encoding="utf-8") as log_file, \
+                ThreadPoolExecutor(max_workers=workers) as pool:
+            # Logs arrive in seed order and each is dropped once written.
+            for log, failure in (map if workers == 1 else pool.map)(run_one, seeds):
+                if failure:
+                    failures.append(failure)
                 record = {"v": LOG_SCHEMA_VERSION, "log": log.to_dict()}
                 log_file.write(json.dumps(record, sort_keys=True) + "\n")
                 log_file.flush()
-                next_to_write += 1
-
-        if workers == 1:
-            for seed in seeds:
-                try:
-                    results[seed] = run_one(seed)
-                except Exception as e:
-                    failures.append({"seed": seed, "error": str(e)})
-                    results[seed] = _error_log(seed, ontology, entities)
-                flush_ready()
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(run_one, s): s for s in seeds}
-                for future, seed in futures.items():
-                    try:
-                        results[seed] = future.result()
-                    except Exception as e:
-                        failures.append({"seed": seed, "error": str(e)})
-                        results[seed] = _error_log(seed, ontology, entities)
-                    flush_ready()
+    finally:
+        for backend in backends:
+            if isinstance(backend, HTTPBackend):
+                backend.close()
 
     manifest = {
         "config": {
@@ -324,7 +324,9 @@ def simulate(config_path, **overrides):
         _fail(e if isinstance(e, ConfigError) else ConfigError("config", str(e)), 1)
     try:
         out_dir = run_experiment(config)
-    except (WorldError, DuetSimError) as e:
+    except ConfigError as e:
+        _fail(e, 1)
+    except DuetSimError as e:
         _fail(e, 2)
     click.echo(str(out_dir))
 

@@ -76,6 +76,10 @@ class RetriesExhausted(BackendError):
     pass
 
 
+class MalformedResponse(BackendError):
+    """A 200 response whose body is not a chat completion."""
+
+
 class ScriptExhausted(BackendError):
     """Scripted backend ran out of canned responses."""
 

@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from duetsim.acts import DialogueLog
 from duetsim.cli import (
     ExperimentConfig,
     load_config,
@@ -179,6 +182,34 @@ class TestCommands:
         assert result.exit_code == 1
         assert "dialouges" in result.output
 
+    @pytest.mark.parametrize("content", [None, '"ok"\n{not json\n'])
+    def test_bad_script_file_exit_1(self, tmp_path, content):
+        script = tmp_path / "script.jsonl"
+        if content is not None:
+            script.write_text(content)
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({
+            "simulator": "duet", "dialogues": 1,
+            "output_dir": str(tmp_path / "run"),
+            "generator_backend": {"kind": "scripted",
+                                  "script_file": str(script)}}))
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 1, result.output
+        assert "generator_backend.script_file" in result.output
+        if content is not None:
+            assert "line 2" in result.output
+
+    def test_bad_http_backend_config_exit_1(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({
+            "simulator": "duet", "dialogues": 1,
+            "output_dir": str(tmp_path / "run"),
+            "generator_backend": {"kind": "http", "base_url": "localhost:8000",
+                                  "timeout": 0}}))
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 1, result.output
+        assert "generator_backend" in result.output
+
     def test_missing_world_exit_2(self, tmp_path):
         missing = str(tmp_path / "absent.json")
         out = tmp_path / "run"
@@ -219,3 +250,32 @@ def test_agenda_logs_pinned(tmp_path, parallelism):
                               output_dir=str(tmp_path / "run"))
     data = (run_experiment(config) / "logs.jsonl").read_bytes()
     assert hashlib.sha256(data).hexdigest() == AGENDA_SEEDS_0_199_SHA256
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_written_logs_are_released(tmp_path, monkeypatch, parallelism):
+    """A log is dropped once written, not kept until the run ends."""
+    import duetsim.loop
+
+    alive = {}
+    run_dialogue = duetsim.loop.run_dialogue
+    to_dict = DialogueLog.to_dict
+
+    def tracked_run_dialogue(*args, **kwargs):
+        log = run_dialogue(*args, **kwargs)
+        alive[log.seed] = weakref.ref(log)
+        return log
+
+    def checked_to_dict(log):
+        gc.collect()
+        assert not [s for s, ref in alive.items() if s < log.seed and ref()]
+        return to_dict(log)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
+    monkeypatch.setattr(DialogueLog, "to_dict", checked_to_dict)
+    config = ExperimentConfig(simulator="agenda", dialogues=30,
+                              parallelism=parallelism,
+                              output_dir=str(tmp_path / "run"))
+    run_experiment(config)
+    assert len(alive) == 30
+

@@ -1,16 +1,10 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
-
-import duetsim
 
 from duetsim.errors import EmptyLogSet, ShortStream, ZeroFactors
 from duetsim.metrics import (
@@ -186,17 +180,9 @@ class TestHdd:
                     for c in Counter(stream).values()) / n
         assert abs(hdd(stream, sample_size) - float(exact)) <= 1e-12
 
-    def test_import_does_not_load_scipy(self):
+    def test_import_does_not_load_scipy(self, imported_modules):
         """The HD-D closed form keeps scipy, ~1 s of start-up, out."""
-        src = str(Path(duetsim.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, duetsim.cli; "
-             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
-            capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "False"
+        assert "scipy" not in imported_modules
 
 
 class TestMtld:
