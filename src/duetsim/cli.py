@@ -10,6 +10,7 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +21,14 @@ from . import __version__
 from .acts import DialogueLog
 from .agenda import AgendaUserSimulator
 from .backend import BackendConfig, CassetteBackend, HTTPBackend, ScriptedBackend
-from .errors import ConfigError, DuetSimError, EmptyLogSet, LogParseError, WorldError
+from .errors import (
+    ConfigError,
+    DuetSimError,
+    EmptyLogSet,
+    LogParseError,
+    WorkerFailed,
+    WorldError,
+)
 from .loop import DEFAULT_TURN_CAP, DuetSession, DuetUserSimulator, LoopConfig
 from .metrics import diversity, fulfillment, render_report, user_utterances
 from .prompts import PromptConfig, lint_all_templates, templates_digest
@@ -30,6 +38,8 @@ from .world import describe_goal, generate_goal, load_world
 LOG_SCHEMA_VERSION = 1
 
 SIMULATOR_KINDS = ("duet", "duet-no-verifier", "agenda")
+
+MAX_CHUNK = 32  # dialogues per hand-off to a worker process
 
 
 @dataclass
@@ -65,9 +75,9 @@ class ExperimentConfig:
                               "required for duet simulators")
 
     def workers(self) -> int:
-        """Worker threads: the configured value, else 1 for agenda runs
-        (CPU-bound, where threads only add contention) and 4 for duet runs
-        (backend-bound)."""
+        """Workers: the configured value, else 1 for agenda runs and 4 for
+        duet runs (backend-bound). More than one agenda worker means worker
+        processes, since agenda runs are CPU-bound; duet workers are threads."""
         if self.parallelism is not None:
             return self.parallelism
         return 1 if self.simulator == "agenda" else 4
@@ -125,7 +135,13 @@ def _build_backend(spec: dict, role: str):
             with open(path, encoding="utf-8") as f:
                 for number, line in enumerate(f, start=1):
                     if line.strip():
-                        responses.append(json.loads(line))
+                        response = json.loads(line)
+                        if not isinstance(response, str):
+                            raise ConfigError(
+                                f"{role}.script_file",
+                                f"{path} line {number}: expected a JSON string, "
+                                f"got {type(response).__name__}")
+                        responses.append(response)
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"{role}.script_file", str(e)) from e
         except json.JSONDecodeError as e:
@@ -199,47 +215,110 @@ def build_simulator_factory(config: ExperimentConfig, ontology, entities):
     return factory, sequential, backends
 
 
+class _DialogueRunner:
+    """Runs one dialogue per seed; each process that runs dialogues builds one."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.ontology, self.entities = load_world(config.world)
+        self.factory, self.sequential, self.backends = build_simulator_factory(
+            config, self.ontology, self.entities)
+
+    def __call__(self, seed: int) -> tuple[str, dict | None]:
+        """(record line, failure entry or None); a failed dialogue gets an error log."""
+        from .loop import run_dialogue
+
+        try:
+            goal = generate_goal(seed, self.ontology, self.entities)
+            user = self.factory(goal)
+            system = SystemAgent(self.ontology, self.entities, seed=seed)
+            log = run_dialogue(goal, user, system,
+                               max_user_turns=self.config.turn_cap, seed=seed)
+            failure = None
+        except Exception as e:
+            log = _error_log(seed, self.ontology, self.entities)
+            failure = {"seed": seed, "error": str(e)}
+        record = {"v": LOG_SCHEMA_VERSION, "log": log.to_dict()}
+        return json.dumps(record, sort_keys=True) + "\n", failure
+
+
+_worker_runner: _DialogueRunner | None = None  # set in each worker process
+
+
+def _init_worker(config: ExperimentConfig) -> None:
+    global _worker_runner
+    _worker_runner = _DialogueRunner(config)
+
+
+def _run_in_worker(seed: int) -> tuple[str, dict | None]:
+    return _worker_runner(seed)
+
+
+def _records(runner: _DialogueRunner, seeds: range, workers: int):
+    """(record line, failure entry or None) for each seed, in seed order.
+
+    Parallel agenda dialogues are CPU-bound, so they run in worker processes;
+    duet dialogues wait on the backend and share its connections and
+    cassette, so they run on threads.
+    """
+    if workers == 1:
+        yield from map(runner, seeds)
+    elif runner.config.simulator != "agenda":
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(runner, seeds)
+    else:
+        yield from _records_from_processes(runner.config, seeds, workers)
+
+
+def _records_from_processes(config: ExperimentConfig, seeds: range, workers: int):
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # A forked worker starts from this interpreter; spawn and forkserver
+    # import duetsim again in each worker, about 0.1 s per pool.
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    # Contiguous chunks spread the hand-off cost over many dialogues and keep
+    # few futures pending; several chunks per worker even out the finish.
+    chunk = max(1, min(MAX_CHUNK, len(seeds) // (4 * workers)))
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork" if fork else "spawn"),
+        initializer=_init_worker, initargs=(config,))
+    try:
+        yield from pool.map(_run_in_worker, seeds, chunksize=chunk)
+    except BrokenProcessPool as e:
+        raise WorkerFailed(f"a worker process died: {e}") from e
+    except Exception as e:  # raised by a worker, e.g. pickling its result
+        raise WorkerFailed(f"a worker failed: {type(e).__name__}: {e}") from e
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run the configured number of dialogues and write logs plus manifest."""
-    from .loop import run_dialogue
-
-    ontology, entities = load_world(config.world)
+    runner = _DialogueRunner(config)
     lint_all_templates()
-    factory, sequential, backends = build_simulator_factory(config, ontology, entities)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "logs.jsonl"
 
-    seeds = list(range(config.seed, config.seed + config.dialogues))
+    seeds = range(config.seed, config.seed + config.dialogues)
     started = time.time()
     failures = []
-
-    def run_one(seed: int):
-        """(log, failure entry or None); a failed dialogue gets an error log."""
-        try:
-            goal = generate_goal(seed, ontology, entities)
-            user = factory(goal)
-            system = SystemAgent(ontology, entities, seed=seed)
-            return run_dialogue(goal, user, system,
-                                max_user_turns=config.turn_cap, seed=seed), None
-        except Exception as e:
-            return (_error_log(seed, ontology, entities),
-                    {"seed": seed, "error": str(e)})
-
-    workers = 1 if sequential else config.workers()
+    workers = 1 if runner.sequential else config.workers()
     try:
         with open(log_path, "w", encoding="utf-8") as log_file, \
-                ThreadPoolExecutor(max_workers=workers) as pool:
-            # Logs arrive in seed order and each is dropped once written.
-            for log, failure in (map if workers == 1 else pool.map)(run_one, seeds):
+                closing(_records(runner, seeds, workers)) as records:
+            # Records arrive in seed order and each is dropped once written.
+            for line, failure in records:
                 if failure:
                     failures.append(failure)
-                record = {"v": LOG_SCHEMA_VERSION, "log": log.to_dict()}
-                log_file.write(json.dumps(record, sort_keys=True) + "\n")
+                log_file.write(line)
                 log_file.flush()
     finally:
-        for backend in backends:
+        for backend in runner.backends:
             if isinstance(backend, HTTPBackend):
                 backend.close()
 
@@ -309,8 +388,9 @@ def _fail(error: DuetSimError, code: int):
 @click.option("--seed", type=int, default=None)
 @click.option("--turn-cap", type=int, default=None)
 @click.option("--parallelism", type=int, default=None,
-              help="Worker threads. Default: 1 for agenda runs, 4 for duet "
-                   "runs; an explicit value is always used.")
+              help="Workers: processes for agenda runs, threads for duet "
+                   "runs. Default: 1 for agenda runs, 4 for duet runs; an "
+                   "explicit value is always used.")
 @click.option("--output-dir", "-o", type=click.Path(), default=None)
 @click.option("--context-mode", type=click.Choice(["utterances", "acts"]),
               default=None)

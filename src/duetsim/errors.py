@@ -168,6 +168,10 @@ class ConfigError(DuetSimError):
         super().__init__(f"config field '{field}': {message}")
 
 
+class WorkerFailed(DuetSimError):
+    """A worker process died, or its result could not be sent back."""
+
+
 class LogParseError(DuetSimError):
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number

@@ -52,13 +52,14 @@ def simple_goal(info=None, reqt=(), book=None, domain="restaurant"):
 
 @pytest.fixture(scope="session")
 def imported_modules():
-    """Top-level modules that importing the CLI loads in a fresh interpreter."""
+    """Modules, by dotted name, that importing the CLI loads in a fresh
+    interpreter; a loaded submodule's packages are listed too."""
     src = str(Path(duetsim.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, duetsim.cli; "
-         "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"],
+         "print(' '.join(sorted(sys.modules)))"],
         capture_output=True, text=True, env=env, check=True)
     return set(out.stdout.split())

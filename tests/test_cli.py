@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import json
+import os
+import threading
 import weakref
 
 import pytest
@@ -182,7 +184,8 @@ class TestCommands:
         assert result.exit_code == 1
         assert "dialouges" in result.output
 
-    @pytest.mark.parametrize("content", [None, '"ok"\n{not json\n'])
+    @pytest.mark.parametrize("content",
+                             [None, '"ok"\n{not json\n', '"ok"\n{"a": 1}\n'])
     def test_bad_script_file_exit_1(self, tmp_path, content):
         script = tmp_path / "script.jsonl"
         if content is not None:
@@ -209,6 +212,38 @@ class TestCommands:
         result = self.invoke("simulate", "-c", str(path))
         assert result.exit_code == 1, result.output
         assert "generator_backend" in result.output
+
+    @pytest.mark.parametrize("fault", ["dies", "unpicklable"])
+    def test_worker_failure_exit_2(self, tmp_path, monkeypatch, fault):
+        """A dead worker process, or a result it cannot send back, is one
+        error line and exit 2. Forked workers inherit the patches below."""
+        import duetsim.cli
+        import duetsim.loop
+
+        if fault == "dies":
+            run_dialogue = duetsim.loop.run_dialogue
+            test_pid = os.getpid()
+
+            def dying_run_dialogue(*args, **kwargs):
+                if kwargs["seed"] == 7 and os.getpid() != test_pid:
+                    os._exit(1)
+                return run_dialogue(*args, **kwargs)
+
+            monkeypatch.setattr(duetsim.loop, "run_dialogue", dying_run_dialogue)
+        else:
+            run_one = duetsim.cli._DialogueRunner.__call__
+
+            def unpicklable_run_one(self, seed):
+                line, failure = run_one(self, seed)
+                return (threading.Lock() if seed == 7 else line), failure
+
+            monkeypatch.setattr(duetsim.cli._DialogueRunner, "__call__",
+                                unpicklable_run_one)
+        result = self.invoke("simulate", "-n", "20", "--parallelism", "2",
+                             "-o", str(tmp_path / "run"))
+        assert result.exit_code == 2, result.output
+        assert len(result.output.splitlines()) == 1, result.output
+        assert result.output.startswith("error: a worker")
 
     def test_missing_world_exit_2(self, tmp_path):
         missing = str(tmp_path / "absent.json")
@@ -243,7 +278,7 @@ AGENDA_SEEDS_0_199_SHA256 = (
     "49ff18977a64cc0f958ee44656c5107716a1cd83daade87a1c64a4e9a6fa4373")
 
 
-@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("parallelism", [1, 2, 3])
 def test_agenda_logs_pinned(tmp_path, parallelism):
     config = ExperimentConfig(simulator="agenda", dialogues=200, seed=0,
                               turn_cap=20, parallelism=parallelism,
@@ -252,14 +287,57 @@ def test_agenda_logs_pinned(tmp_path, parallelism):
     assert hashlib.sha256(data).hexdigest() == AGENDA_SEEDS_0_199_SHA256
 
 
+def test_agenda_logs_pinned_without_fork(tmp_path, monkeypatch):
+    """Where fork is missing, spawned workers rebuild the run from the config."""
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    config = ExperimentConfig(simulator="agenda", dialogues=200, seed=0,
+                              turn_cap=20, parallelism=2,
+                              output_dir=str(tmp_path / "run"))
+    data = (run_experiment(config) / "logs.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == AGENDA_SEEDS_0_199_SHA256
+
+
+def test_failed_dialogue_same_at_any_parallelism(tmp_path, monkeypatch):
+    """A dialogue that raises gives the same error log, in seed order, and
+    the same failure entry on one worker and on worker processes."""
+    import duetsim.loop
+
+    run_dialogue = duetsim.loop.run_dialogue
+
+    def failing_run_dialogue(*args, **kwargs):
+        if kwargs["seed"] == 13:
+            raise RuntimeError("no dialogue for seed 13")
+        return run_dialogue(*args, **kwargs)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", failing_run_dialogue)
+    runs = []
+    for parallelism in (1, 2):
+        out = run_experiment(ExperimentConfig(
+            simulator="agenda", dialogues=40, seed=0, parallelism=parallelism,
+            output_dir=str(tmp_path / str(parallelism))))
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs.append(((out / "logs.jsonl").read_bytes(), manifest["failures"]))
+    assert runs[0] == runs[1]
+    data, failures = runs[0]
+    assert failures == [{"seed": 13, "error": "no dialogue for seed 13"}]
+    logs = [json.loads(line)["log"] for line in data.splitlines()]
+    assert [log["seed"] for log in logs] == list(range(40))
+    assert [log["termination_reason"] == "error" for log in logs].index(True) == 13
+    assert logs[13]["turns"] == []
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_written_logs_are_released(tmp_path, monkeypatch, parallelism):
-    """A log is dropped once written, not kept until the run ends."""
+    """A log is dropped once written, not kept until the run ends. Two
+    agenda workers are processes, so no log lives in this one at all."""
     import duetsim.loop
 
     alive = {}
     run_dialogue = duetsim.loop.run_dialogue
     to_dict = DialogueLog.to_dict
+    ran = tmp_path / "ran.txt"
 
     def tracked_run_dialogue(*args, **kwargs):
         log = run_dialogue(*args, **kwargs)
@@ -271,11 +349,75 @@ def test_written_logs_are_released(tmp_path, monkeypatch, parallelism):
         assert not [s for s, ref in alive.items() if s < log.seed and ref()]
         return to_dict(log)
 
-    monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
-    monkeypatch.setattr(DialogueLog, "to_dict", checked_to_dict)
+    def logged_run_dialogue(*args, **kwargs):
+        with open(ran, "a", encoding="utf-8") as f:
+            f.write(f"{kwargs['seed']} {os.getpid()}\n")
+        return run_dialogue(*args, **kwargs)
+
+    if parallelism == 1:
+        monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
+        monkeypatch.setattr(DialogueLog, "to_dict", checked_to_dict)
+    else:
+        monkeypatch.setattr(duetsim.loop, "run_dialogue", logged_run_dialogue)
     config = ExperimentConfig(simulator="agenda", dialogues=30,
                               parallelism=parallelism,
                               output_dir=str(tmp_path / "run"))
     run_experiment(config)
-    assert len(alive) == 30
+    if parallelism == 1:
+        assert len(alive) == 30
+    else:
+        entries = [line.split() for line in ran.read_text().splitlines()]
+        assert sorted(int(seed) for seed, _ in entries) == list(range(30))
+        assert all(int(pid) != os.getpid() for _, pid in entries)
+
+
+def test_written_duet_logs_are_released(tmp_path, monkeypatch):
+    """Duet runs stay on threads, where a log is dropped once written.
+    Replaying a cassette behind an HTTP backend spec makes the run parallel
+    without any request reaching the endpoint."""
+    import duetsim.cli
+    import duetsim.loop
+
+    dialogues = 12
+    turn = ["bye", "general", "", "", "ACCEPT", "Goodbye.", "Thanks, bye!"]
+    script = tmp_path / "script.jsonl"
+    script.write_text("".join(json.dumps(line) + "\n" for line in turn * dialogues))
+    cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
+    run_experiment(ExperimentConfig(
+        simulator="duet", dialogues=dialogues, output_dir=str(tmp_path / "record"),
+        generator_backend={"kind": "scripted", "script_file": str(script)},
+        cassette=cassette))
+
+    alive = {}
+    run_dialogue = duetsim.loop.run_dialogue
+    records = duetsim.cli._records
+
+    def tracked_run_dialogue(*args, **kwargs):
+        log = run_dialogue(*args, **kwargs)
+        alive[log.seed] = weakref.ref(log)
+        return log
+
+    def checked_records(*args):
+        for line, failure in records(*args):
+            seed = json.loads(line)["log"]["seed"]
+            gc.collect()
+            assert not [s for s, ref in alive.items() if s < seed and ref()]
+            yield line, failure
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
+    monkeypatch.setattr(duetsim.cli, "_records", checked_records)
+    out = run_experiment(ExperimentConfig(
+        simulator="duet", dialogues=dialogues, parallelism=2,
+        output_dir=str(tmp_path / "replay"),
+        generator_backend={"kind": "http", "base_url": "http://127.0.0.1:9"},
+        cassette=dict(cassette, mode="replay")))
+    assert len(alive) == dialogues
+    assert json.loads((out / "manifest.json").read_text())["failures"] == []
+    assert (out / "logs.jsonl").read_bytes() == \
+        (tmp_path / "record" / "logs.jsonl").read_bytes()
+
+
+def test_import_does_not_load_process_pool(imported_modules):
+    """Only parallel agenda runs pay for importing multiprocessing."""
+    assert not {"multiprocessing", "concurrent.futures.process"} & imported_modules
 
