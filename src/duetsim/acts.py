@@ -36,13 +36,18 @@ class DialogueAct:
         return [self.intent, self.domain, self.slot, self.value]
 
     def normalized(self) -> "DialogueAct":
-        """Lowercase/trim intent, domain and slot; trim the value only."""
-        return DialogueAct(
-            intent=self.intent.strip().lower(),
-            domain=self.domain.strip().lower(),
-            slot=self.slot.strip().lower(),
-            value=self.value.strip(),
-        )
+        """Lowercase/trim intent, domain and slot; trim the value only.
+
+        An act that is already normalized is returned as it is.
+        """
+        intent = self.intent.strip().lower()
+        domain = self.domain.strip().lower()
+        slot = self.slot.strip().lower()
+        value = self.value.strip()
+        if (intent == self.intent and domain == self.domain
+                and slot == self.slot and value == self.value):
+            return self
+        return DialogueAct(intent, domain, slot, value)
 
 
 def _balanced_regions(text: str):
@@ -185,13 +190,30 @@ class DialogueTurn:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DialogueTurn":
+    def from_dict(cls, d: dict, acts: ActTable | None = None) -> "DialogueTurn":
+        """``acts`` shares equal acts between the turns read with it."""
+        if acts is None:
+            acts = ActTable()
+        try:
+            turn_acts = tuple(map(acts.__getitem__, map(tuple, d["acts"])))
+        except TypeError:
+            # An act with an unhashable component is built unshared; any
+            # other malformed act raises its TypeError again here.
+            turn_acts = tuple(DialogueAct(*a) for a in d["acts"])
         return cls(
             speaker=d["speaker"],
-            acts=tuple(DialogueAct(*a) for a in d["acts"]),
+            acts=turn_acts,
             utterance=d["utterance"],
             turn_index=d["turn_index"],
         )
+
+
+class ActTable(dict):
+    """Act quadruple -> DialogueAct, building each missing act once."""
+
+    def __missing__(self, fields: tuple) -> DialogueAct:
+        act = self[fields] = DialogueAct(*fields)
+        return act
 
 
 @dataclass
@@ -320,11 +342,14 @@ class DialogueLog:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DialogueLog":
+    def from_dict(cls, d: dict, acts: ActTable | None = None) -> "DialogueLog":
+        """``acts`` shares equal acts between the logs read with it."""
         from .world import UserGoal
+        if acts is None:
+            acts = ActTable()
         return cls(
             goal=UserGoal.from_dict(d["goal"]),
-            turns=[DialogueTurn.from_dict(t) for t in d["turns"]],
+            turns=[DialogueTurn.from_dict(t, acts) for t in d["turns"]],
             annotations=LogAnnotations.from_dict(d["annotations"]),
             termination_reason=d["termination_reason"],
             seed=d.get("seed"),

@@ -18,7 +18,7 @@ import click
 import yaml
 
 from . import __version__
-from .acts import DialogueLog
+from .acts import ActTable, DialogueLog
 from .agenda import AgendaUserSimulator
 from .backend import BackendConfig, CassetteBackend, HTTPBackend, ScriptedBackend
 from .errors import (
@@ -353,6 +353,7 @@ def _error_log(seed, ontology, entities) -> DialogueLog:
 
 def read_logs(paths) -> list[DialogueLog]:
     logs = []
+    acts = ActTable()  # equal acts of this call share one DialogueAct
     for path in paths:
         with open(path, encoding="utf-8") as f:
             for i, line in enumerate(f, start=1):
@@ -361,7 +362,7 @@ def read_logs(paths) -> list[DialogueLog]:
                     continue
                 try:
                     record = json.loads(line)
-                    logs.append(DialogueLog.from_dict(record["log"]))
+                    logs.append(DialogueLog.from_dict(record["log"], acts))
                 except (json.JSONDecodeError, KeyError, TypeError) as e:
                     raise LogParseError(i, f"{path}: {e}") from e
     return logs

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import EmptyLogSet, ShortStream, ZeroFactors
 from .world import query_entities
@@ -28,43 +29,50 @@ def tokenize(utterances) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, drop empties."""
     if isinstance(utterances, str):
         utterances = [utterances]
-    tokens = []
-    for utt in utterances:
-        for raw in utt.lower().split():
-            tok = raw.strip(_PUNCT)
-            if tok:
-                tokens.append(tok)
-    return tokens
+    # a space between utterances keeps their tokens apart
+    raw = " ".join(utterances).lower().split()
+    return list(filter(None, map(str.strip, raw, repeat(_PUNCT))))
+
+
+def _ngrams(stream, n: int):
+    return zip(*(stream[i:] for i in range(n)))
 
 
 def unique_ngrams(stream, n: int) -> int:
-    if len(stream) < n:
-        return 0
-    return len({tuple(stream[i:i + n]) for i in range(len(stream) - n + 1)})
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return len(set(_ngrams(stream, n)))
+
+
+def _entropy(counts: Counter, total: int) -> float:
+    if not total:
+        return 0.0
+    return -sum((c / total) * math.log2(c / total) for c in counts.values())
 
 
 def shannon_entropy(stream) -> float:
     """Unigram entropy in bits: -sum p(w) log2 p(w)."""
-    if not stream:
+    return _entropy(Counter(stream), len(stream))
+
+
+def _conditional_entropy(stream, counts: Counter, bigrams: Counter) -> float:
+    """Adjacent-pair entropy from the unigram and bigram counts of stream."""
+    if len(stream) < 2:
         return 0.0
-    counts = Counter(stream)
-    total = len(stream)
-    return -sum((c / total) * math.log2(c / total) for c in counts.values())
+    total = len(stream) - 1
+    last = stream[-1]
+    out = 0.0
+    for (w1, _), c in bigrams.items():
+        p_pair = c / total
+        # every occurrence of w1 starts a pair, except one in last position
+        p_cond = c / (counts[w1] - (w1 == last))
+        out -= p_pair * math.log2(p_cond)
+    return out
 
 
 def conditional_bigram_entropy(stream) -> float:
     """Adjacent-pair entropy in bits: -sum p(w1,w2) log2 p(w2|w1)."""
-    if len(stream) < 2:
-        return 0.0
-    bigrams = Counter(zip(stream, stream[1:]))
-    firsts = Counter(stream[:-1])
-    total = len(stream) - 1
-    out = 0.0
-    for (w1, _), c in bigrams.items():
-        p_pair = c / total
-        p_cond = c / firsts[w1]
-        out -= p_pair * math.log2(p_cond)
-    return out
+    return _conditional_entropy(stream, Counter(stream), Counter(_ngrams(stream, 2)))
 
 
 def msttr(stream, segment_length: int = MSTTR_SEGMENT) -> float:
@@ -93,13 +101,17 @@ def _p_absent(total: int, count: int, sample_size: int) -> float:
     return p
 
 
-def hdd(stream, sample_size: int = HDD_SAMPLE) -> float:
-    """Hypergeometric lexical diversity over draws of ``sample_size`` tokens."""
+def hdd(stream, sample_size: int = HDD_SAMPLE, *,
+        counts: Counter | None = None) -> float:
+    """Hypergeometric lexical diversity over draws of ``sample_size`` tokens.
+
+    ``counts`` may pass ``Counter(stream)`` in when the caller has it.
+    """
     total = len(stream)
     if total < sample_size:
         raise ShortStream(f"need at least {sample_size} tokens, got {total}")
     # types sharing a frequency share P(X=0): frequency -> number of types
-    by_count = Counter(Counter(stream).values())
+    by_count = Counter((Counter(stream) if counts is None else counts).values())
     value = 0.0
     for c, types in by_count.items():
         value += types * (1.0 - _p_absent(total, c, sample_size)) / sample_size
@@ -110,13 +122,20 @@ def _mtld_one_direction(stream, threshold: float) -> float:
     factors = 0.0
     types: set[str] = set()
     count = 0
-    for token in stream:
-        types.add(token)
-        count += 1
-        if len(types) / count <= threshold:
-            factors += 1.0
-            types = set()
-            count = 0
+    if threshold >= 1.0:
+        # each token's own TTR of 1.0 reaches the threshold: a factor apiece
+        factors = float(len(stream))
+    else:
+        for token in stream:
+            count += 1
+            # A new type never lowers the TTR, and a segment's first token
+            # has TTR 1.0, so only a repeated token can reach the threshold.
+            if token not in types:
+                types.add(token)
+            elif len(types) / count <= threshold:
+                factors += 1.0
+                types = set()
+                count = 0
     if count:
         ttr = len(types) / count
         if ttr < 1.0:
@@ -129,7 +148,7 @@ def _mtld_one_direction(stream, threshold: float) -> float:
 def mtld(stream, threshold: float = MTLD_THRESHOLD) -> float:
     """Bidirectional factor-based lexical diversity (mean of both scans)."""
     forward = _mtld_one_direction(stream, threshold)
-    backward = _mtld_one_direction(list(reversed(stream)), threshold)
+    backward = _mtld_one_direction(stream[::-1], threshold)
     return (forward + backward) / 2.0
 
 
@@ -160,12 +179,14 @@ def diversity(utterances) -> DiversityReport:
     instead of failing the whole evaluation.
     """
     stream = tokenize(utterances)
+    counts = Counter(stream)
+    bigrams = Counter(_ngrams(stream, 2))
     try:
         msttr_v = msttr(stream)
     except ShortStream:
         msttr_v = None
     try:
-        hdd_v = hdd(stream)
+        hdd_v = hdd(stream, counts=counts)
     except ShortStream:
         hdd_v = None
     try:
@@ -173,11 +194,11 @@ def diversity(utterances) -> DiversityReport:
     except (ZeroFactors, ShortStream):
         mtld_v = None
     return DiversityReport(
-        unigrams=unique_ngrams(stream, 1),
-        bigrams=unique_ngrams(stream, 2),
+        unigrams=len(counts),
+        bigrams=len(bigrams),
         trigrams=unique_ngrams(stream, 3),
-        entropy=shannon_entropy(stream),
-        conditional_entropy=conditional_bigram_entropy(stream),
+        entropy=_entropy(counts, len(stream)),
+        conditional_entropy=_conditional_entropy(stream, counts, bigrams),
         msttr=msttr_v, hdd=hdd_v, mtld=mtld_v,
     )
 
@@ -220,26 +241,35 @@ def _harmonic(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if (p + r) else 0.0
 
 
-def _value_consistent(domain: str, slot: str, value: str, goal,
-                      ontology, entities) -> bool:
-    """True if an entity satisfying the goal's constraints carries the value."""
-    info = goal.domains[domain].info if domain in goal.domains else {}
-    for entity in query_entities(entities, ontology, domain, info):
-        if entity.get(slot).strip().lower() == value.strip().lower():
-            return True
-    return False
-
-
 def score_dialogue(log, ontology, entities) -> DialogueScore:
     goal = log.goal
+    matches = {}  # domain -> entities meeting the goal's constraints there
+
+    def consistent_value(domain: str, slot: str, value: str) -> bool:
+        """True if an entity satisfying the goal's constraints carries the value.
+
+        Each domain is queried once, with no constraints if the goal does
+        not name it.
+        """
+        found = matches.get(domain)
+        if found is None:
+            section = goal.domains.get(domain)
+            info = section.info if section is not None else {}
+            found = matches[domain] = query_entities(entities, ontology, domain, info)
+        if found:
+            value = value.strip().lower()
+            for entity in found:
+                if entity.get(slot).strip().lower() == value:
+                    return True
+        return False
+
     requested = {(d, s) for d, g in goal.domains.items() for s in g.reqt}
     provided = {}
     for d, s, v in log.annotations.provided:
         if ontology.has_domain(d) and s in ontology.domains[d].requestable:
             provided[(d, s)] = v
 
-    consistent = {pair: _value_consistent(pair[0], pair[1], value, goal,
-                                          ontology, entities)
+    consistent = {pair: consistent_value(pair[0], pair[1], value)
                   for pair, value in provided.items()}
     tp = {pair for pair in requested & set(provided) if consistent[pair]}
     precision = len(tp) / len(provided) if provided else 0.0
@@ -252,8 +282,7 @@ def score_dialogue(log, ontology, entities) -> DialogueScore:
         for b in log.annotations.bookings:
             if b.domain != domain or not b.ref:
                 continue
-            entity_ok = _value_consistent(domain, "name", b.entity_name, goal,
-                                          ontology, entities)
+            entity_ok = consistent_value(domain, "name", b.entity_name)
             want = {k: v.lower() for k, v in (goal.domains[domain].book or {}).items()}
             got = {k: v.lower() for k, v in b.constraints}
             if entity_ok and all(got.get(k) == v for k, v in want.items()):

@@ -22,6 +22,17 @@ UNSPECIFIED_ID = "unspecified"
 
 _REJECT_RE = re.compile(r"\breject\b[\s:]*([A-Za-z][A-Za-z0-9_]*)?\s*:?\s*(.*)",
                         re.IGNORECASE | re.DOTALL)
+# Keywords are whole words: "projected" holds no reject, "acceptance" no
+# accept. A negated accept rejects: "unacceptable", "not acceptable",
+# "cannot accept", "do not think I can accept" (a negator, at most three
+# words, then an accept word, on one line).
+_REJECTING_RE = re.compile(
+    r"\breject(?:s|ed|ing|ion)?\b"
+    r"|\b(?:un|non-?)accept"
+    r"|\b(?:not|never|cannot|\w+n['\u2019]t)(?:[^\S\n]+\w+){0,3}?[^\S\n]+"
+    r"accept(?:s|ed|ing|able)?\b",
+    re.IGNORECASE)
+_ACCEPT_RE = re.compile(r"\baccept(?:s|ed|ing|able)?\b", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -38,12 +49,13 @@ class Verdict:
 def parse_verdict(text: str, known_ids: set[str]) -> Verdict | None:
     """Extract a verdict from the raw reply; None when neither keyword appears.
 
-    A reply containing both keywords resolves to reject, so ambiguity fails
-    toward re-generation. A REJECT naming an unknown requirement id maps to
+    Keywords count as whole words. A reply holding a reject word, or an
+    accept word negated ("not acceptable", "unacceptable", "cannot
+    accept"), resolves to reject, so ambiguity fails toward re-generation.
+    A REJECT naming an unknown requirement id, and a negated accept, map to
     the synthetic "unspecified" id with the raw reason preserved.
     """
-    lowered = text.lower()
-    if "reject" in lowered:
+    if _REJECTING_RE.search(text):
         match = _REJECT_RE.search(text)
         req_id, reason = None, ""
         if match:
@@ -53,7 +65,7 @@ def parse_verdict(text: str, known_ids: set[str]) -> Verdict | None:
             reason = reason or text.strip()
             req_id = UNSPECIFIED_ID
         return Verdict("reject", Feedback(req_id, reason or "draft rejected"), text)
-    if "accept" in lowered:
+    if _ACCEPT_RE.search(text):
         return Verdict("accept", None, text)
     return None
 

@@ -61,9 +61,10 @@ class EntityIndex(tuple):
     """An immutable entity sequence, indexed by domain for querying.
 
     Each domain keeps its entities sorted by id, paired with their attribute
-    values already stripped and lowercased. ``load_world`` returns one;
-    ``query_entities`` and ``generate_goal`` index any other sequence on the
-    call.
+    values already stripped and lowercased, and an inverted index from
+    (slot, normalized value) to the positions of the rows carrying it, in
+    row order. ``load_world`` returns one; ``query_entities`` and
+    ``generate_goal`` index any other sequence on the call.
     """
 
     def __new__(cls, entities=()):
@@ -72,16 +73,28 @@ class EntityIndex(tuple):
         for e in self:
             groups.setdefault(e.domain, []).append(e)
         self._rows = {}
+        self._postings = {}
         for domain, group in groups.items():
             group.sort(key=lambda e: e.id)
-            self._rows[domain] = tuple(
+            rows = tuple(
                 (e, {s: v.strip().lower() for s, v in e.attributes.items()})
                 for e in group)
+            postings: dict[tuple[str, str], list[int]] = {}
+            for i, (_, attrs) in enumerate(rows):
+                for pair in attrs.items():
+                    postings.setdefault(pair, []).append(i)
+            self._rows[domain] = rows
+            self._postings[domain] = {k: tuple(v) for k, v in postings.items()}
         return self
 
     def rows(self, domain: str) -> tuple[tuple[Entity, dict[str, str]], ...]:
         """(entity, normalized attributes) pairs of a domain, ordered by id."""
         return self._rows.get(domain, ())
+
+    def posting(self, domain: str, slot: str, value: str) -> tuple[int, ...]:
+        """Positions in ``rows(domain)`` whose normalized ``slot`` equals the
+        already normalized ``value``, ascending."""
+        return self._postings.get(domain, {}).get((slot, value), ())
 
 
 def _index(entities) -> EntityIndex:
@@ -247,9 +260,24 @@ def query_entities(entities, ontology: Ontology, domain: str,
     """
     if not ontology.has_domain(domain):
         raise UnknownDomain(domain)
+    index = _index(entities)
+    rows = index.rows(domain)
     wanted = [(slot, value.strip().lower()) for slot, value in constraints.items()]
+    # Start from the shortest posting of a non-empty value. An empty value
+    # has none: it matches entities without the slot, so it is only checked.
+    candidates = None
+    for slot, value in wanted:
+        if value:
+            posting = index.posting(domain, slot, value)
+            if candidates is None or len(posting) < len(candidates):
+                candidates = posting
+                if not posting:
+                    return []
+    if candidates is None:
+        candidates = range(len(rows))
     out = []
-    for entity, attrs in _index(entities).rows(domain):
+    for i in candidates:
+        entity, attrs = rows[i]
         for slot, value in wanted:
             if attrs.get(slot, "") != value:
                 break

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from duetsim.acts import (
     ACTS,
+    ActTable,
     DialogueAct,
     DialogueContext,
+    DialogueLog,
     DialogueTurn,
     INTENTS,
     derive_annotations,
@@ -51,6 +53,25 @@ class TestParse:
             "[['inform', 'restaurant', 'food', 'thai'], "
             "['request', 'restaurant', 'phone', '']]")
         assert len(acts) == 2
+
+
+class TestNormalized:
+    def test_normalized_act_returned_as_is(self):
+        a = DialogueAct("inform", "restaurant", "food", "Chinese")
+        assert a.normalized() is a
+
+    @pytest.mark.parametrize("raw", [
+        DialogueAct(" inform", "restaurant", "food", "Chinese"),
+        DialogueAct("Inform", "restaurant", "food", "Chinese"),
+        DialogueAct("inform", "Restaurant ", "food", "Chinese"),
+        DialogueAct("inform", "restaurant", "FOOD", "Chinese"),
+        DialogueAct("inform", "restaurant", "food", " Chinese\t"),
+    ])
+    def test_padded_or_mixed_case_gives_new_equal_act(self, raw):
+        a = raw.normalized()
+        assert a is not raw
+        assert a == DialogueAct("inform", "restaurant", "food", "Chinese")
+        assert a.normalized() is a
 
 
 class TestRender:
@@ -162,5 +183,31 @@ class TestLogReplay:
         goal = simple_goal(info={"food": "chinese"}, reqt=("phone",))
         turns = make_turns(("user", [act("bye", "general")], "bye"))
         log = make_log(goal, turns)
-        from duetsim.acts import DialogueLog
         assert DialogueLog.from_dict(log.to_dict()).to_dict() == log.to_dict()
+
+    def test_equal_acts_shared_within_one_table(self):
+        goal = simple_goal(info={"food": "chinese"}, reqt=("phone",))
+        turns = make_turns(("user", [act("bye", "general")], "bye"),
+                           ("system", [act("bye", "general")], "bye"))
+        d = make_log(goal, turns).to_dict()
+        table = ActTable()
+        first, second = (DialogueLog.from_dict(d, table) for _ in range(2))
+        shared = first.turns[0].acts[0]
+        assert second.turns[1].acts[0] is shared
+        assert DialogueLog.from_dict(d).turns[0].acts[0] is not shared
+        assert list(table) == [("bye", "general", "", "")]
+
+    @pytest.mark.parametrize("acts", [
+        [["inform", ["food"], "", ""]],   # unhashable component
+        [["inform", "restaurant"]],        # short quadruple, defaults fill in
+    ])
+    def test_acts_that_cannot_be_shared_still_read(self, acts):
+        d = {"speaker": "user", "acts": acts, "utterance": "u", "turn_index": 0}
+        assert DialogueTurn.from_dict(d, ActTable()) == DialogueTurn.from_dict(d)
+        assert DialogueTurn.from_dict(d).acts == tuple(DialogueAct(*a) for a in acts)
+
+    @pytest.mark.parametrize("acts", [[["a", "b", "c", "d", "e"]], [5], None])
+    def test_bad_acts_raise_type_error(self, acts):
+        d = {"speaker": "user", "acts": acts, "utterance": "u", "turn_index": 0}
+        with pytest.raises(TypeError):
+            DialogueTurn.from_dict(d, ActTable())

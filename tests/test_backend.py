@@ -119,14 +119,19 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-
     def __init__(self, outcomes=()):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.lock = threading.Lock()
         self.outcomes = list(outcomes)
         self.requests = []
         self.connections = 0
+        self.handlers = []  # one thread per connection
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        self.handlers.append(thread)
+        thread.start()
 
     def get_request(self):
         conn = super().get_request()
@@ -144,20 +149,44 @@ class _Server(ThreadingHTTPServer):
 
 @pytest.fixture
 def serve():
-    """serve(outcomes) -> a running loopback server, shut down after the test."""
+    """serve(outcomes) -> a running loopback server. After the test each
+    server is shut down and its handler threads joined, so none outlives
+    the test; clients from ``client`` are closed before that."""
     servers = []
 
     def start(outcomes=()):
         server = _Server(outcomes)
-        threading.Thread(target=server.serve_forever, args=(0.05,),
-                         daemon=True).start()
-        servers.append(server)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                                  daemon=True)
+        thread.start()
+        servers.append((server, thread))
         return server
 
     yield start
-    for server in servers:
+    threads = []
+    for server, thread in servers:
         server.shutdown()
         server.server_close()
+        threads += [thread, *server.handlers]
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not [t.name for t in threads if t.is_alive()]
+
+
+@pytest.fixture
+def client(serve):
+    """client(base_url, ...) -> an HTTPBackend, closed after the test."""
+    made = []
+
+    def make(base_url, retries=2, timeout=5.0, **kwargs):
+        config = BackendConfig(base_url=base_url, model="m", retries=retries,
+                               backoff_base=0.0, timeout=timeout, **kwargs)
+        made.append(HTTPBackend(config, sleep=lambda s: None))
+        return made[-1]
+
+    yield make
+    for b in made:
+        b.close()
 
 
 @pytest.fixture(autouse=True)
@@ -167,26 +196,15 @@ def without_proxy_env(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
 
 
-def _backend(base_url, retries=2, timeout=5.0, **kwargs):
-    config = BackendConfig(base_url=base_url, model="m", retries=retries,
-                           backoff_base=0.0, timeout=timeout, **kwargs)
-    return HTTPBackend(config, sleep=lambda s: None)
-
-
 class TestHTTP:
     @pytest.fixture
-    def backend(self, serve):
+    def backend(self, serve, client):
         """backend(outcomes, retries) -> (backend, server) on a new server."""
-        made = []
-
         def make(outcomes, retries=2, **kwargs):
             server = serve(outcomes)
-            made.append(_backend(server.url + "/v1", retries, **kwargs))
-            return made[-1], server
+            return client(server.url + "/v1", retries, **kwargs), server
 
-        yield make
-        for b in made:
-            b.close()
+        return make
 
     def test_success(self, backend):
         b, server = backend([_ok("yo")])
@@ -268,13 +286,9 @@ class TestHTTP:
         assert isinstance(e.value.__cause__, Timeout)
         assert len(server.requests) == 2
 
-    def test_base_url_query_kept(self, serve):
+    def test_base_url_query_kept(self, serve, client):
         server = serve()
-        b = _backend(server.url + "/openai/?api-version=1")
-        try:
-            b.complete(req())
-        finally:
-            b.close()
+        client(server.url + "/openai/?api-version=1").complete(req())
         assert server.requests[0][1] == "/openai/chat/completions?api-version=1"
 
     def test_api_key_header(self, backend, monkeypatch):
@@ -283,41 +297,29 @@ class TestHTTP:
         b.complete(req())
         assert server.requests[0][2]["Authorization"] == "Bearer sk-test"
 
-    def test_http_proxy(self, serve, monkeypatch):
+    def test_http_proxy(self, serve, client, monkeypatch):
         proxy = serve()
         monkeypatch.setenv("http_proxy", proxy.url.replace("//", "//u%40x:p@"))
-        b = _backend("http://llm.invalid:8080/v1")
-        try:
-            assert b.complete(req()).text == "hi"
-        finally:
-            b.close()
+        assert client("http://llm.invalid:8080/v1").complete(req()).text == "hi"
         method, path, headers, _ = proxy.requests[0]
         assert path == "http://llm.invalid:8080/v1/chat/completions"
         assert headers["Host"] == "llm.invalid:8080"
         assert headers["Proxy-Authorization"] == "Basic dUB4OnA="  # u@x:p
 
-    def test_https_proxy_tunnels(self, serve, monkeypatch):
+    def test_https_proxy_tunnels(self, serve, client, monkeypatch):
         proxy = serve()
         monkeypatch.setenv("https_proxy", proxy.url.replace("//", "//u:p@"))
-        b = _backend("https://llm.invalid/v1", retries=0)
-        try:
-            with pytest.raises(RetriesExhausted):
-                b.complete(req())
-        finally:
-            b.close()
+        with pytest.raises(RetriesExhausted):
+            client("https://llm.invalid/v1", retries=0).complete(req())
         method, path, headers, _ = proxy.requests[0]
         assert (method, path) == ("CONNECT", "llm.invalid:443")
         assert headers["Proxy-Authorization"] == "Basic dTpw"  # u:p
 
-    def test_no_proxy_bypasses(self, serve, monkeypatch):
+    def test_no_proxy_bypasses(self, serve, client, monkeypatch):
         proxy, target = serve(), serve()
         monkeypatch.setenv("http_proxy", proxy.url)
         monkeypatch.setenv("no_proxy", "127.0.0.1")
-        b = _backend(target.url + "/v1")
-        try:
-            b.complete(req())
-        finally:
-            b.close()
+        client(target.url + "/v1").complete(req())
         assert proxy.requests == []
         assert target.requests[0][1] == "/v1/chat/completions"
 

@@ -20,6 +20,16 @@ from duetsim.cli import (
 from duetsim.errors import ConfigError, LogParseError
 
 
+@pytest.fixture
+def no_handler_threads():
+    """For tests that fork agenda workers: a forked child gets a copy of
+    every lock another thread holds, so no HTTP handler thread left by an
+    earlier test may be alive."""
+    handlers = [t.name for t in threading.enumerate()
+                if "process_request_thread" in t.name]
+    assert handlers == []
+
+
 class TestConfig:
     def test_defaults(self):
         config = load_config(None, {})
@@ -213,6 +223,7 @@ class TestCommands:
         assert result.exit_code == 1, result.output
         assert "generator_backend" in result.output
 
+    @pytest.mark.usefixtures("no_handler_threads")
     @pytest.mark.parametrize("fault", ["dies", "unpicklable"])
     def test_worker_failure_exit_2(self, tmp_path, monkeypatch, fault):
         """A dead worker process, or a result it cannot send back, is one
@@ -278,6 +289,7 @@ AGENDA_SEEDS_0_199_SHA256 = (
     "49ff18977a64cc0f958ee44656c5107716a1cd83daade87a1c64a4e9a6fa4373")
 
 
+@pytest.mark.usefixtures("no_handler_threads")
 @pytest.mark.parametrize("parallelism", [1, 2, 3])
 def test_agenda_logs_pinned(tmp_path, parallelism):
     config = ExperimentConfig(simulator="agenda", dialogues=200, seed=0,
@@ -299,6 +311,7 @@ def test_agenda_logs_pinned_without_fork(tmp_path, monkeypatch):
     assert hashlib.sha256(data).hexdigest() == AGENDA_SEEDS_0_199_SHA256
 
 
+@pytest.mark.usefixtures("no_handler_threads")
 def test_failed_dialogue_same_at_any_parallelism(tmp_path, monkeypatch):
     """A dialogue that raises gives the same error log, in seed order, and
     the same failure entry on one worker and on worker processes."""
@@ -328,6 +341,7 @@ def test_failed_dialogue_same_at_any_parallelism(tmp_path, monkeypatch):
     assert logs[13]["turns"] == []
 
 
+@pytest.mark.usefixtures("no_handler_threads")
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_written_logs_are_released(tmp_path, monkeypatch, parallelism):
     """A log is dropped once written, not kept until the run ends. Two

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import duetsim.metrics
 from duetsim.errors import EmptyLogSet, ShortStream, ZeroFactors
 from duetsim.metrics import (
     conditional_bigram_entropy,
@@ -370,3 +371,188 @@ class TestFulfillment:
         assert "Goal fulfillment" in text
         assert "Utterance diversity" in text
         assert "n/a" in text  # short-corpus metrics and book rate
+
+
+# --- reference implementations: the plain versions the fast ones replaced ---
+
+_PUNCT = ".,;:!?\"'()[]{}<>"
+
+
+def ref_tokenize(utterances):
+    if isinstance(utterances, str):
+        utterances = [utterances]
+    tokens = []
+    for utt in utterances:
+        for raw in utt.lower().split():
+            tok = raw.strip(_PUNCT)
+            if tok:
+                tokens.append(tok)
+    return tokens
+
+
+def ref_unique_ngrams(stream, n):
+    if len(stream) < n:
+        return 0
+    return len({tuple(stream[i:i + n]) for i in range(len(stream) - n + 1)})
+
+
+def ref_shannon_entropy(stream):
+    if not stream:
+        return 0.0
+    counts = Counter(stream)
+    total = len(stream)
+    return -sum((c / total) * math.log2(c / total) for c in counts.values())
+
+
+def ref_conditional_bigram_entropy(stream):
+    if len(stream) < 2:
+        return 0.0
+    bigrams = Counter(zip(stream, stream[1:]))
+    firsts = Counter(stream[:-1])
+    total = len(stream) - 1
+    out = 0.0
+    for (w1, _), c in bigrams.items():
+        p_pair = c / total
+        p_cond = c / firsts[w1]
+        out -= p_pair * math.log2(p_cond)
+    return out
+
+
+def ref_p_absent(total, count, sample_size):
+    p = 1.0
+    for i in range(sample_size):
+        factor = (total - count - i) / (total - i)
+        if factor <= 0.0:
+            return 0.0
+        p *= factor
+    return p
+
+
+def ref_hdd(stream, sample_size=42):
+    total = len(stream)
+    if total < sample_size:
+        raise ShortStream("short")
+    by_count = Counter(Counter(stream).values())
+    value = 0.0
+    for c, types in by_count.items():
+        value += types * (1.0 - ref_p_absent(total, c, sample_size)) / sample_size
+    return value
+
+
+def ref_mtld_one_direction(stream, threshold):
+    factors = 0.0
+    types = set()
+    count = 0
+    for token in stream:
+        types.add(token)
+        count += 1
+        if len(types) / count <= threshold:
+            factors += 1.0
+            types = set()
+            count = 0
+    if count:
+        ttr = len(types) / count
+        if ttr < 1.0:
+            factors += (1.0 - ttr) / (1.0 - threshold)
+    if factors == 0.0:
+        raise ZeroFactors("none")
+    return len(stream) / factors
+
+
+def ref_mtld(stream, threshold=0.72):
+    forward = ref_mtld_one_direction(stream, threshold)
+    backward = ref_mtld_one_direction(list(reversed(stream)), threshold)
+    return (forward + backward) / 2.0
+
+
+def outcome(fn, *args):
+    """fn's value, or the class of the error it raised."""
+    try:
+        return fn(*args)
+    except (ShortStream, ZeroFactors) as e:
+        return type(e)
+
+
+# few types, so that n-grams, factors and frequencies repeat
+streams = st.lists(st.sampled_from(WORDS[:6] + ["the"]), max_size=400)
+
+
+class TestAgainstReference:
+    """The fast metrics give the very floats of the plain ones (==, not approx)."""
+
+    @given(st.lists(st.text(st.sampled_from("aAbΣσς .,!?'\t\n\u00a0\u2028"),
+                            max_size=12), max_size=6))
+    def test_tokenize(self, utterances):
+        assert tokenize(utterances) == ref_tokenize(utterances)
+        for utt in utterances:
+            assert tokenize(utt) == ref_tokenize(utt)
+
+    @given(streams, st.integers(1, 4))
+    def test_unique_ngrams(self, stream, n):
+        assert unique_ngrams(stream, n) == ref_unique_ngrams(stream, n)
+
+    @given(streams)
+    def test_entropies(self, stream):
+        assert shannon_entropy(stream) == ref_shannon_entropy(stream)
+        assert (conditional_bigram_entropy(stream)
+                == ref_conditional_bigram_entropy(stream))
+
+    @given(streams, st.integers(1, 60))
+    def test_hdd(self, stream, sample_size):
+        assert (outcome(hdd, stream, sample_size)
+                == outcome(ref_hdd, stream, sample_size))
+
+    @given(streams, st.one_of(st.just(0.72), st.floats(-0.5, 1.5)))
+    def test_mtld(self, stream, threshold):
+        assert outcome(mtld, stream, threshold) == outcome(ref_mtld, stream, threshold)
+
+    @given(st.lists(st.text(st.sampled_from("ab cd.E"), max_size=40), max_size=30))
+    def test_diversity_report(self, utterances):
+        stream = ref_tokenize(utterances)
+
+        def ref_or_none(fn):
+            value = outcome(fn, stream)
+            return value if isinstance(value, float) else None
+
+        assert diversity(utterances).to_dict() == {
+            "unigrams": ref_unique_ngrams(stream, 1),
+            "bigrams": ref_unique_ngrams(stream, 2),
+            "trigrams": ref_unique_ngrams(stream, 3),
+            "entropy": ref_shannon_entropy(stream),
+            "conditional_entropy": ref_conditional_bigram_entropy(stream),
+            "msttr": msttr(stream) if len(stream) >= 50 else None,
+            "hdd": ref_or_none(ref_hdd),
+            "mtld": ref_or_none(ref_mtld),
+        }
+
+    def test_unique_ngrams_needs_positive_n(self):
+        with pytest.raises(ValueError):
+            unique_ngrams(["a"], 0)
+
+
+class TestQueriesPerDialogue:
+    def test_each_domain_queried_once(self, ontology, entities, monkeypatch):
+        calls = []
+        query = duetsim.metrics.query_entities
+
+        def counted(entities, ontology, domain, constraints):
+            calls.append(domain)
+            return query(entities, ontology, domain, constraints)
+
+        monkeypatch.setattr(duetsim.metrics, "query_entities", counted)
+        goal = simple_goal(info={"name": "ugly duckling"},
+                           reqt=("phone", "address", "postcode"),
+                           book={"book day": "tuesday"})
+        turns = make_turns(
+            ("user", [act("book", "restaurant", "book day", "tuesday")], "Book."),
+            ("system", [act("inform", "restaurant", "phone", "01223176749"),
+                        act("inform", "restaurant", "address", "61 trumpington street"),
+                        act("inform", "restaurant", "postcode", "cb3dg"),
+                        act("inform", "hotel", "phone", "01223206905"),
+                        act("offer_booked", "restaurant", "ref", "AAAA1111"),
+                        act("offer_booked", "restaurant", "name", "ugly duckling")],
+             "Done."),
+        )
+        s = score_dialogue(make_log(goal, turns), ontology, entities)
+        assert s.success and s.bookings_matched == 1
+        assert sorted(calls) == ["hotel", "restaurant"]

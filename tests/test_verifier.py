@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from duetsim.acts import DialogueContext
 from duetsim.backend import ScriptedBackend
@@ -66,3 +67,48 @@ class TestGrammar:
 
 def test_parse_verdict_none_without_keywords():
     assert parse_verdict("nothing to see", IDS) is None
+
+
+class TestKeywords:
+    @pytest.mark.parametrize("text", [
+        "This draft is unacceptable",
+        "Not acceptable",
+        "I cannot accept this draft.",
+        "I can't accept it",
+        "I do not think I can accept it",
+        "It would never be accepted",
+        "NOT ACCEPTABLE: the goal is not handled",
+        "Rejected: the phone was asked for twice",
+    ])
+    def test_negated_accept_or_reject_word_rejects(self, text):
+        verdict = parse_verdict(text, IDS)
+        assert verdict.decision == "reject"
+        assert verdict.feedback.requirement_id == UNSPECIFIED_ID
+        assert verdict.feedback.text == text.strip()
+
+    @pytest.mark.parametrize("text", [
+        "The draft is acceptable.",
+        "Accepted.",
+        "No problems, ACCEPT",
+        "Nothing is missing.\nACCEPT",
+    ])
+    def test_plain_accept_words_accept(self, text):
+        assert parse_verdict(text, IDS).accepted
+
+    @pytest.mark.parametrize("text", ["acceptance pending", "projected budget",
+                                      "REJECTV4 bad"])
+    def test_keyword_inside_a_longer_word_does_not_count(self, text):
+        assert parse_verdict(text, IDS) is None
+
+
+_filler = st.text(st.sampled_from("abc ACCEPT,.:\n"), max_size=30)
+_reject_phrases = st.sampled_from([
+    "REJECT", "reject", "Rejected", "REJECT V2: wrong slot", "not acceptable",
+    "unacceptable", "cannot accept", "can't accept", "do not accept",
+    "would never be accepted", "Non-acceptable"])
+
+
+@given(before=_filler, phrase=_reject_phrases, after=_filler)
+def test_reject_word_or_negated_accept_never_accepts(before, phrase, after):
+    verdict = parse_verdict(f"{before} {phrase} {after}", IDS)
+    assert verdict is not None and not verdict.accepted

@@ -146,6 +146,13 @@ class TestIndexedQuery:
         got = query_entities(index, ontology, domain, constraints)
         assert [id(e) for e in got] == [id(e) for e in want]
 
+    def test_posting_lists_rows_in_order(self, entities):
+        rows = entities.rows("hotel")
+        want = [i for i, (_, attrs) in enumerate(rows) if attrs["area"] == "south"]
+        assert want and list(entities.posting("hotel", "area", "south")) == want
+        assert entities.posting("hotel", "area", "atlantis") == ()
+        assert entities.posting("spaceport", "area", "south") == ()
+
     def test_plain_list_same_goals(self, ontology, entities):
         for seed in range(50):
             assert (generate_goal(seed, ontology, list(entities))
