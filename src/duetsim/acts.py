@@ -194,40 +194,46 @@ class DialogueTurn:
         """``acts`` shares equal acts between the turns read with it."""
         if acts is None:
             acts = ActTable()
-        try:
-            turn_acts = tuple(map(acts.__getitem__, map(tuple, d["acts"])))
-        except TypeError:
-            # An act with an unhashable component is built unshared; any
-            # other malformed act raises its TypeError again here.
-            turn_acts = tuple(DialogueAct(*a) for a in d["acts"])
+        speaker, utterance = d["speaker"], d["utterance"]
+        _require_strings("speaker", (speaker,))
+        _require_strings("utterance", (utterance,))
         return cls(
-            speaker=d["speaker"],
-            acts=turn_acts,
-            utterance=d["utterance"],
+            speaker=speaker,
+            acts=tuple(map(acts.__getitem__, map(tuple, d["acts"]))),
+            utterance=utterance,
             turn_index=d["turn_index"],
         )
+
+
+def _require_strings(name: str, values) -> None:
+    """TypeError unless every value is a str; a log reader reports it."""
+    for value in values:
+        if not isinstance(value, str):
+            raise TypeError(f"{name}: expected a string, got {value!r}")
 
 
 class ActTable(dict):
     """Act quadruple -> DialogueAct, building each missing act once."""
 
     def __missing__(self, fields: tuple) -> DialogueAct:
+        _require_strings("act component", fields)
         act = self[fields] = DialogueAct(*fields)
         return act
 
 
 @dataclass
 class DialogueContext:
-    """Ordered turn history, renderable as utterances or as act lists."""
+    """The turn history of one dialogue, renderable as utterances or as act
+    lists. The dialogue loop owns it; simulators only read it."""
 
     turns: list[DialogueTurn] = field(default_factory=list)
-    render_mode: str = UTTERANCES
 
-    def append(self, turn: DialogueTurn) -> None:
-        self.turns.append(turn)
+    def append(self, speaker: str, acts, utterance: str) -> None:
+        """Add the next turn, indexed by its position in the history."""
+        self.turns.append(DialogueTurn(speaker, tuple(acts), utterance,
+                                       len(self.turns)))
 
-    def render(self, mode: str | None = None) -> str:
-        mode = mode or self.render_mode
+    def render(self, mode: str = UTTERANCES) -> str:
         lines = []
         for turn in self.turns:
             who = turn.speaker.upper()
@@ -276,8 +282,13 @@ class LogAnnotations:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LogAnnotations":
+        provided = tuple(map(tuple, d["provided"]))
+        for triple in provided:
+            if len(triple) != 3:
+                raise TypeError(f"provided: expected 3 fields, got {triple!r}")
+            _require_strings("provided", triple)
         return cls(
-            provided=tuple(tuple(p) for p in d["provided"]),
+            provided=provided,
             bookings=tuple(BookingRecord.from_dict(b) for b in d["bookings"]),
         )
 

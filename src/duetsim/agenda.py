@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 
-from .acts import DialogueAct
+from .acts import DialogueAct, DialogueContext
 from .errors import MissingTemplate
 from .world import UserGoal
 
@@ -202,14 +202,11 @@ class AgendaUserSimulator:
 
     def __init__(self, goal: UserGoal):
         self.agenda = init_agenda(goal)
-        self._pending_system_acts: list[DialogueAct] = []
 
-    def next_turn(self):
-        acts, self.agenda = agenda_step(self.agenda, self._pending_system_acts)
-        self._pending_system_acts = []
+    def next_turn(self, context: DialogueContext):
+        turns = context.turns
+        system_acts = turns[-1].acts if turns and turns[-1].speaker == "system" else ()
+        acts, self.agenda = agenda_step(self.agenda, system_acts)
         if not acts:  # exhausted agenda; close politely
             acts = [DialogueAct("bye", "general")]
         return acts, template_nlg(acts, side="user")
-
-    def observe(self, system_acts, system_utterance: str) -> None:
-        self._pending_system_acts = list(system_acts)

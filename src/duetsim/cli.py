@@ -18,7 +18,7 @@ import click
 import yaml
 
 from . import __version__
-from .acts import ActTable, DialogueLog
+from .acts import ActTable, DialogueLog, LogAnnotations
 from .agenda import AgendaUserSimulator
 from .backend import BackendConfig, CassetteBackend, HTTPBackend, ScriptedBackend
 from .errors import (
@@ -183,17 +183,17 @@ def build_simulator_factory(config: ExperimentConfig, ontology, entities):
     if config.simulator == "agenda":
         return (lambda goal: AgendaUserSimulator(goal)), False, ()
 
-    gen_backend = _build_backend(config.generator_backend, "generator_backend")
     ver_spec = config.verifier_backend or config.generator_backend
-    same = ver_spec is config.generator_backend or ver_spec == config.generator_backend
-    ver_backend = gen_backend if same else _build_backend(ver_spec, "verifier_backend")
-    backends = (gen_backend, ver_backend)
-    sequential = isinstance(gen_backend, ScriptedBackend)
-    cassette_mode = config.cassette.get("mode", "off")
-    gen_backend = _wrap_cassette(gen_backend, config.cassette)
-    ver_backend = gen_backend if same else _wrap_cassette(ver_backend, config.cassette)
-    if cassette_mode == "record":
-        sequential = True  # keep the cassette append order reproducible
+    specs = [("generator_backend", config.generator_backend)]
+    if ver_spec != config.generator_backend:
+        specs.append(("verifier_backend", ver_spec))
+    backends = tuple(_build_backend(spec, role) for role, spec in specs)
+    clients = [_wrap_cassette(backend, config.cassette) for backend in backends]
+    gen_backend, ver_backend = clients[0], clients[-1]
+    # A scripted backend, and a recording cassette's append order, need one
+    # dialogue at a time to be reproducible.
+    sequential = (isinstance(backends[0], ScriptedBackend)
+                  or config.cassette.get("mode") == "record")
 
     prompt_config = PromptConfig(omit_goal=config.omit_goal,
                                  omit_history=config.omit_history,
@@ -228,15 +228,17 @@ class _DialogueRunner:
         """(record line, failure entry or None); a failed dialogue gets an error log."""
         from .loop import run_dialogue
 
+        goal = generate_goal(seed, self.ontology, self.entities)
         try:
-            goal = generate_goal(seed, self.ontology, self.entities)
             user = self.factory(goal)
             system = SystemAgent(self.ontology, self.entities, seed=seed)
             log = run_dialogue(goal, user, system,
                                max_user_turns=self.config.turn_cap, seed=seed)
             failure = None
         except Exception as e:
-            log = _error_log(seed, self.ontology, self.entities)
+            log = DialogueLog(goal=goal, turns=[],
+                              annotations=LogAnnotations((), ()),
+                              termination_reason="error", seed=seed)
             failure = {"seed": seed, "error": str(e)}
         record = {"v": LOG_SCHEMA_VERSION, "log": log.to_dict()}
         return json.dumps(record, sort_keys=True) + "\n", failure
@@ -341,14 +343,6 @@ def run_experiment(config: ExperimentConfig) -> Path:
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
     return out_dir
-
-
-def _error_log(seed, ontology, entities) -> DialogueLog:
-    from .acts import LogAnnotations
-    goal = generate_goal(seed, ontology, entities)
-    return DialogueLog(goal=goal, turns=[],
-                       annotations=LogAnnotations((), ()),
-                       termination_reason="error", seed=seed)
 
 
 def read_logs(paths) -> list[DialogueLog]:

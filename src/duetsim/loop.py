@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .acts import (
-    DialogueContext,
-    DialogueLog,
-    DialogueTurn,
-    derive_annotations,
-)
+from .acts import DialogueContext, DialogueLog, derive_annotations
 from .errors import TurnAborted
 from .generator import DraftActs, Utterance, generate_acts_cot, realize_utterance
 from .prompts import (
@@ -55,7 +50,8 @@ class TurnTrace:
 
 @dataclass
 class DuetSession:
-    """State of one simulated-user session: goal, context, backends, config."""
+    """One simulated user: goal, backends, config and per-turn traces. The
+    dialogue history is not kept here; run_dialogue passes it to each turn."""
 
     goal: UserGoal
     ontology: Ontology
@@ -65,33 +61,33 @@ class DuetSession:
     prompt_config: PromptConfig = PromptConfig()
     generator_requirements: RequirementSet = DEFAULT_GENERATOR_REQUIREMENTS
     verifier_requirements: RequirementSet = DEFAULT_VERIFIER_REQUIREMENTS
-    context: DialogueContext = field(default_factory=DialogueContext)
     traces: list[TurnTrace] = field(default_factory=list)
 
     def __post_init__(self):
-        self.context.render_mode = self.prompt_config.render_mode
         if not self.loop_config.verifier_enabled:
             # without a verifier, the single model sees both requirement sets
             self.generator_requirements = self.generator_requirements.merged(
                 self.verifier_requirements)
 
 
-def next_user_turn(session: DuetSession) -> tuple[TurnTrace, Utterance]:
-    """Run the draft/verify loop for one user turn and append it to context."""
+def next_user_turn(session: DuetSession,
+                   context: DialogueContext) -> tuple[TurnTrace, Utterance]:
+    """Run the draft/verify loop for one user turn after the history in
+    ``context``. The context is only read; its owner appends the turn."""
     cfg = session.loop_config
     trace = TurnTrace()
     feedback: Feedback | None = None
     final: DraftActs | None = None
     for i in range(cfg.max_iterations):
         draft = generate_acts_cot(
-            session.generator_backend, session.goal, session.context,
+            session.generator_backend, session.goal, context,
             session.generator_requirements, session.ontology,
             feedback=feedback, config=session.prompt_config, attempt_index=i)
         if not cfg.verifier_enabled:
             trace.attempts.append((draft, None))
             final = draft
             break
-        verdict = verify(session.verifier_backend, session.goal, session.context,
+        verdict = verify(session.verifier_backend, session.goal, context,
                          session.verifier_requirements, draft,
                          config=session.prompt_config)
         trace.attempts.append((draft, verdict))
@@ -107,11 +103,7 @@ def next_user_turn(session: DuetSession) -> tuple[TurnTrace, Utterance]:
         final = trace.attempts[-1][0]
     trace.final_acts = list(final.acts)
 
-    utterance = realize_utterance(session.generator_backend, final.acts,
-                                  session.context)
-    session.context.append(DialogueTurn(
-        speaker="user", acts=tuple(final.acts), utterance=utterance.best(),
-        turn_index=len(session.context.turns)))
+    utterance = realize_utterance(session.generator_backend, final.acts, context)
     session.traces.append(trace)
     return trace, utterance
 
@@ -122,15 +114,9 @@ class DuetUserSimulator:
     def __init__(self, session: DuetSession):
         self.session = session
 
-    def next_turn(self):
-        trace, utterance = next_user_turn(self.session)
+    def next_turn(self, context: DialogueContext):
+        trace, utterance = next_user_turn(self.session, context)
         return list(trace.final_acts), utterance.best()
-
-    def observe(self, system_acts, system_utterance: str) -> None:
-        self.session.context.append(DialogueTurn(
-            speaker="system", acts=tuple(system_acts),
-            utterance=system_utterance,
-            turn_index=len(self.session.context.turns)))
 
 
 def run_dialogue(goal: UserGoal, user, system,
@@ -138,20 +124,24 @@ def run_dialogue(goal: UserGoal, user, system,
                  seed: int | None = None) -> DialogueLog:
     """Alternate user and system turns, starting with the user.
 
+    The simulators are ``user.next_turn(context) -> (acts, utterance)`` and
+    ``system.respond(user_acts) -> (acts, utterance)``. This function owns
+    the dialogue's one history: it appends both speakers' turns to a
+    ``DialogueContext``, hands that context to the user on every turn and
+    builds the log from it.
+
     Terminates on a user bye act, on the turn cap, or on an unrecoverable
     error (which becomes termination_reason "error" rather than raising).
     """
-    turns: list[DialogueTurn] = []
+    context = DialogueContext()
     reason = "turn_cap"
     for _ in range(max_user_turns):
         try:
-            user_acts, user_utterance = user.next_turn()
+            user_acts, user_utterance = user.next_turn(context)
         except Exception:
             reason = "error"
             break
-        turns.append(DialogueTurn(speaker="user", acts=tuple(user_acts),
-                                  utterance=user_utterance,
-                                  turn_index=len(turns)))
+        context.append("user", user_acts, user_utterance)
         if any(a.intent == "bye" for a in user_acts):
             reason = "user_bye"
             break
@@ -160,10 +150,7 @@ def run_dialogue(goal: UserGoal, user, system,
         except Exception:
             reason = "error"
             break
-        turns.append(DialogueTurn(speaker="system", acts=tuple(system_acts),
-                                  utterance=system_utterance,
-                                  turn_index=len(turns)))
-        user.observe(system_acts, system_utterance)
-    return DialogueLog(goal=goal, turns=turns,
-                       annotations=derive_annotations(turns),
+        context.append("system", system_acts, system_utterance)
+    return DialogueLog(goal=goal, turns=context.turns,
+                       annotations=derive_annotations(context.turns),
                        termination_reason=reason, seed=seed)

@@ -20,8 +20,9 @@ VERIFICATION_TEMPERATURE = 0.0
 
 UNSPECIFIED_ID = "unspecified"
 
-_REJECT_RE = re.compile(r"\breject\b[\s:]*([A-Za-z][A-Za-z0-9_]*)?\s*:?\s*(.*)",
-                        re.IGNORECASE | re.DOTALL)
+_REJECT_RE = re.compile(
+    r"\breject\b(?P<tail>[\s:]*(?:[A-Za-z][A-Za-z0-9_]*)?\s*:?\s*(?P<reason>.*))",
+    re.IGNORECASE | re.DOTALL)
 # Keywords are whole words: "projected" holds no reject, "acceptance" no
 # accept. A negated accept rejects: "unacceptable", "not acceptable",
 # "cannot accept", "do not think I can accept" (a negator, at most three
@@ -52,19 +53,24 @@ def parse_verdict(text: str, known_ids: set[str]) -> Verdict | None:
     Keywords count as whole words. A reply holding a reject word, or an
     accept word negated ("not acceptable", "unacceptable", "cannot
     accept"), resolves to reject, so ambiguity fails toward re-generation.
-    A REJECT naming an unknown requirement id, and a negated accept, map to
-    the synthetic "unspecified" id with the raw reason preserved.
+    A REJECT is charged to the first known requirement id that follows it
+    as a whole word ("REJECT because V3: ..."), with the text after the
+    id's colon as the reason. A REJECT naming no known id, and a negated
+    accept, map to the synthetic "unspecified" id with the raw reason
+    preserved.
     """
     if _REJECTING_RE.search(text):
         match = _REJECT_RE.search(text)
-        req_id, reason = None, ""
-        if match:
-            req_id = match.group(1)
-            reason = (match.group(2) or "").strip()
-        if req_id not in known_ids:
-            reason = reason or text.strip()
-            req_id = UNSPECIFIED_ID
-        return Verdict("reject", Feedback(req_id, reason or "draft rejected"), text)
+        named = None
+        if match and known_ids:
+            ids = "|".join(map(re.escape, sorted(known_ids)))
+            named = re.search(rf"\b({ids})\b\s*:?\s*(.*)", match["tail"], re.DOTALL)
+        if named:
+            feedback = Feedback(named[1], named[2].strip() or "draft rejected")
+        else:
+            reason = match["reason"].strip() if match else ""
+            feedback = Feedback(UNSPECIFIED_ID, reason or text.strip())
+        return Verdict("reject", feedback, text)
     if _ACCEPT_RE.search(text):
         return Verdict("accept", None, text)
     return None

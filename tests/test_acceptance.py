@@ -269,7 +269,7 @@ def test_criterion_4_loop_state_machine(ontology):
                 goal=goal, ontology=ontology,
                 generator_backend=gen, verifier_backend=ver,
                 loop_config=LoopConfig(max_iterations=max_iterations))
-            trace, _ = next_user_turn(session)
+            trace, _ = next_user_turn(session, DialogueContext())
             assert trace.iterations == expected
             assert ver.calls == expected
             assert gen.calls == 4 * expected + 2
@@ -284,7 +284,7 @@ def test_criterion_4_loop_state_machine(ontology):
         session = DuetSession(goal=goal, ontology=ontology,
                               generator_backend=gen, verifier_backend=ver,
                               loop_config=LoopConfig(verifier_enabled=False))
-        trace, _ = next_user_turn(session)
+        trace, _ = next_user_turn(session, DialogueContext())
         assert trace.iterations == 1
         assert ver.calls == 0
 

@@ -11,6 +11,7 @@ from duetsim.acts import (
     DialogueLog,
     DialogueTurn,
     INTENTS,
+    LogAnnotations,
     derive_annotations,
     parse_act_list,
     render_act_list,
@@ -197,17 +198,31 @@ class TestLogReplay:
         assert DialogueLog.from_dict(d).turns[0].acts[0] is not shared
         assert list(table) == [("bye", "general", "", "")]
 
-    @pytest.mark.parametrize("acts", [
-        [["inform", ["food"], "", ""]],   # unhashable component
-        [["inform", "restaurant"]],        # short quadruple, defaults fill in
-    ])
-    def test_acts_that_cannot_be_shared_still_read(self, acts):
+    def test_short_act_filled_with_defaults(self):
+        acts = [["inform", "restaurant"]]
         d = {"speaker": "user", "acts": acts, "utterance": "u", "turn_index": 0}
         assert DialogueTurn.from_dict(d, ActTable()) == DialogueTurn.from_dict(d)
-        assert DialogueTurn.from_dict(d).acts == tuple(DialogueAct(*a) for a in acts)
+        assert DialogueTurn.from_dict(d).acts == (DialogueAct("inform", "restaurant"),)
 
-    @pytest.mark.parametrize("acts", [[["a", "b", "c", "d", "e"]], [5], None])
+    @pytest.mark.parametrize("acts", [
+        [["a", "b", "c", "d", "e"]], [5], None,
+        [["inform", ["food"], "", ""]],   # unhashable component
+        [["inform", "restaurant", "food", 5]],
+    ])
     def test_bad_acts_raise_type_error(self, acts):
         d = {"speaker": "user", "acts": acts, "utterance": "u", "turn_index": 0}
         with pytest.raises(TypeError):
             DialogueTurn.from_dict(d, ActTable())
+
+    @pytest.mark.parametrize("field", ["speaker", "utterance"])
+    def test_non_string_turn_field_raises_type_error(self, field):
+        d = {"speaker": "user", "acts": [], "utterance": "u", "turn_index": 0}
+        d[field] = None
+        with pytest.raises(TypeError, match=field):
+            DialogueTurn.from_dict(d)
+
+    @pytest.mark.parametrize("provided", [
+        [["restaurant", "phone", 5]], [["restaurant", "phone"]], [5]])
+    def test_bad_provided_raises_type_error(self, provided):
+        with pytest.raises(TypeError):
+            LogAnnotations.from_dict({"provided": provided, "bookings": []})

@@ -176,6 +176,24 @@ class TestCommands:
         result = self.invoke("evaluate", str(bad))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("field,corrupt", [
+        ("utterance", lambda log: log["turns"][0].update(utterance=None)),
+        ("provided", lambda log: log["annotations"]["provided"].append(
+            ["restaurant", "phone", 5])),
+    ], ids=["utterance_null", "provided_value_int"])
+    def test_non_string_log_field_exit_2(self, tmp_path, field, corrupt):
+        out = tmp_path / "run"
+        assert self.invoke("simulate", "-n", "2", "-o", str(out)).exit_code == 0
+        lines = (out / "logs.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        corrupt(record["log"])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        result = self.invoke("evaluate", str(bad))
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: line 2: {bad}: {field}:")
+        assert "Traceback" not in result.output
+
     def test_goals_listing(self):
         result = self.invoke("goals", "--count", "3", "--seed", "5")
         assert result.exit_code == 0
@@ -222,6 +240,24 @@ class TestCommands:
         result = self.invoke("simulate", "-c", str(path))
         assert result.exit_code == 1, result.output
         assert "generator_backend" in result.output
+
+    def test_goal_sampling_error_exit_2(self, tmp_path, monkeypatch):
+        """A goal that cannot be drawn is not a failed dialogue: it stops
+        the run."""
+        import duetsim.cli
+        from duetsim.errors import EmptyWorld
+
+        generate_goal = duetsim.cli.generate_goal
+
+        def failing_generate_goal(seed, *args):
+            if seed == 3:
+                raise EmptyWorld("no entities for domain 'hotel'")
+            return generate_goal(seed, *args)
+
+        monkeypatch.setattr(duetsim.cli, "generate_goal", failing_generate_goal)
+        result = self.invoke("simulate", "-n", "5", "-o", str(tmp_path / "run"))
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: no entities for domain 'hotel'\n"
 
     @pytest.mark.usefixtures("no_handler_threads")
     @pytest.mark.parametrize("fault", ["dies", "unpicklable"])

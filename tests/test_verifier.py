@@ -52,6 +52,19 @@ class TestGrammar:
         assert verdict.feedback.requirement_id == UNSPECIFIED_ID
         assert "who knows" in verdict.feedback.text
 
+    @pytest.mark.parametrize("text,req_id,reason", [
+        ("REJECT because V3: contradicts area", "V3", "contradicts area"),
+        ("I reject this. V4: too early", "V4", "too early"),
+        ("REJECT V4: too early", "V4", "too early"),
+        ("Reject: V2 unknown slot", "V2", "unknown slot"),
+        ("REJECT, see V10 and V1: malformed", "V1", "malformed"),
+    ])
+    def test_first_known_id_after_reject(self, text, req_id, reason):
+        verdict = parse_verdict(text, IDS)
+        assert verdict.decision == "reject"
+        assert verdict.feedback.requirement_id == req_id
+        assert verdict.feedback.text == reason
+
     def test_unparseable_after_retry(self):
         backend = ScriptedBackend(["maybe?", "hmm..."])
         with pytest.raises(UnparseableVerdict):
@@ -112,3 +125,14 @@ _reject_phrases = st.sampled_from([
 def test_reject_word_or_negated_accept_never_accepts(before, phrase, after):
     verdict = parse_verdict(f"{before} {phrase} {after}", IDS)
     assert verdict is not None and not verdict.accepted
+
+
+_prose = st.text(st.sampled_from("abc .,\n"), max_size=20)
+
+
+@given(before=_prose, between=_prose, reason=_prose,
+       req_id=st.sampled_from(sorted(IDS)))
+def test_known_id_after_reject_is_charged(before, between, reason, req_id):
+    verdict = parse_verdict(f"{before} REJECT {between} {req_id}: {reason}", IDS)
+    assert verdict.feedback.requirement_id == req_id
+    assert verdict.feedback.text == (reason.strip() or "draft rejected")
