@@ -195,8 +195,8 @@ class DialogueTurn:
         if acts is None:
             acts = ActTable()
         speaker, utterance = d["speaker"], d["utterance"]
-        _require_strings("speaker", (speaker,))
-        _require_strings("utterance", (utterance,))
+        require_strings("speaker", (speaker,))
+        require_strings("utterance", (utterance,))
         return cls(
             speaker=speaker,
             acts=tuple(map(acts.__getitem__, map(tuple, d["acts"]))),
@@ -205,7 +205,7 @@ class DialogueTurn:
         )
 
 
-def _require_strings(name: str, values) -> None:
+def require_strings(name: str, values) -> None:
     """TypeError unless every value is a str; a log reader reports it."""
     for value in values:
         if not isinstance(value, str):
@@ -216,7 +216,7 @@ class ActTable(dict):
     """Act quadruple -> DialogueAct, building each missing act once."""
 
     def __missing__(self, fields: tuple) -> DialogueAct:
-        _require_strings("act component", fields)
+        require_strings("act component", fields)
         act = self[fields] = DialogueAct(*fields)
         return act
 
@@ -262,8 +262,11 @@ class BookingRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BookingRecord":
-        return cls(d["domain"], d["ref"], d["entity_name"],
-                   tuple(sorted(d["constraints"].items())))
+        record = cls(d["domain"], d["ref"], d["entity_name"],
+                     tuple(sorted(d["constraints"].items())))
+        require_strings("booking", (record.domain, record.ref, record.entity_name,
+                                     *(v for _, v in record.constraints)))
+        return record
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,7 @@ class LogAnnotations:
         for triple in provided:
             if len(triple) != 3:
                 raise TypeError(f"provided: expected 3 fields, got {triple!r}")
-            _require_strings("provided", triple)
+            require_strings("provided", triple)
         return cls(
             provided=provided,
             bookings=tuple(BookingRecord.from_dict(b) for b in d["bookings"]),

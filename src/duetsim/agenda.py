@@ -8,7 +8,7 @@ the user pops its next acts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -150,20 +150,11 @@ def _pop_turn(agenda: Agenda) -> list[DialogueAct]:
     return acts
 
 
-def agenda_step(agenda: Agenda, system_acts) -> tuple[list[DialogueAct], Agenda]:
-    """Apply system acts to the agenda, then pop the next user turn.
-
-    Pure transition: the input agenda is left untouched. The goal and the
-    acts are frozen and shared; only the mutable containers are copied.
-    """
-    updated = replace(agenda, stack=list(agenda.stack),
-                      request_status=dict(agenda.request_status),
-                      ask_counts=dict(agenda.ask_counts),
-                      informed=list(agenda.informed),
-                      booking_done=dict(agenda.booking_done))
-    _apply_system_acts(updated, system_acts)
-    acts = _pop_turn(updated)
-    return acts, updated
+def agenda_step(agenda: Agenda, system_acts) -> list[DialogueAct]:
+    """Apply system acts to the agenda, then pop and return the next user
+    turn. The agenda is updated in place."""
+    _apply_system_acts(agenda, system_acts)
+    return _pop_turn(agenda)
 
 
 # --- template NLG ---
@@ -206,7 +197,7 @@ class AgendaUserSimulator:
     def next_turn(self, context: DialogueContext):
         turns = context.turns
         system_acts = turns[-1].acts if turns and turns[-1].speaker == "system" else ()
-        acts, self.agenda = agenda_step(self.agenda, system_acts)
+        acts = agenda_step(self.agenda, system_acts)
         if not acts:  # exhausted agenda; close politely
             acts = [DialogueAct("bye", "general")]
         return acts, template_nlg(acts, side="user")

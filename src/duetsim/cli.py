@@ -183,32 +183,30 @@ def build_simulator_factory(config: ExperimentConfig, ontology, entities):
     if config.simulator == "agenda":
         return (lambda goal: AgendaUserSimulator(goal)), False, ()
 
-    ver_spec = config.verifier_backend or config.generator_backend
+    verifier = config.simulator == "duet"  # the one switch for the verifier
     specs = [("generator_backend", config.generator_backend)]
-    if ver_spec != config.generator_backend:
+    ver_spec = config.verifier_backend or config.generator_backend
+    if verifier and ver_spec != config.generator_backend:
         specs.append(("verifier_backend", ver_spec))
     backends = tuple(_build_backend(spec, role) for role, spec in specs)
     clients = [_wrap_cassette(backend, config.cassette) for backend in backends]
-    gen_backend, ver_backend = clients[0], clients[-1]
-    # A scripted backend, and a recording cassette's append order, need one
-    # dialogue at a time to be reproducible.
+    gen_backend = clients[0]
+    ver_backend = clients[-1] if verifier else None
+    # A scripted backend answers in call order. A cassette appends in call
+    # order when recording, and serves a repeated request's answers in call
+    # order when replaying. Each needs one dialogue at a time to reproduce.
     sequential = (isinstance(backends[0], ScriptedBackend)
-                  or config.cassette.get("mode") == "record")
+                  or config.cassette.get("mode") in ("record", "replay"))
 
     prompt_config = PromptConfig(omit_goal=config.omit_goal,
                                  omit_history=config.omit_history,
                                  render_mode=config.context_mode)
-    loop_config = config.loop
-    if config.simulator == "duet-no-verifier":
-        loop_config = LoopConfig(max_iterations=loop_config.max_iterations,
-                                 verifier_enabled=False,
-                                 on_exhaustion=loop_config.on_exhaustion)
 
     def factory(goal):
         session = DuetSession(goal=goal, ontology=ontology,
                               generator_backend=gen_backend,
                               verifier_backend=ver_backend,
-                              loop_config=loop_config,
+                              loop_config=config.loop,
                               prompt_config=prompt_config)
         return DuetUserSimulator(session)
 
@@ -331,7 +329,6 @@ def run_experiment(config: ExperimentConfig) -> Path:
             "turn_cap": config.turn_cap, "context_mode": config.context_mode,
             "omit_goal": config.omit_goal, "omit_history": config.omit_history,
             "loop": {"max_iterations": config.loop.max_iterations,
-                     "verifier_enabled": config.loop.verifier_enabled,
                      "on_exhaustion": config.loop.on_exhaustion},
         },
         "version": __version__,
@@ -345,7 +342,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
     return out_dir
 
 
-def read_logs(paths) -> list[DialogueLog]:
+def read_logs(paths, ontology=None) -> list[DialogueLog]:
+    """The log records of ``paths``, in order. Given an ontology, a booking
+    in a domain it does not know is an error that names the record."""
     logs = []
     acts = ActTable()  # equal acts of this call share one DialogueAct
     for path in paths:
@@ -356,9 +355,14 @@ def read_logs(paths) -> list[DialogueLog]:
                     continue
                 try:
                     record = json.loads(line)
-                    logs.append(DialogueLog.from_dict(record["log"], acts))
+                    log = DialogueLog.from_dict(record["log"], acts)
                 except (json.JSONDecodeError, KeyError, TypeError) as e:
                     raise LogParseError(i, f"{path}: {e}") from e
+                for booking in log.annotations.bookings if ontology else ():
+                    if not ontology.has_domain(booking.domain):
+                        raise LogParseError(i, f"{path}: seed {log.seed}: "
+                                            f"unknown domain {booking.domain!r}")
+                logs.append(log)
     return logs
 
 
@@ -384,8 +388,8 @@ def _fail(error: DuetSimError, code: int):
 @click.option("--turn-cap", type=int, default=None)
 @click.option("--parallelism", type=int, default=None,
               help="Workers: processes for agenda runs, threads for duet "
-                   "runs. Default: 1 for agenda runs, 4 for duet runs; an "
-                   "explicit value is always used.")
+                   "runs. Default: 1 for agenda runs, 4 for duet runs. "
+                   "Scripted backends and cassettes always use 1.")
 @click.option("--output-dir", "-o", type=click.Path(), default=None)
 @click.option("--context-mode", type=click.Choice(["utterances", "acts"]),
               default=None)
@@ -414,10 +418,10 @@ def simulate(config_path, **overrides):
 def evaluate(log_paths, world, fmt):
     """Compute fulfillment and diversity reports over log files."""
     try:
-        logs = read_logs(log_paths)
+        ontology, entities = load_world(world)
+        logs = read_logs(log_paths, ontology)
         if not logs:
             raise EmptyLogSet("no log records found")
-        ontology, entities = load_world(world)
         f_report = fulfillment(logs, ontology, entities)
         d_report = diversity(user_utterances(logs))
     except (LogParseError, EmptyLogSet, WorldError) as e:

@@ -40,7 +40,9 @@ class SchemaViolation(WorldError):
 
 
 class UnknownDomain(WorldError):
-    pass
+    def __init__(self, domain: str):
+        self.domain = domain
+        super().__init__(f"unknown domain {domain!r}")
 
 
 class EmptyWorld(WorldError):

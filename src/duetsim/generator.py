@@ -34,16 +34,12 @@ _EMPTY_MARKERS = {"", "none", "-", "n/a", "null", "empty"}
 class DraftActs:
     acts: list[DialogueAct]
     step_transcript: dict[str, str] = field(default_factory=dict)
-    attempt_index: int = 0
 
 
 @dataclass
 class Utterance:
     plain: str
-    enhanced: str
-
-    def best(self) -> str:
-        return self.enhanced or self.plain
+    enhanced: str  # the rewrite, or the plain text when it came back blank
 
 
 def split_candidates(text: str) -> list[str]:
@@ -115,8 +111,7 @@ def _assemble(columns: dict[str, list[str]]) -> list[DialogueAct]:
 def generate_acts_cot(backend, goal: UserGoal, context: DialogueContext,
                       requirements: RequirementSet, ontology: Ontology,
                       feedback: Feedback | None = None,
-                      config: PromptConfig = PromptConfig(),
-                      attempt_index: int = 0) -> DraftActs:
+                      config: PromptConfig = PromptConfig()) -> DraftActs:
     """Draft dialogue acts via the four-step chain of thought.
 
     Exactly one completion per step on the happy path (4 total); each step
@@ -150,8 +145,7 @@ def generate_acts_cot(backend, goal: UserGoal, context: DialogueContext,
     report = validate_acts(acts, ontology)
     if not report.ok:
         raise StepParseFailure("value", "; ".join(v.message for v in report.violations))
-    return DraftActs(acts=acts, step_transcript=transcript,
-                     attempt_index=attempt_index)
+    return DraftActs(acts=acts, step_transcript=transcript)
 
 
 def realize_utterance(backend, acts, context: DialogueContext) -> Utterance:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .acts import DialogueContext, DialogueLog, derive_annotations
+from .acts import DialogueAct, DialogueContext, DialogueLog, derive_annotations
 from .errors import TurnAborted
 from .generator import DraftActs, Utterance, generate_acts_cot, realize_utterance
 from .prompts import (
@@ -31,7 +31,6 @@ DEFAULT_TURN_CAP = 20
 @dataclass(frozen=True)
 class LoopConfig:
     max_iterations: int = 3
-    verifier_enabled: bool = True
     on_exhaustion: str = USE_LAST_DRAFT
 
     def __post_init__(self):
@@ -43,29 +42,40 @@ class LoopConfig:
 
 @dataclass
 class TurnTrace:
+    """The drafts of one user turn, in order, each with its verdict (None
+    without a verifier). The last draft is the one the turn uses."""
+
     attempts: list[tuple[DraftActs, Verdict | None]] = field(default_factory=list)
-    final_acts: list = field(default_factory=list)
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.attempts)
+
+    @property
+    def final_acts(self) -> list[DialogueAct]:
+        return self.attempts[-1][0].acts
 
 
 @dataclass
 class DuetSession:
-    """One simulated user: goal, backends, config and per-turn traces. The
-    dialogue history is not kept here; run_dialogue passes it to each turn."""
+    """One simulated user: goal, backends and config. The dialogue history
+    is not kept here; run_dialogue passes it to each turn.
+
+    A ``verifier_backend`` of None runs the loop without the verifier: each
+    turn takes its first draft, and the generator sees both requirement sets.
+    """
 
     goal: UserGoal
     ontology: Ontology
     generator_backend: object
-    verifier_backend: object
+    verifier_backend: object | None
     loop_config: LoopConfig = LoopConfig()
     prompt_config: PromptConfig = PromptConfig()
     generator_requirements: RequirementSet = DEFAULT_GENERATOR_REQUIREMENTS
     verifier_requirements: RequirementSet = DEFAULT_VERIFIER_REQUIREMENTS
-    traces: list[TurnTrace] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.loop_config.verifier_enabled:
-            # without a verifier, the single model sees both requirement sets
+        if self.verifier_backend is None:
             self.generator_requirements = self.generator_requirements.merged(
                 self.verifier_requirements)
 
@@ -77,34 +87,27 @@ def next_user_turn(session: DuetSession,
     cfg = session.loop_config
     trace = TurnTrace()
     feedback: Feedback | None = None
-    final: DraftActs | None = None
-    for i in range(cfg.max_iterations):
+    for _ in range(cfg.max_iterations):
         draft = generate_acts_cot(
             session.generator_backend, session.goal, context,
             session.generator_requirements, session.ontology,
-            feedback=feedback, config=session.prompt_config, attempt_index=i)
-        if not cfg.verifier_enabled:
+            feedback=feedback, config=session.prompt_config)
+        if session.verifier_backend is None:
             trace.attempts.append((draft, None))
-            final = draft
             break
         verdict = verify(session.verifier_backend, session.goal, context,
                          session.verifier_requirements, draft,
                          config=session.prompt_config)
         trace.attempts.append((draft, verdict))
         if verdict.accepted:
-            final = draft
             break
         feedback = verdict.feedback
-    trace.iterations = len(trace.attempts)
-
-    if final is None:
+    else:  # every draft was rejected
         if cfg.on_exhaustion == ABORT_TURN:
             raise TurnAborted(f"all {cfg.max_iterations} drafts rejected")
-        final = trace.attempts[-1][0]
-    trace.final_acts = list(final.acts)
 
-    utterance = realize_utterance(session.generator_backend, final.acts, context)
-    session.traces.append(trace)
+    utterance = realize_utterance(session.generator_backend, trace.final_acts,
+                                  context)
     return trace, utterance
 
 
@@ -116,7 +119,7 @@ class DuetUserSimulator:
 
     def next_turn(self, context: DialogueContext):
         trace, utterance = next_user_turn(self.session, context)
-        return list(trace.final_acts), utterance.best()
+        return trace.final_acts, utterance.enhanced
 
 
 def run_dialogue(goal: UserGoal, user, system,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .acts import DialogueAct, GENERAL_DOMAIN
 from .agenda import DONTCARE, template_nlg
 from .errors import InvalidBookingSlot, UnbookableDomain
-from .world import BookingLedger, Entity, Ontology, query_entities
+from .world import BookingLedger, Ontology, query_entities
 
 UNDERDETERMINED = 5  # more matches than this and the system asks for a constraint
 
@@ -21,22 +21,19 @@ UNDERDETERMINED = 5  # more matches than this and the system asks for a constrai
 @dataclass
 class SystemState:
     constraints: dict[str, dict[str, str]] = field(default_factory=dict)
-    candidate: dict[str, Entity | None] = field(default_factory=dict)
-    informed: set = field(default_factory=set)  # (domain, slot) already given
-    ledger: BookingLedger = field(default_factory=lambda: BookingLedger(random.Random(0)))
+    ledger: BookingLedger = field(default_factory=BookingLedger)
 
 
 def _requery(state: SystemState, domain: str, ontology: Ontology, entities) -> list:
     constraints = {s: v for s, v in state.constraints.get(domain, {}).items()
                    if v != DONTCARE}
-    matches = query_entities(entities, ontology, domain, constraints)
-    state.candidate[domain] = matches[0] if matches else None
-    return matches
+    return query_entities(entities, ontology, domain, constraints)
 
 
 def system_turn(state: SystemState, user_acts, ontology: Ontology,
-                entities) -> tuple[list[DialogueAct], str, SystemState]:
-    """One policy step: returns (system acts, utterance, updated state)."""
+                entities) -> tuple[list[DialogueAct], str]:
+    """One policy step: updates ``state`` in place and returns the system
+    acts and their utterance."""
     acts: list[DialogueAct] = []
     informs: dict[str, dict[str, str]] = {}
     requests: dict[str, list[str]] = {}
@@ -57,7 +54,7 @@ def system_turn(state: SystemState, user_acts, ontology: Ontology,
 
     if saw_bye:
         return [DialogueAct("bye", GENERAL_DOMAIN)], template_nlg(
-            [DialogueAct("bye", GENERAL_DOMAIN)], side="system"), state
+            [DialogueAct("bye", GENERAL_DOMAIN)], side="system")
 
     domains = sorted(set(informs) | set(requests) | set(books))
     for domain in domains:
@@ -68,12 +65,12 @@ def system_turn(state: SystemState, user_acts, ontology: Ontology,
         if domain in informs:
             state.constraints.setdefault(domain, {}).update(informs[domain])
         matches = _requery(state, domain, ontology, entities)
-        candidate = state.candidate.get(domain)
 
         # 2. nothing matches the accumulated constraints
         if not matches:
             acts.append(DialogueAct("nooffer", domain))
             continue
+        candidate = matches[0]
 
         handled = False
         # 3. answer requested slots from the candidate entity
@@ -81,7 +78,6 @@ def system_turn(state: SystemState, user_acts, ontology: Ontology,
             value = candidate.get(slot)
             if value:
                 acts.append(DialogueAct("inform", domain, slot, value))
-                state.informed.add((domain, slot))
             else:
                 acts.append(DialogueAct("nooffer", domain))
             handled = True
@@ -89,8 +85,8 @@ def system_turn(state: SystemState, user_acts, ontology: Ontology,
         # 4. book the candidate when the user asked to book
         if domain in books:
             try:
-                ref = state.ledger.book(candidate, books[domain], ontology)
-                acts.append(DialogueAct("offer_booked", domain, "ref", ref.code))
+                code = state.ledger.book(candidate, books[domain], ontology)
+                acts.append(DialogueAct("offer_booked", domain, "ref", code))
                 acts.append(DialogueAct("offer_booked", domain, "name",
                                         candidate.get("name")))
             except (UnbookableDomain, InvalidBookingSlot):
@@ -112,11 +108,10 @@ def system_turn(state: SystemState, user_acts, ontology: Ontology,
 
         # otherwise put a concrete option on the table
         acts.append(DialogueAct("recommend", domain, "name", candidate.get("name")))
-        state.informed.add((domain, "name"))
 
     if not acts:
         acts = [DialogueAct("reqmore", GENERAL_DOMAIN)]
-    return acts, template_nlg(acts, side="system"), state
+    return acts, template_nlg(acts, side="system")
 
 
 class SystemAgent:
@@ -128,6 +123,4 @@ class SystemAgent:
         self.state = SystemState(ledger=BookingLedger(random.Random(seed)))
 
     def respond(self, user_acts):
-        acts, utterance, self.state = system_turn(self.state, user_acts,
-                                                  self.ontology, self.entities)
-        return acts, utterance
+        return system_turn(self.state, user_acts, self.ontology, self.entities)

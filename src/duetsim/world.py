@@ -13,6 +13,7 @@ import string
 from dataclasses import dataclass
 from importlib import resources
 
+from .acts import require_strings
 from .errors import (
     EmptyWorld,
     InvalidBookingSlot,
@@ -101,14 +102,6 @@ def _index(entities) -> EntityIndex:
     return entities if isinstance(entities, EntityIndex) else EntityIndex(entities)
 
 
-@dataclass(frozen=True)
-class BookingRef:
-    code: str
-    entity_id: str
-    domain: str
-    constraints: dict[str, str]
-
-
 # --- user goals ---
 
 @dataclass(frozen=True)
@@ -133,13 +126,16 @@ class UserGoal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UserGoal":
+        """TypeError when a goal value or requested slot is not a string."""
         domains = {}
         for name, section in d.items():
-            domains[name] = DomainGoal(
+            g = domains[name] = DomainGoal(
                 info=dict(section.get("info", {})),
                 reqt=tuple(section.get("reqt", ())),
                 book=dict(section["book"]) if "book" in section else None,
             )
+            require_strings("goal", (*g.info.values(), *g.reqt,
+                                     *(g.book or {}).values()))
         return cls(domains)
 
 
@@ -322,15 +318,17 @@ def generate_goal(seed: int, ontology: Ontology, entities) -> UserGoal:
 
 
 class BookingLedger:
-    """Per-session registry of bookings; reference codes unique per session."""
+    """Per-session booking desk: checks each booking against the ontology
+    and draws its reference code. Codes already drawn are kept, so that a
+    collision draws again and a code is unique per session."""
 
     def __init__(self, rng: random.Random | None = None):
         self._rng = rng or random.Random(0)
         self._codes: set[str] = set()
-        self.bookings: list[BookingRef] = []
 
     def book(self, entity: Entity, constraints: dict[str, str],
-             ontology: Ontology) -> BookingRef:
+             ontology: Ontology) -> str:
+        """Book ``entity``; returns its reference code, new to this ledger."""
         schema = ontology.domains.get(entity.domain)
         if schema is None or not schema.bookable:
             raise UnbookableDomain(entity.domain)
@@ -343,7 +341,4 @@ class BookingLedger:
             if code not in self._codes:
                 break
         self._codes.add(code)
-        ref = BookingRef(code=code, entity_id=entity.id, domain=entity.domain,
-                         constraints=dict(constraints))
-        self.bookings.append(ref)
-        return ref
+        return code

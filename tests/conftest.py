@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,6 +25,16 @@ def ontology(world):
 @pytest.fixture(scope="session")
 def entities(world):
     return world[1]
+
+
+def load_perfbench(name):
+    """A module of the benchmark harness under perfbench/, loaded by path
+    under a private name; the harness itself is only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def act(intent, domain="", slot="", value=""):

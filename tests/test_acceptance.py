@@ -278,15 +278,14 @@ def test_criterion_4_loop_state_machine(ontology):
                     window = gen.requests[4 * (i + 1):4 * (i + 2)]
                     assert all(f"issue {i + 1}" in r.user_text for r in window)
 
-        # verifier disabled: single iteration, verifier never called
+        # no verifier backend: single iteration, no verdict
         gen = ScriptedBackend(steps + nlg)
-        ver = ScriptedBackend([])
         session = DuetSession(goal=goal, ontology=ontology,
-                              generator_backend=gen, verifier_backend=ver,
-                              loop_config=LoopConfig(verifier_enabled=False))
+                              generator_backend=gen, verifier_backend=None)
         trace, _ = next_user_turn(session, DialogueContext())
         assert trace.iterations == 1
-        assert ver.calls == 0
+        assert trace.attempts[0][1] is None
+        assert gen.calls == 4 + 2
 
 
 def test_criterion_5_deterministic_replay(tmp_path):

@@ -10,6 +10,7 @@ import yaml
 from click.testing import CliRunner
 
 from duetsim.acts import DialogueLog
+from duetsim.backend import CompletionResult
 from duetsim.cli import (
     ExperimentConfig,
     load_config,
@@ -18,6 +19,8 @@ from duetsim.cli import (
     run_experiment,
 )
 from duetsim.errors import ConfigError, LogParseError
+
+from conftest import load_perfbench
 
 
 @pytest.fixture
@@ -176,12 +179,8 @@ class TestCommands:
         result = self.invoke("evaluate", str(bad))
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("field,corrupt", [
-        ("utterance", lambda log: log["turns"][0].update(utterance=None)),
-        ("provided", lambda log: log["annotations"]["provided"].append(
-            ["restaurant", "phone", 5])),
-    ], ids=["utterance_null", "provided_value_int"])
-    def test_non_string_log_field_exit_2(self, tmp_path, field, corrupt):
+    def corrupt_second_record(self, tmp_path, corrupt):
+        """A two-record log whose second record ``corrupt`` has edited."""
         out = tmp_path / "run"
         assert self.invoke("simulate", "-n", "2", "-o", str(out)).exit_code == 0
         lines = (out / "logs.jsonl").read_text().splitlines()
@@ -189,10 +188,38 @@ class TestCommands:
         corrupt(record["log"])
         bad = tmp_path / "bad.jsonl"
         bad.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        return bad
+
+    @pytest.mark.parametrize("field,corrupt", [
+        ("utterance", lambda log: log["turns"][0].update(utterance=None)),
+        ("provided", lambda log: log["annotations"]["provided"].append(
+            ["restaurant", "phone", 5])),
+        ("goal", lambda log: [section["info"].update(dict.fromkeys(section["info"], 5))
+                              for section in log["goal"].values()]),
+        ("booking", lambda log: log["annotations"]["bookings"].append(
+            {"domain": "restaurant", "ref": "ABCD1234", "entity_name": "x",
+             "constraints": {"book people": 5}})),
+    ], ids=["utterance_null", "provided_value_int", "goal_info_int",
+            "booking_constraint_int"])
+    def test_non_string_log_field_exit_2(self, tmp_path, field, corrupt):
+        bad = self.corrupt_second_record(tmp_path, corrupt)
         result = self.invoke("evaluate", str(bad))
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: line 2: {bad}: {field}:")
         assert "Traceback" not in result.output
+
+    def test_unknown_booking_domain_exit_2(self, tmp_path):
+        def book_spaceport(log):
+            log["goal"]["spaceport"] = {"info": {}, "reqt": [], "book": {}}
+            log["annotations"]["bookings"].append(
+                {"domain": "spaceport", "ref": "ABCD1234", "entity_name": "x",
+                 "constraints": {}})
+
+        bad = self.corrupt_second_record(tmp_path, book_spaceport)
+        result = self.invoke("evaluate", str(bad))
+        assert result.exit_code == 2, result.output
+        assert result.output == \
+            f"error: line 2: {bad}: seed 1: unknown domain 'spaceport'\n"
 
     def test_goals_listing(self):
         result = self.invoke("goals", "--count", "3", "--seed", "5")
@@ -229,6 +256,17 @@ class TestCommands:
         assert "generator_backend.script_file" in result.output
         if content is not None:
             assert "line 2" in result.output
+
+    def test_verifier_enabled_key_exit_1(self, tmp_path):
+        """duet-no-verifier is the one switch that turns the verifier off."""
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({"loop": {"verifier_enabled": False}}))
+        with pytest.raises(ConfigError) as e:
+            load_config(str(path), {})
+        assert e.value.field == "loop"
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 1, result.output
+        assert "verifier_enabled" in result.output
 
     def test_bad_http_backend_config_exit_1(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -316,6 +354,30 @@ class TestDeterminism:
             assert result.exit_code == 0, result.output
             paths.append(out / "logs.jsonl")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class RecordingResponder:
+    """In-process backend answering with the benchmark's stateless fake
+    model; it keeps every prompt it is sent, in order."""
+
+    def __init__(self):
+        self.responder = load_perfbench("responder")
+        self.prompts = []
+
+    def complete(self, request):
+        self.prompts.append((request.system_text, request.user_text))
+        return CompletionResult(text=self.responder.reply(request.user_text))
+
+
+class VaryingResponder(RecordingResponder):
+    """A RecordingResponder whose translations and rewrites differ on every
+    call, as a sampling model's do."""
+
+    def complete(self, request):
+        result = super().complete(request)
+        if self.responder.kind(request.user_text) == self.responder.NLG:
+            result = CompletionResult(text=f"{result.text} ({len(self.prompts)})")
+        return result
 
 
 # sha256 of agenda logs.jsonl for seeds 0-199, turn_cap 20, bundled world,
@@ -422,27 +484,29 @@ def test_written_logs_are_released(tmp_path, monkeypatch, parallelism):
 
 
 def test_written_duet_logs_are_released(tmp_path, monkeypatch):
-    """Duet runs stay on threads, where a log is dropped once written.
-    Replaying a cassette behind an HTTP backend spec makes the run parallel
-    without any request reaching the endpoint."""
+    """Duet runs stay on threads, where a log is dropped once written. An
+    in-process backend that is not scripted lets the run go parallel."""
     import duetsim.cli
     import duetsim.loop
 
     dialogues = 12
-    turn = ["bye", "general", "", "", "ACCEPT", "Goodbye.", "Thanks, bye!"]
-    script = tmp_path / "script.jsonl"
-    script.write_text("".join(json.dumps(line) + "\n" for line in turn * dialogues))
-    cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
-    run_experiment(ExperimentConfig(
-        simulator="duet", dialogues=dialogues, output_dir=str(tmp_path / "record"),
-        generator_backend={"kind": "scripted", "script_file": str(script)},
-        cassette=cassette))
+    monkeypatch.setattr(duetsim.cli, "_build_backend",
+                        lambda spec, role: RecordingResponder())
 
+    def run(parallelism):
+        return run_experiment(ExperimentConfig(
+            simulator="duet", dialogues=dialogues, parallelism=parallelism,
+            output_dir=str(tmp_path / str(parallelism)),
+            generator_backend={"kind": "responder"}))
+
+    sequential = run(1)
     alive = {}
+    threads = set()
     run_dialogue = duetsim.loop.run_dialogue
     records = duetsim.cli._records
 
     def tracked_run_dialogue(*args, **kwargs):
+        threads.add(threading.get_ident())
         log = run_dialogue(*args, **kwargs)
         alive[log.seed] = weakref.ref(log)
         return log
@@ -456,18 +520,89 @@ def test_written_duet_logs_are_released(tmp_path, monkeypatch):
 
     monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
     monkeypatch.setattr(duetsim.cli, "_records", checked_records)
-    out = run_experiment(ExperimentConfig(
-        simulator="duet", dialogues=dialogues, parallelism=2,
-        output_dir=str(tmp_path / "replay"),
-        generator_backend={"kind": "http", "base_url": "http://127.0.0.1:9"},
-        cassette=dict(cassette, mode="replay")))
+    out = run(2)
     assert len(alive) == dialogues
+    assert threads and threading.get_ident() not in threads
     assert json.loads((out / "manifest.json").read_text())["failures"] == []
     assert (out / "logs.jsonl").read_bytes() == \
-        (tmp_path / "record" / "logs.jsonl").read_bytes()
+        (sequential / "logs.jsonl").read_bytes()
+
+
+def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
+    """Replay serves a repeated request's answers in recorded order, so,
+    like record, it runs one dialogue at a time, even where the config asks
+    for more workers; replies that vary per call then replay exactly."""
+    import duetsim.cli
+    import duetsim.loop
+
+    dialogues = 12
+    cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
+    with monkeypatch.context() as patch:
+        patch.setattr(duetsim.cli, "_build_backend",
+                      lambda spec, role: VaryingResponder())
+        recorded = run_experiment(ExperimentConfig(
+            simulator="duet", dialogues=dialogues, output_dir=str(tmp_path / "record"),
+            generator_backend={"kind": "responder"}, cassette=cassette))
+
+    threads = set()
+    run_dialogue = duetsim.loop.run_dialogue
+
+    def tracked_run_dialogue(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return run_dialogue(*args, **kwargs)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
+    for parallelism in (None, 4):
+        out = run_experiment(ExperimentConfig(
+            simulator="duet", dialogues=dialogues, parallelism=parallelism,
+            output_dir=str(tmp_path / f"replay-{parallelism}"),
+            generator_backend={"kind": "http", "base_url": "http://127.0.0.1:9"},
+            cassette=dict(cassette, mode="replay")))
+        assert json.loads((out / "manifest.json").read_text())["failures"] == []
+        assert (out / "logs.jsonl").read_bytes() == \
+            (recorded / "logs.jsonl").read_bytes()
+    assert threads == {threading.get_ident()}
 
 
 def test_import_does_not_load_process_pool(imported_modules):
     """Only parallel agenda runs pay for importing multiprocessing."""
     assert not {"multiprocessing", "concurrent.futures.process"} & imported_modules
 
+
+
+# sha256 of duet logs.jsonl for seeds 0-9 and of every prompt sent, against
+# perfbench/responder.py, recorded before the dialogue state was slimmed
+# down. Any change to them means a change in duet behaviour.
+DUET_SEEDS_0_9_SHA256 = {
+    ("utterances", "duet"): (
+        "245b5e30ef8f9e1b3dd844594d5d20c55508e677160fa595558863576adc8cd4",
+        "24217a23caffea255ed7a413562475ac305e8a1670ba741be637bd7c80483cd9"),
+    ("utterances", "duet-no-verifier"): (
+        "dd7549096ae15e0a46ccc35234272b9fd78ffd4ec0fb671a9f7a4e04ef678cb6",
+        "536732eb8a422d3c37903919b3d0ba0d668ace89770610fd923d2d34f7d97984"),
+    ("acts", "duet"): (
+        "245b5e30ef8f9e1b3dd844594d5d20c55508e677160fa595558863576adc8cd4",
+        "7450ce5bed2356c356f34c4fb92b007a8e9c7787159536badc34e0a7f690191a"),
+    ("acts", "duet-no-verifier"): (
+        "dd7549096ae15e0a46ccc35234272b9fd78ffd4ec0fb671a9f7a4e04ef678cb6",
+        "3a93ef4d3fdccd93b7403cc7ee0f0deaef22e86e88a65919abd4b4301bc161a2"),
+}
+
+
+@pytest.mark.parametrize("context_mode", ["utterances", "acts"])
+@pytest.mark.parametrize("simulator", ["duet", "duet-no-verifier"])
+def test_duet_logs_pinned(tmp_path, monkeypatch, context_mode, simulator):
+    import duetsim.cli
+
+    backend = RecordingResponder()
+    monkeypatch.setattr(duetsim.cli, "_build_backend", lambda spec, role: backend)
+    config = ExperimentConfig(simulator=simulator, dialogues=10, seed=0,
+                              turn_cap=20, parallelism=1,
+                              context_mode=context_mode,
+                              generator_backend={"kind": "responder"},
+                              output_dir=str(tmp_path / "run"))
+    data = (run_experiment(config) / "logs.jsonl").read_bytes()
+    prompts = json.dumps(backend.prompts).encode("utf-8")
+    digests = (hashlib.sha256(data).hexdigest(),
+               hashlib.sha256(prompts).hexdigest())
+    assert digests == DUET_SEEDS_0_9_SHA256[context_mode, simulator]

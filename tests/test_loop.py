@@ -25,16 +25,14 @@ STEPS = ["inform", "restaurant", "name", "ugly duckling"]
 NLG = ["I am looking for ugly duckling.", "Hi, can you find ugly duckling for me?"]
 
 
-def make_session(ontology, verdicts, max_iterations=3, verifier_enabled=True,
+def make_session(ontology, verdicts, max_iterations=3,
                  on_exhaustion="use_last_draft"):
-    iterations = len(verdicts) if verifier_enabled else 1
-    gen_backend = ScriptedBackend(STEPS * max(iterations, 1) + NLG)
+    gen_backend = ScriptedBackend(STEPS * max(len(verdicts), 1) + NLG)
     ver_backend = ScriptedBackend(verdicts)
     session = DuetSession(
         goal=GOAL, ontology=ontology,
         generator_backend=gen_backend, verifier_backend=ver_backend,
         loop_config=LoopConfig(max_iterations=max_iterations,
-                               verifier_enabled=verifier_enabled,
                                on_exhaustion=on_exhaustion))
     return session, gen_backend, ver_backend
 
@@ -68,12 +66,13 @@ class TestLoop:
             next_user_turn(session, DialogueContext())
 
     def test_verifier_disabled_single_iteration(self, ontology):
-        session, gen_backend, ver_backend = make_session(
-            ontology, [], verifier_enabled=False)
+        gen_backend = ScriptedBackend(STEPS + NLG)
+        session = DuetSession(goal=GOAL, ontology=ontology,
+                              generator_backend=gen_backend, verifier_backend=None)
         trace, _ = next_user_turn(session, DialogueContext())
         assert trace.iterations == 1
         assert trace.attempts[0][1] is None
-        assert ver_backend.calls == 0
+        assert gen_backend.calls == 4 + 2  # CoT steps + two NLG calls
         # merged requirement sets reach the single model
         assert "V1" in gen_backend.requests[0].user_text
 

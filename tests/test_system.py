@@ -1,53 +1,43 @@
-import pytest
-
 from duetsim.acts import DialogueAct
 from duetsim.system import SystemAgent, SystemState, system_turn
 
 from conftest import act
 
 
-def turn(state, user_acts, ontology, entities):
-    acts, utterance, state = system_turn(state, user_acts, ontology, entities)
-    return acts, utterance, state
-
-
 class TestPolicy:
     def test_informs_come_from_database(self, ontology, entities):
-        state = SystemState()
-        acts, _, state = turn(state,
+        acts, _ = system_turn(SystemState(),
                               [act("inform", "restaurant", "name", "ugly duckling"),
                                act("request", "restaurant", "phone")],
                               ontology, entities)
         assert DialogueAct("inform", "restaurant", "phone", "01223176749") in acts
 
     def test_nooffer_on_zero_matches(self, ontology, entities):
-        state = SystemState()
-        acts, _, _ = turn(state,
-                          [act("inform", "restaurant", "food", "martian")],
-                          ontology, entities)
+        acts, _ = system_turn(SystemState(),
+                              [act("inform", "restaurant", "food", "martian")],
+                              ontology, entities)
         assert acts == [DialogueAct("nooffer", "restaurant")]
 
     def test_request_when_underdetermined(self, ontology, entities):
-        acts, _, _ = turn(SystemState(),
-                          [act("inform", "restaurant", "pricerange", "moderate")],
-                          ontology, entities)
+        acts, _ = system_turn(SystemState(),
+                              [act("inform", "restaurant", "pricerange", "moderate")],
+                              ontology, entities)
         assert len(acts) == 1
         assert acts[0].intent == "request"
         assert acts[0].domain == "restaurant"
 
     def test_recommend_when_narrowed(self, ontology, entities):
-        acts, _, _ = turn(SystemState(),
-                          [act("inform", "restaurant", "name", "ugly duckling")],
-                          ontology, entities)
+        acts, _ = system_turn(SystemState(),
+                              [act("inform", "restaurant", "name", "ugly duckling")],
+                              ontology, entities)
         assert acts == [DialogueAct("recommend", "restaurant", "name",
                                     "ugly duckling")]
 
     def test_booking_returns_ref_and_name(self, ontology, entities):
         state = SystemState()
-        _, _, state = turn(state,
-                           [act("inform", "restaurant", "name", "ugly duckling")],
-                           ontology, entities)
-        acts, _, state = turn(state,
+        system_turn(state, [act("inform", "restaurant", "name", "ugly duckling")],
+                    ontology, entities)
+        acts, _ = system_turn(state,
                               [act("book", "restaurant", "book day", "tuesday"),
                                act("book", "restaurant", "book people", "2"),
                                act("book", "restaurant", "book time", "18:00")],
@@ -60,38 +50,54 @@ class TestPolicy:
 
     def test_invalid_booking_slot_gives_nobook(self, ontology, entities):
         state = SystemState()
-        _, _, state = turn(state,
-                           [act("inform", "restaurant", "name", "ugly duckling")],
-                           ontology, entities)
-        acts, _, _ = turn(state,
-                          [act("book", "restaurant", "book stay", "3")],
-                          ontology, entities)
+        system_turn(state, [act("inform", "restaurant", "name", "ugly duckling")],
+                    ontology, entities)
+        acts, _ = system_turn(state, [act("book", "restaurant", "book stay", "3")],
+                              ontology, entities)
         assert acts == [DialogueAct("nobook", "restaurant")]
 
     def test_bye_answered_with_bye(self, ontology, entities):
-        acts, _, _ = turn(SystemState(), [act("bye", "general")],
-                          ontology, entities)
+        acts, _ = system_turn(SystemState(), [act("bye", "general")],
+                              ontology, entities)
         assert acts == [DialogueAct("bye", "general")]
 
     def test_unknown_domain_noffer(self, ontology, entities):
-        acts, _, _ = turn(SystemState(),
-                          [act("inform", "attraction", "area", "centre")],
-                          ontology, entities)
+        acts, _ = system_turn(SystemState(),
+                              [act("inform", "attraction", "area", "centre")],
+                              ontology, entities)
         assert acts == [DialogueAct("nooffer", "attraction")]
 
     def test_dontcare_constraint_ignored_in_query(self, ontology, entities):
         state = SystemState()
-        _, _, state = turn(state, [act("inform", "restaurant", "food", "martian")],
-                           ontology, entities)
-        acts, _, _ = turn(state,
-                          [act("inform", "restaurant", "food", "dontcare"),
-                           act("inform", "restaurant", "name", "ugly duckling")],
-                          ontology, entities)
+        system_turn(state, [act("inform", "restaurant", "food", "martian")],
+                    ontology, entities)
+        acts, _ = system_turn(state,
+                              [act("inform", "restaurant", "food", "dontcare"),
+                               act("inform", "restaurant", "name", "ugly duckling")],
+                              ontology, entities)
         assert acts[0].intent == "recommend"
 
     def test_empty_user_turn_reqmore(self, ontology, entities):
-        acts, _, _ = turn(SystemState(), [], ontology, entities)
+        acts, _ = system_turn(SystemState(), [], ontology, entities)
         assert acts == [DialogueAct("reqmore", "general")]
+
+    def test_turn_updates_state_in_place(self, ontology, entities):
+        state = SystemState()
+        system_turn(state, [act("inform", "restaurant", "food", "chinese")],
+                    ontology, entities)
+        system_turn(state, [act("inform", "restaurant", "area", "north")],
+                    ontology, entities)
+        assert state.constraints == {
+            "restaurant": {"food": "chinese", "area": "north"}}
+
+    def test_default_ledger_is_seed_0(self, ontology, entities):
+        script = [[act("inform", "restaurant", "name", "ugly duckling")],
+                  [act("book", "restaurant", "book day", "tuesday")]]
+        state = SystemState()
+        agent = SystemAgent(ontology, entities, seed=0)
+        for user_acts in script:
+            assert system_turn(state, user_acts, ontology, entities) == \
+                agent.respond(user_acts)
 
 
 class TestDeterminism:

@@ -84,7 +84,7 @@ class TestQuery:
                               {"food": "nonexistent-cuisine"}) == []
 
     def test_unknown_domain(self, ontology, entities):
-        with pytest.raises(UnknownDomain):
+        with pytest.raises(UnknownDomain, match="^unknown domain 'spaceport'$"):
             query_entities(entities, ontology, "spaceport", {})
 
     def test_monotone_under_constraints(self, ontology, entities):
@@ -195,15 +195,15 @@ class TestBooking:
     def test_reference_format(self, ontology, entities):
         ledger = BookingLedger()
         entity = query_entities(entities, ontology, "restaurant", {})[0]
-        ref = ledger.book(entity, {"book day": "tuesday", "book people": "4"},
-                          ontology)
-        assert len(ref.code) == 8
-        assert ref.code.isalnum()
+        code = ledger.book(entity, {"book day": "tuesday", "book people": "4"},
+                           ontology)
+        assert len(code) == 8
+        assert code.isalnum()
 
     def test_unique_codes(self, ontology, entities):
         ledger = BookingLedger()
         entity = query_entities(entities, ontology, "restaurant", {})[0]
-        codes = {ledger.book(entity, {}, ontology).code for _ in range(50)}
+        codes = {ledger.book(entity, {}, ontology) for _ in range(50)}
         assert len(codes) == 50
 
     def test_invalid_booking_slot(self, ontology, entities):
