@@ -119,21 +119,19 @@ class HTTPBackend:
     up to ``config.retries`` times with exponential backoff; other 4xx
     responses and malformed bodies fail immediately.
 
-    Each thread that calls ``complete`` keeps one keep-alive connection of
-    its own. A connection is closed and forgotten after a transport error or
-    a response that ends it; one the server closed while it sat idle is
-    replaced without spending a retry. ``http_proxy``, ``https_proxy`` and
-    ``no_proxy`` are read from the environment when the backend is built,
-    and TLS is verified against the system trust store. ``close`` closes
-    every connection still open.
+    The backend keeps one keep-alive connection, so it is not shared
+    between threads: each worker process builds its own. The connection is
+    closed and forgotten after a transport error or a response that ends it;
+    one the server closed while it sat idle is replaced without spending a
+    retry. ``http_proxy``, ``https_proxy`` and ``no_proxy`` are read from
+    the environment when the backend is built, and TLS is verified against
+    the system trust store. ``close`` closes the connection.
     """
 
     def __init__(self, config: BackendConfig, sleep=time.sleep):
         self.config = config
         self._sleep = sleep
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._open: set[http.client.HTTPConnection] = set()
+        self._conn: http.client.HTTPConnection | None = None
 
         url = urllib.parse.urlsplit(config.base_url)
         self._https = url.scheme == "https"
@@ -200,8 +198,8 @@ class HTTPBackend:
         ) from last_error
 
     def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
-        """POST on this thread's connection; returns (status, body)."""
-        conn = getattr(self._local, "conn", None)
+        """POST on the kept connection; returns (status, body)."""
+        conn = self._conn
         if conn is not None:
             try:
                 return self._exchange(conn, body, headers)
@@ -219,9 +217,7 @@ class HTTPBackend:
                 conn.set_tunnel(*self._address, headers=self._proxy_headers)
         else:
             conn = http.client.HTTPConnection(host, port, timeout=self.config.timeout)
-        self._local.conn = conn
-        with self._lock:
-            self._open.add(conn)
+        self._conn = conn
         return conn
 
     def _exchange(self, conn, body: bytes, headers: dict) -> tuple[int, bytes]:
@@ -230,25 +226,17 @@ class HTTPBackend:
             resp = conn.getresponse()
             data = resp.read()
         except BaseException:
-            self._discard(conn)
+            self.close()
             raise
         if resp.will_close:
-            self._discard(conn)
+            self.close()
         return resp.status, data
 
-    def _discard(self, conn) -> None:
-        conn.close()
-        self._local.conn = None
-        with self._lock:
-            self._open.discard(conn)
-
     def close(self) -> None:
-        """Close every connection, including those of threads that have
-        exited; a later call reconnects."""
-        with self._lock:
-            conns = list(self._open)
-        for conn in conns:
-            conn.close()
+        """Close the connection, if one is open; a later call reconnects."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
 
 def resolve_proxy(url) -> tuple[tuple[str, int] | None, dict[str, str]]:

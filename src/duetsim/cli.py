@@ -9,7 +9,6 @@ import json
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,9 +74,15 @@ class ExperimentConfig:
                               "required for duet simulators")
 
     def workers(self) -> int:
-        """Workers: the configured value, else 1 for agenda runs and 4 for
-        duet runs (backend-bound). More than one agenda worker means worker
-        processes, since agenda runs are CPU-bound; duet workers are threads."""
+        """Workers: 1 for a duet run with a scripted generator or verifier
+        backend or with a cassette, since each answers in call order; else
+        the configured value, or 1 for agenda runs and 4 for duet runs
+        (backend-bound). More than one worker means worker processes."""
+        if self.simulator != "agenda" and (
+                "scripted" in (self.generator_backend.get("kind"),
+                               self.verifier_backend.get("kind"))
+                or self.cassette.get("mode") in ("record", "replay")):
+            return 1
         if self.parallelism is not None:
             return self.parallelism
         return 1 if self.simulator == "agenda" else 4
@@ -179,9 +184,9 @@ def _wrap_cassette(backend, cassette: dict):
 
 
 def build_simulator_factory(config: ExperimentConfig, ontology, entities):
-    """Returns (factory(goal) -> user simulator, sequential_required, backends)."""
+    """Returns (factory(goal) -> user simulator, backends)."""
     if config.simulator == "agenda":
-        return (lambda goal: AgendaUserSimulator(goal)), False, ()
+        return (lambda goal: AgendaUserSimulator(goal)), ()
 
     verifier = config.simulator == "duet"  # the one switch for the verifier
     specs = [("generator_backend", config.generator_backend)]
@@ -192,11 +197,6 @@ def build_simulator_factory(config: ExperimentConfig, ontology, entities):
     clients = [_wrap_cassette(backend, config.cassette) for backend in backends]
     gen_backend = clients[0]
     ver_backend = clients[-1] if verifier else None
-    # A scripted backend answers in call order. A cassette appends in call
-    # order when recording, and serves a repeated request's answers in call
-    # order when replaying. Each needs one dialogue at a time to reproduce.
-    sequential = (isinstance(backends[0], ScriptedBackend)
-                  or config.cassette.get("mode") in ("record", "replay"))
 
     prompt_config = PromptConfig(omit_goal=config.omit_goal,
                                  omit_history=config.omit_history,
@@ -210,7 +210,7 @@ def build_simulator_factory(config: ExperimentConfig, ontology, entities):
                               prompt_config=prompt_config)
         return DuetUserSimulator(session)
 
-    return factory, sequential, backends
+    return factory, backends
 
 
 class _DialogueRunner:
@@ -219,7 +219,7 @@ class _DialogueRunner:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.ontology, self.entities = load_world(config.world)
-        self.factory, self.sequential, self.backends = build_simulator_factory(
+        self.factory, self.backends = build_simulator_factory(
             config, self.ontology, self.entities)
 
     def __call__(self, seed: int) -> tuple[str, dict | None]:
@@ -257,20 +257,12 @@ def _run_in_worker(seed: int) -> tuple[str, dict | None]:
 def _records(runner: _DialogueRunner, seeds: range, workers: int):
     """(record line, failure entry or None) for each seed, in seed order.
 
-    Parallel agenda dialogues are CPU-bound, so they run in worker processes;
-    duet dialogues wait on the backend and share its connections and
-    cassette, so they run on threads.
+    More than one worker means worker processes, each of which builds its
+    own world, simulators and backends from the config.
     """
     if workers == 1:
         yield from map(runner, seeds)
-    elif runner.config.simulator != "agenda":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(runner, seeds)
-    else:
-        yield from _records_from_processes(runner.config, seeds, workers)
-
-
-def _records_from_processes(config: ExperimentConfig, seeds: range, workers: int):
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -284,7 +276,7 @@ def _records_from_processes(config: ExperimentConfig, seeds: range, workers: int
     pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork" if fork else "spawn"),
-        initializer=_init_worker, initargs=(config,))
+        initializer=_init_worker, initargs=(runner.config,))
     try:
         yield from pool.map(_run_in_worker, seeds, chunksize=chunk)
     except BrokenProcessPool as e:
@@ -307,10 +299,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
     seeds = range(config.seed, config.seed + config.dialogues)
     started = time.time()
     failures = []
-    workers = 1 if runner.sequential else config.workers()
     try:
         with open(log_path, "w", encoding="utf-8") as log_file, \
-                closing(_records(runner, seeds, workers)) as records:
+                closing(_records(runner, seeds, config.workers())) as records:
             # Records arrive in seed order and each is dropped once written.
             for line, failure in records:
                 if failure:
@@ -387,9 +378,9 @@ def _fail(error: DuetSimError, code: int):
 @click.option("--seed", type=int, default=None)
 @click.option("--turn-cap", type=int, default=None)
 @click.option("--parallelism", type=int, default=None,
-              help="Workers: processes for agenda runs, threads for duet "
-                   "runs. Default: 1 for agenda runs, 4 for duet runs. "
-                   "Scripted backends and cassettes always use 1.")
+              help="Worker processes. Default: 1 for agenda runs, 4 for "
+                   "duet runs. A duet run with a scripted backend or a "
+                   "cassette always uses 1.")
 @click.option("--output-dir", "-o", type=click.Path(), default=None)
 @click.option("--context-mode", type=click.Choice(["utterances", "acts"]),
               default=None)

@@ -126,17 +126,32 @@ class UserGoal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UserGoal":
-        """TypeError when a goal value or requested slot is not a string."""
+        """TypeError unless the goal and each of its sections is an object,
+        a section's ``info`` and ``book`` are objects and its ``reqt`` is a
+        list, and every goal value and requested slot is a string."""
+        _require_type(d, dict)
         domains = {}
         for name, section in d.items():
+            _require_type(section, dict)
+            info, reqt = section.get("info", {}), section.get("reqt", [])
+            book = section.get("book", {})
+            _require_type(info, dict)
+            _require_type(reqt, list)
+            _require_type(book, dict)
             g = domains[name] = DomainGoal(
-                info=dict(section.get("info", {})),
-                reqt=tuple(section.get("reqt", ())),
-                book=dict(section["book"]) if "book" in section else None,
+                info=dict(info), reqt=tuple(reqt),
+                book=dict(book) if "book" in section else None,
             )
             require_strings("goal", (*g.info.values(), *g.reqt,
                                      *(g.book or {}).values()))
         return cls(domains)
+
+
+def _require_type(value, kind: type) -> None:
+    """TypeError unless ``value`` is a ``kind``; a log reader reports it."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise TypeError(f"goal: expected {expected}, got {value!r}")
 
 
 _REQT_PHRASES = {

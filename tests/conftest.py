@@ -27,10 +27,13 @@ def entities(world):
     return world[1]
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def load_perfbench(name):
     """A module of the benchmark harness under perfbench/, loaded by path
     under a private name; the harness itself is only read."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    path = PERFBENCH / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -253,23 +253,13 @@ class TestHTTP:
         assert len(server.requests) == 1
 
     def test_one_connection_per_thread(self, backend):
+        """A backend, used from the one thread that owns it, keeps one
+        keep-alive connection."""
         b, server = backend([])
         for _ in range(3):
             b.complete(req())
+        assert len(server.requests) == 3
         assert server.connections == 1
-
-        def work():
-            for _ in range(2):
-                b.complete(req())
-
-        threads = [threading.Thread(target=work) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-        assert len(server.requests) == 7
-        assert server.connections == 3  # the main thread's and one per worker
 
     @pytest.mark.parametrize("outcome", ["close", "vanish"])
     def test_closed_connection_replaced_without_retry(self, backend, outcome):
@@ -326,7 +316,7 @@ class TestHTTP:
     def test_close_closes_every_connection(self, backend):
         b, server = backend([])
         b.complete(req())
-        conn = b._local.conn
+        conn = b._conn
         b.close()
         assert conn.sock is None
         assert b.complete(req()).text == "hi"  # reconnects

@@ -2,6 +2,8 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 import weakref
 
@@ -20,14 +22,14 @@ from duetsim.cli import (
 )
 from duetsim.errors import ConfigError, LogParseError
 
-from conftest import load_perfbench
+from conftest import PERFBENCH, load_perfbench
 
 
 @pytest.fixture
 def no_handler_threads():
-    """For tests that fork agenda workers: a forked child gets a copy of
-    every lock another thread holds, so no HTTP handler thread left by an
-    earlier test may be alive."""
+    """For tests that fork workers: a forked child gets a copy of every lock
+    another thread holds, so no HTTP handler thread left by an earlier test
+    may be alive."""
     handlers = [t.name for t in threading.enumerate()
                 if "process_request_thread" in t.name]
     assert handlers == []
@@ -105,6 +107,19 @@ class TestConfig:
         path.write_text(yaml.safe_dump({"parallelism": 3}))
         assert load_config(str(path), {}).workers() == 3
         assert load_config(None, {"parallelism": 2}).workers() == 2
+
+    @pytest.mark.parametrize("fields", [
+        {"generator_backend": {"kind": "scripted"}},
+        {"verifier_backend": {"kind": "scripted"}},
+        {"cassette": {"mode": "record"}},
+        {"cassette": {"mode": "replay"}},
+    ], ids=["scripted_generator", "scripted_verifier", "record", "replay"])
+    def test_call_order_backends_use_one_worker(self, fields):
+        """A scripted backend, or a cassette, answers in call order."""
+        config = ExperimentConfig(
+            simulator="duet", parallelism=4,
+            **{"generator_backend": {"kind": "http"}, **fields})
+        assert config.workers() == 1
 
 
 class TestReadLogs:
@@ -199,8 +214,18 @@ class TestCommands:
         ("booking", lambda log: log["annotations"]["bookings"].append(
             {"domain": "restaurant", "ref": "ABCD1234", "entity_name": "x",
              "constraints": {"book people": 5}})),
+        ("goal", lambda log: log["goal"].update(dict.fromkeys(log["goal"], 5))),
+        ("goal", lambda log: [section.update(info=["abc"])
+                              for section in log["goal"].values()]),
+        ("goal", lambda log: [section.update(info=["ab"])
+                              for section in log["goal"].values()]),
+        ("goal", lambda log: [section.update(reqt="phone")
+                              for section in log["goal"].values()]),
+        ("goal", lambda log: [section.update(book=[])
+                              for section in log["goal"].values()]),
     ], ids=["utterance_null", "provided_value_int", "goal_info_int",
-            "booking_constraint_int"])
+            "booking_constraint_int", "goal_section_int", "goal_info_list",
+            "goal_info_pair_list", "goal_reqt_str", "goal_book_list"])
     def test_non_string_log_field_exit_2(self, tmp_path, field, corrupt):
         bad = self.corrupt_second_record(tmp_path, corrupt)
         result = self.invoke("evaluate", str(bad))
@@ -483,51 +508,6 @@ def test_written_logs_are_released(tmp_path, monkeypatch, parallelism):
         assert all(int(pid) != os.getpid() for _, pid in entries)
 
 
-def test_written_duet_logs_are_released(tmp_path, monkeypatch):
-    """Duet runs stay on threads, where a log is dropped once written. An
-    in-process backend that is not scripted lets the run go parallel."""
-    import duetsim.cli
-    import duetsim.loop
-
-    dialogues = 12
-    monkeypatch.setattr(duetsim.cli, "_build_backend",
-                        lambda spec, role: RecordingResponder())
-
-    def run(parallelism):
-        return run_experiment(ExperimentConfig(
-            simulator="duet", dialogues=dialogues, parallelism=parallelism,
-            output_dir=str(tmp_path / str(parallelism)),
-            generator_backend={"kind": "responder"}))
-
-    sequential = run(1)
-    alive = {}
-    threads = set()
-    run_dialogue = duetsim.loop.run_dialogue
-    records = duetsim.cli._records
-
-    def tracked_run_dialogue(*args, **kwargs):
-        threads.add(threading.get_ident())
-        log = run_dialogue(*args, **kwargs)
-        alive[log.seed] = weakref.ref(log)
-        return log
-
-    def checked_records(*args):
-        for line, failure in records(*args):
-            seed = json.loads(line)["log"]["seed"]
-            gc.collect()
-            assert not [s for s, ref in alive.items() if s < seed and ref()]
-            yield line, failure
-
-    monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
-    monkeypatch.setattr(duetsim.cli, "_records", checked_records)
-    out = run(2)
-    assert len(alive) == dialogues
-    assert threads and threading.get_ident() not in threads
-    assert json.loads((out / "manifest.json").read_text())["failures"] == []
-    assert (out / "logs.jsonl").read_bytes() == \
-        (sequential / "logs.jsonl").read_bytes()
-
-
 def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
     """Replay serves a repeated request's answers in recorded order, so,
     like record, it runs one dialogue at a time, even where the config asks
@@ -565,8 +545,38 @@ def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
 
 
 def test_import_does_not_load_process_pool(imported_modules):
-    """Only parallel agenda runs pay for importing multiprocessing."""
-    assert not {"multiprocessing", "concurrent.futures.process"} & imported_modules
+    """Only parallel runs pay for importing multiprocessing, and no run
+    uses a thread pool."""
+    assert not {"multiprocessing", "concurrent.futures.process",
+                "concurrent.futures.thread"} & imported_modules
+
+
+def test_scripted_verifier_runs_one_dialogue_at_a_time(tmp_path, monkeypatch):
+    """A scripted verifier answers in call order, so a run with one uses a
+    single worker whatever the generator is and ``parallelism`` says."""
+    import duetsim.loop
+
+    script = tmp_path / "verifier.jsonl"
+    script.write_text('"ACCEPT"\n')
+    ran = set()
+    run_dialogue = duetsim.loop.run_dialogue
+
+    def tracked_run_dialogue(*args, **kwargs):
+        ran.add((os.getpid(), threading.get_ident()))
+        return run_dialogue(*args, **kwargs)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
+    out = run_experiment(ExperimentConfig(
+        simulator="duet", dialogues=8, parallelism=4,
+        output_dir=str(tmp_path / "run"),
+        generator_backend={"kind": "http", "base_url": "http://127.0.0.1:9",
+                           "retries": 0},
+        verifier_backend={"kind": "scripted", "script_file": str(script)}))
+    assert ran == {(os.getpid(), threading.get_ident())}
+    logs = [json.loads(line)["log"] for line in
+            (out / "logs.jsonl").read_text().splitlines()]
+    assert [(log["seed"], log["termination_reason"]) for log in logs] == \
+        [(seed, "error") for seed in range(8)]  # the generator is unreachable
 
 
 
@@ -587,6 +597,49 @@ DUET_SEEDS_0_9_SHA256 = {
         "dd7549096ae15e0a46ccc35234272b9fd78ffd4ec0fb671a9f7a4e04ef678cb6",
         "3a93ef4d3fdccd93b7403cc7ee0f0deaef22e86e88a65919abd4b4301bc161a2"),
 }
+
+
+@pytest.fixture
+def fake_server_url(monkeypatch):
+    """Base URL of the benchmark's fake chat server, with no latency. It
+    runs as a subprocess, so a test that forks holds no server thread."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = subprocess.Popen(
+        [sys.executable, str(PERFBENCH / "fake_server.py"), "--latency-ms", "0"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        line = server.stdout.readline()
+        assert line.startswith("PORT "), line
+        yield f"http://127.0.0.1:{int(line.split()[1])}/v1"
+    finally:
+        server.stdin.close()  # the server shuts down at end of file
+        server.wait(timeout=10)
+        server.stdout.close()
+
+
+@pytest.mark.usefixtures("no_handler_threads")
+@pytest.mark.parametrize("parallelism,start_methods", [
+    (1, None), (2, None), (2, ["spawn"])], ids=["1", "2", "2-spawn"])
+def test_parallel_http_duet_logs_pinned(tmp_path, monkeypatch, fake_server_url,
+                                        parallelism, start_methods):
+    """Duet dialogues over HTTP give the same logs on one worker and on
+    worker processes, forked or spawned."""
+    import multiprocessing
+
+    if start_methods:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: start_methods)
+    out = run_experiment(ExperimentConfig(
+        simulator="duet", dialogues=10, seed=0, turn_cap=20,
+        parallelism=parallelism, output_dir=str(tmp_path / "run"),
+        generator_backend={"kind": "http", "base_url": fake_server_url,
+                           "model": "fake"}))
+    assert json.loads((out / "manifest.json").read_text())["failures"] == []
+    data = (out / "logs.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        DUET_SEEDS_0_9_SHA256["utterances", "duet"][0]
 
 
 @pytest.mark.parametrize("context_mode", ["utterances", "acts"])
