@@ -3,20 +3,18 @@
 Every prompt in the framework flows through the single ``complete`` entry
 point, so any backend that satisfies the Backend protocol (an object with
 ``complete(request) -> CompletionResult``) can drive a simulation.
+
+The HTTP/TLS stack and hashing are imported inside the code that uses them,
+so a run without an http backend or a cassette does not load them.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import http.client
 import json
 import os
-import ssl
 import threading
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 
 from .errors import (
@@ -74,6 +72,8 @@ class BackendConfig:
 
 def request_digest(request: CompletionRequest) -> str:
     """Stable cross-process digest of a request's semantic content."""
+    import hashlib
+
     canonical = json.dumps({
         "system": request.system_text,
         "user": request.user_text,
@@ -136,7 +136,11 @@ class HTTPBackend:
         url = urllib.parse.urlsplit(config.base_url)
         self._https = url.scheme == "https"
         self._address = (url.hostname, url.port or (443 if self._https else 80))
-        self._ssl_context = ssl.create_default_context() if self._https else None
+        self._ssl_context = None
+        if self._https:
+            import ssl
+
+            self._ssl_context = ssl.create_default_context()
         self._target = url.path.rstrip("/") + "/chat/completions" + \
             (f"?{url.query}" if url.query else "")
         self._proxy, self._proxy_headers = resolve_proxy(url)
@@ -153,6 +157,8 @@ class HTTPBackend:
         return headers
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
+        import http.client  # bound here for the except clause below
+
         messages = []
         if request.system_text:
             messages.append({"role": "system", "content": request.system_text})
@@ -209,6 +215,8 @@ class HTTPBackend:
         return self._exchange(conn, body, headers)
 
     def _connect(self) -> http.client.HTTPConnection:
+        import http.client
+
         host, port = self._proxy or self._address
         if self._https:
             conn = http.client.HTTPSConnection(host, port, timeout=self.config.timeout,
@@ -244,6 +252,9 @@ def resolve_proxy(url) -> tuple[tuple[str, int] | None, dict[str, str]]:
 
     Reads ``<scheme>_proxy`` and ``no_proxy`` from the environment.
     """
+    import base64
+    import urllib.request
+
     proxy = urllib.request.getproxies().get(url.scheme)
     if not proxy or urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
         return None, {}

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
-import yaml
 
 from . import __version__
 from .acts import ActTable, DialogueLog, LogAnnotations
@@ -40,6 +39,17 @@ SIMULATOR_KINDS = ("duet", "duet-no-verifier", "agenda")
 
 MAX_CHUNK = 32  # dialogues per hand-off to a worker process
 
+# The type each config field must have; world and parallelism may be null.
+_FIELD_TYPES = {
+    "simulator": str, "world": str, "output_dir": str, "context_mode": str,
+    "dialogues": int, "seed": int, "turn_cap": int, "parallelism": int,
+    "omit_goal": bool, "omit_history": bool,
+    "generator_backend": dict, "verifier_backend": dict, "cassette": dict,
+}
+_NULLABLE_FIELDS = ("world", "parallelism")
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false",
+              dict: "a mapping"}
+
 
 @dataclass
 class ExperimentConfig:
@@ -59,6 +69,14 @@ class ExperimentConfig:
     cassette: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and name in _NULLABLE_FIELDS:
+                continue
+            # bool is a subclass of int, but `seed: true` is not a seed
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ConfigError(name, f"must be {_TYPE_NAMES[kind]}, "
+                                        f"not {type(value).__name__}")
         if self.simulator not in SIMULATOR_KINDS:
             raise ConfigError("simulator", f"must be one of {SIMULATOR_KINDS}")
         if self.dialogues < 1:
@@ -77,15 +95,18 @@ class ExperimentConfig:
         """Workers: 1 for a duet run with a scripted generator or verifier
         backend or with a cassette, since each answers in call order; else
         the configured value, or 1 for agenda runs and 4 for duet runs
-        (backend-bound). More than one worker means worker processes."""
+        (backend-bound), but never more than there are dialogues. More than
+        one worker means worker processes, all started up front."""
         if self.simulator != "agenda" and (
                 "scripted" in (self.generator_backend.get("kind"),
                                self.verifier_backend.get("kind"))
                 or self.cassette.get("mode") in ("record", "replay")):
             return 1
         if self.parallelism is not None:
-            return self.parallelism
-        return 1 if self.simulator == "agenda" else 4
+            workers = self.parallelism
+        else:
+            workers = 1 if self.simulator == "agenda" else 4
+        return min(workers, self.dialogues)
 
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -105,6 +126,8 @@ def _interpolate_env(obj):
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     doc = {}
     if path:
+        import yaml  # only a config file needs PyYAML
+
         try:
             with open(path, encoding="utf-8") as f:
                 doc = yaml.safe_load(f) or {}

@@ -34,6 +34,8 @@ class LoopConfig:
     on_exhaustion: str = USE_LAST_DRAFT
 
     def __post_init__(self):
+        if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
+            raise TypeError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.on_exhaustion not in (USE_LAST_DRAFT, ABORT_TURN):

@@ -7,7 +7,6 @@ always the last section of the prompt.
 
 from __future__ import annotations
 
-import hashlib
 import string
 from dataclasses import dataclass
 from functools import lru_cache
@@ -134,6 +133,8 @@ def lint_all_templates() -> None:
 
 def templates_digest() -> str:
     """Digest over all template bodies, for run manifests."""
+    import hashlib
+
     h = hashlib.sha256()
     for name in sorted(TEMPLATE_PLACEHOLDERS):
         h.update(name.encode())

@@ -67,13 +67,20 @@ def simple_goal(info=None, reqt=(), book=None, domain="restaurant"):
 @pytest.fixture(scope="session")
 def imported_modules():
     """Modules, by dotted name, that importing the CLI loads in a fresh
-    interpreter; a loaded submodule's packages are listed too."""
-    src = str(Path(duetsim.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    interpreter; a loaded submodule's packages are listed too. Modules the
+    interpreter holds before that import (site, ``.pth`` files) are left
+    out."""
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, duetsim.cli; "
-         "print(' '.join(sorted(sys.modules)))"],
-        capture_output=True, text=True, env=env, check=True)
+         "import sys; before = set(sys.modules); import duetsim.cli; "
+         "print(' '.join(sorted(set(sys.modules) - before)))"],
+        capture_output=True, text=True, env=src_env(), check=True)
     return set(out.stdout.split())
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH,
+    for subprocesses that import duetsim."""
+    src = str(Path(duetsim.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

@@ -22,7 +22,7 @@ from duetsim.cli import (
 )
 from duetsim.errors import ConfigError, LogParseError
 
-from conftest import PERFBENCH, load_perfbench
+from conftest import PERFBENCH, load_perfbench, src_env
 
 
 @pytest.fixture
@@ -107,6 +107,17 @@ class TestConfig:
         path.write_text(yaml.safe_dump({"parallelism": 3}))
         assert load_config(str(path), {}).workers() == 3
         assert load_config(None, {"parallelism": 2}).workers() == 2
+
+    @pytest.mark.parametrize("simulator,parallelism,dialogues,workers", [
+        ("agenda", 3, 1, 1), ("agenda", 3, 2, 2), ("agenda", 2, 250, 2),
+        ("duet", None, 2, 2), ("duet", None, 6, 4)])
+    def test_workers_capped_at_dialogues(self, simulator, parallelism,
+                                         dialogues, workers):
+        """A pool starts every worker up front, so none is left idle."""
+        config = ExperimentConfig(simulator=simulator, parallelism=parallelism,
+                                  dialogues=dialogues,
+                                  generator_backend={"kind": "http"})
+        assert config.workers() == workers
 
     @pytest.mark.parametrize("fields", [
         {"generator_backend": {"kind": "scripted"}},
@@ -292,6 +303,35 @@ class TestCommands:
         result = self.invoke("simulate", "-c", str(path))
         assert result.exit_code == 1, result.output
         assert "verifier_enabled" in result.output
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", "abc"),
+        ("generator_backend", "http"),
+        ("cassette", [1]),
+        ("turn_cap", 2.5),
+        ("world", 123456),  # open() takes an int for a file descriptor
+        ("omit_goal", "no"),
+        ("omit_history", 1),
+        ("dialogues", True),
+        ("parallelism", 1.5),
+        ("output_dir", 7),
+        ("verifier_backend", ["http"]),
+        ("loop", {"max_iterations": 2.5}),
+    ])
+    def test_mistyped_config_field_exit_1(self, tmp_path, field, value):
+        """A config value of the wrong type is a configuration error that
+        names the field, before anything runs."""
+        doc = {"simulator": "duet", "dialogues": 1,
+               "output_dir": str(tmp_path / "run"),
+               "generator_backend": {"kind": "http", "retries": 0,
+                                     "base_url": "http://127.0.0.1:9"}}
+        doc[field] = value
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 1, result.output
+        assert f"error: config field '{field}'" in result.output
+        assert not (tmp_path / "run").exists()
 
     def test_bad_http_backend_config_exit_1(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -549,6 +589,85 @@ def test_import_does_not_load_process_pool(imported_modules):
     uses a thread pool."""
     assert not {"multiprocessing", "concurrent.futures.process",
                 "concurrent.futures.thread"} & imported_modules
+
+
+def test_import_does_not_load_http_hashing_or_yaml(imported_modules):
+    """Only an http backend loads the HTTP/TLS stack, only a cassette or a
+    manifest hashes, and only a config file loads PyYAML."""
+    assert not {"http.client", "ssl", "email.parser", "urllib.request",
+                "hashlib", "base64", "yaml"} & imported_modules
+
+
+# Run in a fresh interpreter that has imported only the CLI, so every module
+# the code below needs is loaded by the code that uses it.
+COLD_PATHS = """
+import sys
+import duetsim.cli
+from duetsim.backend import (BackendConfig, CompletionRequest, HTTPBackend,
+                             request_digest)
+from duetsim.cli import load_config
+from duetsim.errors import ConfigError, RetriesExhausted
+from duetsim.prompts import templates_digest
+
+assert "http.client" not in sys.modules
+backend = HTTPBackend(BackendConfig(base_url="http://127.0.0.1:9", model="m",
+                                    retries=0))
+try:
+    backend.complete(CompletionRequest("hello"))
+except RetriesExhausted as e:
+    assert isinstance(e.__cause__, OSError), repr(e.__cause__)
+else:
+    raise AssertionError("no RetriesExhausted")
+
+assert "yaml" not in sys.modules
+try:
+    load_config(sys.argv[1], {})
+except ConfigError as e:
+    assert "invalid YAML" in str(e), e
+else:
+    raise AssertionError("no ConfigError")
+
+print(request_digest(CompletionRequest("hello", system_text="be brief",
+                                       temperature=0.2, max_tokens=8,
+                                       stop_sequences=("\\n",))))
+print(templates_digest())
+"""
+
+
+def test_cold_error_paths_and_digests(tmp_path, monkeypatch):
+    """Error paths and digests work in a process that has not loaded the
+    modules they use; the digests are the ones recorded before those
+    modules were imported lazily, so cassettes and manifests still match."""
+    for name in ("http_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    config = tmp_path / "exp.yaml"
+    config.write_text("a: [unclosed")
+    out = subprocess.run([sys.executable, "-c", COLD_PATHS, str(config)],
+                         capture_output=True, text=True, env=src_env(),
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [
+        "d47bf2c04558c7bba3a1cb0ac3d6031b6ff87755ddcf7bb7e493e0796e78fcea",
+        "68c7ee04eccc2ffdc7069b50788a38b4fbac46ab1cd279060c9b4d111ead5c72"]
+
+
+def test_one_dialogue_runs_in_this_process(tmp_path, monkeypatch):
+    """With one dialogue, ``parallelism`` starts no worker processes."""
+    import duetsim.loop
+
+    ran = []
+    run_dialogue = duetsim.loop.run_dialogue
+
+    def tracked_run_dialogue(*args, **kwargs):
+        ran.append(os.getpid())
+        return run_dialogue(*args, **kwargs)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
+    run_experiment(ExperimentConfig(simulator="agenda", dialogues=1,
+                                    parallelism=3,
+                                    output_dir=str(tmp_path / "run")))
+    assert ran == [os.getpid()]
 
 
 def test_scripted_verifier_runs_one_dialogue_at_a_time(tmp_path, monkeypatch):
