@@ -201,7 +201,7 @@ class DialogueTurn:
             speaker=speaker,
             acts=tuple(map(acts.__getitem__, map(tuple, d["acts"]))),
             utterance=utterance,
-            turn_index=d["turn_index"],
+            turn_index=require_int("turn_index", d["turn_index"]),
         )
 
 
@@ -210,6 +210,13 @@ def require_strings(name: str, values) -> None:
     for value in values:
         if not isinstance(value, str):
             raise TypeError(f"{name}: expected a string, got {value!r}")
+
+
+def require_int(name: str, value):
+    """``value``, or TypeError unless it is an int; a bool is not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name}: expected an integer, got {value!r}")
+    return value
 
 
 class ActTable(dict):
@@ -345,6 +352,7 @@ class DialogueLog:
     annotations: LogAnnotations
     termination_reason: str
     seed: int | None = None
+    error: str | None = None  # "Class: message"; log schema v1 has no field for it
 
     def to_dict(self) -> dict:
         return {
@@ -361,10 +369,14 @@ class DialogueLog:
         from .world import UserGoal
         if acts is None:
             acts = ActTable()
+        reason, seed = d["termination_reason"], d.get("seed")
+        if reason not in TERMINATION_REASONS:
+            raise ValueError(f"termination_reason: got {reason!r}, expected one "
+                             f"of {', '.join(TERMINATION_REASONS)}")
         return cls(
             goal=UserGoal.from_dict(d["goal"]),
             turns=[DialogueTurn.from_dict(t, acts) for t in d["turns"]],
             annotations=LogAnnotations.from_dict(d["annotations"]),
-            termination_reason=d["termination_reason"],
-            seed=d.get("seed"),
+            termination_reason=reason,
+            seed=seed if seed is None else require_int("seed", seed),
         )

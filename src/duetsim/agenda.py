@@ -34,10 +34,6 @@ class Agenda:
     relaxed: bool = False
     failed: bool = False
 
-    @property
-    def done(self) -> bool:
-        return not self.stack
-
 
 def init_agenda(goal: UserGoal) -> Agenda:
     """Seed the stack bottom-up: bye, booking acts, requests, informs."""
@@ -124,7 +120,7 @@ def _apply_system_acts(agenda: Agenda, system_acts) -> None:
                        for x in agenda.stack)
         asked = agenda.ask_counts.get((domain, slot), 0)
         if not on_stack and 0 < asked < MAX_ASKS:
-            agenda.stack.insert(len(agenda.stack), DialogueAct("request", domain, slot))
+            agenda.stack.append(DialogueAct("request", domain, slot))
 
 
 def _pop_turn(agenda: Agenda) -> list[DialogueAct]:

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .acts import ActTable, DialogueLog, LogAnnotations
+from .acts import ActTable, DialogueLog, require_int
 from .agenda import AgendaUserSimulator
 from .backend import BackendConfig, CassetteBackend, HTTPBackend, ScriptedBackend
 from .errors import (
@@ -123,6 +123,20 @@ def _interpolate_env(obj):
     return obj
 
 
+# The keys a backend spec of each kind may hold, and a cassette block.
+_BACKEND_FIELDS = {
+    "http": ("kind", *BackendConfig.__dataclass_fields__),
+    "scripted": ("kind", "script_file"),
+}
+_CASSETTE_FIELDS = ("mode", "path")
+
+
+def _reject_unknown(block: dict, allowed, prefix: str = "") -> None:
+    for key in block:
+        if key not in allowed:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+
+
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     doc = {}
     if path:
@@ -139,9 +153,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         raise ConfigError("config", "top level must be a mapping")
     doc = _interpolate_env(doc)
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    for key in doc:
-        if key not in ExperimentConfig.__dataclass_fields__:
-            raise ConfigError(str(key), "unknown field")
+    _reject_unknown(doc, ExperimentConfig.__dataclass_fields__)
     loop_doc = doc.pop("loop", {}) or {}
     config = ExperimentConfig(**doc)
     try:
@@ -154,6 +166,9 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 def _build_backend(spec: dict, role: str):
     kind = spec.get("kind", "http")
+    if not isinstance(kind, str) or kind not in _BACKEND_FIELDS:
+        raise ConfigError(f"{role}.kind", f"unknown backend kind {kind!r}")
+    _reject_unknown(spec, _BACKEND_FIELDS[kind], f"{role}.")
     if kind == "scripted":
         path = spec.get("script_file")
         if not path:
@@ -176,29 +191,30 @@ def _build_backend(spec: dict, role: str):
             raise ConfigError(f"{role}.script_file",
                               f"{path} line {number}: {e}") from e
         return ScriptedBackend(responses)
-    if kind == "http":
-        try:
-            return HTTPBackend(BackendConfig(
-                base_url=spec["base_url"],
-                model=spec.get("model", ""),
-                api_key_env=spec.get("api_key_env", ""),
-                timeout=float(spec.get("timeout", 30.0)),
-                retries=int(spec.get("retries", 2)),
-                backoff_base=float(spec.get("backoff_base", 0.5)),
-            ))
-        except KeyError as e:
-            raise ConfigError(f"{role}.{e.args[0]}", "missing") from e
-        except (TypeError, ValueError) as e:
-            raise ConfigError(role, str(e)) from e
-    raise ConfigError(f"{role}.kind", f"unknown backend kind {kind!r}")
+    try:
+        return HTTPBackend(BackendConfig(
+            base_url=spec["base_url"],
+            model=spec.get("model", ""),
+            api_key_env=spec.get("api_key_env", ""),
+            timeout=float(spec.get("timeout", 30.0)),
+            retries=int(spec.get("retries", 2)),
+            backoff_base=float(spec.get("backoff_base", 0.5)),
+        ))
+    except KeyError as e:
+        raise ConfigError(f"{role}.{e.args[0]}", "missing") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(role, str(e)) from e
 
 
 def _wrap_cassette(backend, cassette: dict):
+    _reject_unknown(cassette, _CASSETTE_FIELDS, "cassette.")
     mode = cassette.get("mode", "off")
     if mode == "off":
         return backend
     if mode not in ("record", "replay"):
-        raise ConfigError("cassette.mode", "must be record, replay or off")
+        hint = " (YAML reads a bare off as false; quote it)" if mode is False else ""
+        raise ConfigError("cassette.mode",
+                          f"must be record, replay or off, got {mode!r}{hint}")
     path = cassette.get("path")
     if not path:
         raise ConfigError("cassette.path", "required when cassette is enabled")
@@ -206,7 +222,7 @@ def _wrap_cassette(backend, cassette: dict):
     return CassetteBackend(path=path, mode=mode, inner=inner)
 
 
-def build_simulator_factory(config: ExperimentConfig, ontology, entities):
+def build_simulator_factory(config: ExperimentConfig, ontology):
     """Returns (factory(goal) -> user simulator, backends)."""
     if config.simulator == "agenda":
         return (lambda goal: AgendaUserSimulator(goal)), ()
@@ -242,25 +258,17 @@ class _DialogueRunner:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.ontology, self.entities = load_world(config.world)
-        self.factory, self.backends = build_simulator_factory(
-            config, self.ontology, self.entities)
+        self.factory, self.backends = build_simulator_factory(config, self.ontology)
 
     def __call__(self, seed: int) -> tuple[str, dict | None]:
-        """(record line, failure entry or None); a failed dialogue gets an error log."""
+        """(record line, failure entry or None); the failure is the log's error."""
         from .loop import run_dialogue
 
         goal = generate_goal(seed, self.ontology, self.entities)
-        try:
-            user = self.factory(goal)
-            system = SystemAgent(self.ontology, self.entities, seed=seed)
-            log = run_dialogue(goal, user, system,
-                               max_user_turns=self.config.turn_cap, seed=seed)
-            failure = None
-        except Exception as e:
-            log = DialogueLog(goal=goal, turns=[],
-                              annotations=LogAnnotations((), ()),
-                              termination_reason="error", seed=seed)
-            failure = {"seed": seed, "error": str(e)}
+        log = run_dialogue(goal, self.factory(goal),
+                           SystemAgent(self.ontology, self.entities, seed=seed),
+                           max_user_turns=self.config.turn_cap, seed=seed)
+        failure = {"seed": seed, "error": log.error} if log.error else None
         record = {"v": LOG_SCHEMA_VERSION, "log": log.to_dict()}
         return json.dumps(record, sort_keys=True) + "\n", failure
 
@@ -369,8 +377,11 @@ def read_logs(paths, ontology=None) -> list[DialogueLog]:
                     continue
                 try:
                     record = json.loads(line)
+                    if require_int("v", record["v"]) != LOG_SCHEMA_VERSION:
+                        raise ValueError(f"v: got {record['v']}, "
+                                         f"expected {LOG_SCHEMA_VERSION}")
                     log = DialogueLog.from_dict(record["log"], acts)
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
+                except (ValueError, KeyError, TypeError) as e:
                     raise LogParseError(i, f"{path}: {e}") from e
                 for booking in log.annotations.bookings if ontology else ():
                     if not ontology.has_domain(booking.domain):
@@ -412,11 +423,7 @@ def _fail(error: DuetSimError, code: int):
 def simulate(config_path, **overrides):
     """Run an experiment and write logs plus a manifest."""
     try:
-        config = load_config(config_path, overrides)
-    except (ConfigError, TypeError) as e:
-        _fail(e if isinstance(e, ConfigError) else ConfigError("config", str(e)), 1)
-    try:
-        out_dir = run_experiment(config)
+        out_dir = run_experiment(load_config(config_path, overrides))
     except ConfigError as e:
         _fail(e, 1)
     except DuetSimError as e:

@@ -59,61 +59,53 @@ class InvalidBookingSlot(WorldError):
 
 # --- backends ---
 
-class BackendError(DuetSimError):
+class Timeout(DuetSimError):
     pass
 
 
-class Timeout(BackendError):
-    pass
-
-
-class EndpointError(BackendError):
+class EndpointError(DuetSimError):
     def __init__(self, status: int, body: str):
         self.status = status
         self.body = body
         super().__init__(f"endpoint returned {status}: {body[:200]}")
 
 
-class RetriesExhausted(BackendError):
+class RetriesExhausted(DuetSimError):
     pass
 
 
-class MalformedResponse(BackendError):
+class MalformedResponse(DuetSimError):
     """A 200 response whose body is not a chat completion."""
 
 
-class ScriptExhausted(BackendError):
+class ScriptExhausted(DuetSimError):
     """Scripted backend ran out of canned responses."""
 
 
-class CassetteMiss(BackendError):
+class CassetteMiss(DuetSimError):
     def __init__(self, digest: str):
         self.digest = digest
         super().__init__(f"no recorded response for request digest {digest}")
 
 
-class CassetteIOError(BackendError):
+class CassetteIOError(DuetSimError):
     pass
 
 
 # --- prompts ---
 
-class PromptError(DuetSimError):
-    pass
-
-
-class MissingPriorStep(PromptError):
+class MissingPriorStep(DuetSimError):
     def __init__(self, step: str, missing: str):
         self.step = step
         self.missing = missing
         super().__init__(f"step '{step}' requires prior step '{missing}' output")
 
 
-class EmptyUtterance(PromptError):
+class EmptyUtterance(DuetSimError):
     pass
 
 
-class TemplateError(PromptError):
+class TemplateError(DuetSimError):
     """A prompt template is missing a required placeholder."""
 
 
@@ -140,19 +132,15 @@ class TurnAborted(DuetSimError):
 
 # --- metrics ---
 
-class MetricError(DuetSimError):
+class EmptyLogSet(DuetSimError):
     pass
 
 
-class EmptyLogSet(MetricError):
-    pass
-
-
-class ShortStream(MetricError):
+class ShortStream(DuetSimError):
     """Token stream too short for the requested metric."""
 
 
-class ZeroFactors(MetricError):
+class ZeroFactors(DuetSimError):
     """MTLD factor count is zero (diversity never crosses the threshold)."""
 
 

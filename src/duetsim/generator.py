@@ -52,7 +52,7 @@ def split_candidates(text: str) -> list[str]:
     if cleaned.startswith("[") and cleaned.endswith("]"):
         cleaned = cleaned[1:-1]
     parts = [p.strip().strip("'\"").strip() for p in cleaned.replace("\n", ",").split(",")]
-    return [p for p in parts] if parts else [""]
+    return parts
 
 
 def _valid_step(step: str, candidates: list[str], domains: list[str],
@@ -70,16 +70,13 @@ def _valid_step(step: str, candidates: list[str], domains: list[str],
         return out
     if step == "slot":
         out = ["" if c.lower() in _EMPTY_MARKERS else c.lower() for c in candidates]
-        if not out:
-            out = [""]
         for i, slot in enumerate(out):
             domain = domains[min(i, len(domains) - 1)] if domains else "general"
             if slot and domain != "general" and slot not in ontology.slots(domain):
                 return None
         return out
     # value step accepts anything
-    out = ["" if c.lower() in _EMPTY_MARKERS else c for c in candidates]
-    return out if out else [""]
+    return ["" if c.lower() in _EMPTY_MARKERS else c for c in candidates]
 
 
 def _assemble(columns: dict[str, list[str]]) -> list[DialogueAct]:

@@ -135,27 +135,24 @@ def run_dialogue(goal: UserGoal, user, system,
     ``DialogueContext``, hands that context to the user on every turn and
     builds the log from it.
 
-    Terminates on a user bye act, on the turn cap, or on an unrecoverable
-    error (which becomes termination_reason "error" rather than raising).
+    Terminates on a user bye act, on the turn cap, or on an exception from
+    either simulator. An exception is not raised: the log ends with the
+    turns before it, termination_reason "error" and ``error`` set to
+    "Class: message". This is the one place a dialogue's error is caught.
     """
     context = DialogueContext()
-    reason = "turn_cap"
-    for _ in range(max_user_turns):
-        try:
+    reason, error = "turn_cap", None
+    try:
+        for _ in range(max_user_turns):
             user_acts, user_utterance = user.next_turn(context)
-        except Exception:
-            reason = "error"
-            break
-        context.append("user", user_acts, user_utterance)
-        if any(a.intent == "bye" for a in user_acts):
-            reason = "user_bye"
-            break
-        try:
+            context.append("user", user_acts, user_utterance)
+            if any(a.intent == "bye" for a in user_acts):
+                reason = "user_bye"
+                break
             system_acts, system_utterance = system.respond(user_acts)
-        except Exception:
-            reason = "error"
-            break
-        context.append("system", system_acts, system_utterance)
+            context.append("system", system_acts, system_utterance)
+    except Exception as e:
+        reason, error = "error", f"{type(e).__name__}: {e}"
     return DialogueLog(goal=goal, turns=context.turns,
                        annotations=derive_annotations(context.turns),
-                       termination_reason=reason, seed=seed)
+                       termination_reason=reason, seed=seed, error=error)

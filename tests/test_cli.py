@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,12 +16,14 @@ from duetsim.acts import DialogueLog
 from duetsim.backend import CompletionResult
 from duetsim.cli import (
     ExperimentConfig,
+    build_simulator_factory,
     load_config,
     main,
     read_logs,
     run_experiment,
 )
 from duetsim.errors import ConfigError, LogParseError
+from duetsim.world import load_world
 
 from conftest import PERFBENCH, load_perfbench, src_env
 
@@ -205,13 +208,14 @@ class TestCommands:
         result = self.invoke("evaluate", str(bad))
         assert result.exit_code == 2
 
-    def corrupt_second_record(self, tmp_path, corrupt):
-        """A two-record log whose second record ``corrupt`` has edited."""
+    def corrupt_second_record(self, tmp_path, corrupt, part="log"):
+        """A two-record log whose second record ``corrupt`` has edited: the
+        record's ``part``, or the whole record when ``part`` is None."""
         out = tmp_path / "run"
         assert self.invoke("simulate", "-n", "2", "-o", str(out)).exit_code == 0
         lines = (out / "logs.jsonl").read_text().splitlines()
         record = json.loads(lines[1])
-        corrupt(record["log"])
+        corrupt(record[part] if part else record)
         bad = tmp_path / "bad.jsonl"
         bad.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
         return bad
@@ -234,15 +238,34 @@ class TestCommands:
                               for section in log["goal"].values()]),
         ("goal", lambda log: [section.update(book=[])
                               for section in log["goal"].values()]),
+        ("termination_reason", lambda log: log.update(termination_reason=5)),
+        ("termination_reason", lambda log: log.update(termination_reason="crash")),
+        ("seed", lambda log: log.update(seed="x")),
+        ("seed", lambda log: log.update(seed=True)),
+        ("turn_index", lambda log: log["turns"][0].update(turn_index="0")),
+        ("turn_index", lambda log: log["turns"][0].update(turn_index=False)),
     ], ids=["utterance_null", "provided_value_int", "goal_info_int",
             "booking_constraint_int", "goal_section_int", "goal_info_list",
-            "goal_info_pair_list", "goal_reqt_str", "goal_book_list"])
+            "goal_info_pair_list", "goal_reqt_str", "goal_book_list",
+            "termination_reason_int", "termination_reason_unknown",
+            "seed_str", "seed_bool", "turn_index_str", "turn_index_bool"])
     def test_non_string_log_field_exit_2(self, tmp_path, field, corrupt):
         bad = self.corrupt_second_record(tmp_path, corrupt)
         result = self.invoke("evaluate", str(bad))
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: line 2: {bad}: {field}:")
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda record: record.update(v=2), "v: got 2, expected 1"),
+        (lambda record: record.update(v=True), "v: expected an integer, got True"),
+        (lambda record: record.pop("v"), "'v'"),
+    ], ids=["v2", "v_bool", "no_v"])
+    def test_other_log_version_exit_2(self, tmp_path, corrupt, message):
+        bad = self.corrupt_second_record(tmp_path, corrupt, part=None)
+        result = self.invoke("evaluate", str(bad))
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: line 2: {bad}: {message}\n"
 
     def test_unknown_booking_domain_exit_2(self, tmp_path):
         def book_spaceport(log):
@@ -343,6 +366,52 @@ class TestCommands:
         result = self.invoke("simulate", "-c", str(path))
         assert result.exit_code == 1, result.output
         assert "generator_backend" in result.output
+
+    @pytest.mark.parametrize("field,doc", [
+        ("generator_backend.api_key",
+         {"generator_backend": {"kind": "http", "base_url": "http://127.0.0.1:9",
+                                "retries": 0, "api_key": "sk-literal-secret"}}),
+        ("generator_backend.timout",
+         {"generator_backend": {"base_url": "http://127.0.0.1:9", "retries": 0,
+                                "timout": 5}}),
+        ("generator_backend.base_url",
+         {"generator_backend": {"kind": "scripted", "script_file": "SCRIPT",
+                                "base_url": "http://127.0.0.1:9"}}),
+        ("verifier_backend.modle",
+         {"generator_backend": {"kind": "scripted", "script_file": "SCRIPT"},
+          "verifier_backend": {"kind": "http", "base_url": "http://127.0.0.1:9",
+                               "modle": "m"}}),
+        ("cassette.pth",
+         {"generator_backend": {"kind": "scripted", "script_file": "SCRIPT"},
+          "cassette": {"mode": "off", "pth": "x"}}),
+    ], ids=["literal_api_key", "http_typo", "scripted_http_key",
+            "verifier_typo", "cassette_typo"])
+    def test_unknown_backend_or_cassette_key_exit_1(self, tmp_path, field, doc):
+        """A key a backend spec or the cassette block does not use is a
+        configuration error, before anything runs; a literal API key is
+        refused without being echoed."""
+        script = tmp_path / "script.jsonl"
+        script.write_text('"ok"\n')
+        doc = json.loads(json.dumps(doc).replace("SCRIPT", str(script)))
+        doc.update(simulator="duet", dialogues=1,
+                   output_dir=str(tmp_path / "run"))
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: config field '{field}': unknown field\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_bare_off_cassette_mode_names_the_value(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("simulator: duet\n"
+                        "generator_backend: {base_url: 'http://127.0.0.1:9'}\n"
+                        "cassette: {mode: off}\n")
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            "error: config field 'cassette.mode': must be record, replay or off, "
+            "got False (YAML reads a bare off as false; quote it)\n")
 
     def test_goal_sampling_error_exit_2(self, tmp_path, monkeypatch):
         """A goal that cannot be drawn is not a failed dialogue: it stops
@@ -476,18 +545,22 @@ def test_agenda_logs_pinned_without_fork(tmp_path, monkeypatch):
 
 @pytest.mark.usefixtures("no_handler_threads")
 def test_failed_dialogue_same_at_any_parallelism(tmp_path, monkeypatch):
-    """A dialogue that raises gives the same error log, in seed order, and
-    the same failure entry on one worker and on worker processes."""
-    import duetsim.loop
+    """A dialogue whose system raises gives the same error log, in seed
+    order, and the same failure entry on one worker and on worker
+    processes. Forked workers inherit the patch below."""
+    import duetsim.cli
 
-    run_dialogue = duetsim.loop.run_dialogue
+    system_agent = duetsim.cli.SystemAgent
 
-    def failing_run_dialogue(*args, **kwargs):
-        if kwargs["seed"] == 13:
-            raise RuntimeError("no dialogue for seed 13")
-        return run_dialogue(*args, **kwargs)
+    def failing_system_agent(ontology, entities, seed):
+        agent = system_agent(ontology, entities, seed=seed)
+        if seed == 13:
+            def respond(user_acts):
+                raise RuntimeError("no dialogue for seed 13")
+            agent.respond = respond
+        return agent
 
-    monkeypatch.setattr(duetsim.loop, "run_dialogue", failing_run_dialogue)
+    monkeypatch.setattr(duetsim.cli, "SystemAgent", failing_system_agent)
     runs = []
     for parallelism in (1, 2):
         out = run_experiment(ExperimentConfig(
@@ -497,11 +570,12 @@ def test_failed_dialogue_same_at_any_parallelism(tmp_path, monkeypatch):
         runs.append(((out / "logs.jsonl").read_bytes(), manifest["failures"]))
     assert runs[0] == runs[1]
     data, failures = runs[0]
-    assert failures == [{"seed": 13, "error": "no dialogue for seed 13"}]
+    assert failures == [{"seed": 13, "error": "RuntimeError: no dialogue for seed 13"}]
     logs = [json.loads(line)["log"] for line in data.splitlines()]
     assert [log["seed"] for log in logs] == list(range(40))
     assert [log["termination_reason"] == "error" for log in logs].index(True) == 13
-    assert logs[13]["turns"] == []
+    assert [turn["speaker"] for turn in logs[13]["turns"]] == ["user"]
+    assert "error" not in logs[13]  # log schema v1 has no field for it
 
 
 @pytest.mark.usefixtures("no_handler_threads")
@@ -582,6 +656,20 @@ def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
         assert (out / "logs.jsonl").read_bytes() == \
             (recorded / "logs.jsonl").read_bytes()
     assert threads == {threading.get_ident()}
+
+
+def test_readme_configs_are_accepted(tmp_path, monkeypatch):
+    """Every YAML example in the README loads and builds its simulators, as
+    ``simulate -c`` would before the first dialogue."""
+    monkeypatch.setenv("LLM_BASE_URL", "http://127.0.0.1:9/v1")
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    ontology, _ = load_world()
+    for number, block in enumerate(blocks):
+        path = tmp_path / f"readme-{number}.yaml"
+        path.write_text(block)
+        build_simulator_factory(load_config(str(path), {}), ontology)
 
 
 def test_import_does_not_load_process_pool(imported_modules):
@@ -696,6 +784,10 @@ def test_scripted_verifier_runs_one_dialogue_at_a_time(tmp_path, monkeypatch):
             (out / "logs.jsonl").read_text().splitlines()]
     assert [(log["seed"], log["termination_reason"]) for log in logs] == \
         [(seed, "error") for seed in range(8)]  # the generator is unreachable
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert [failure["seed"] for failure in failures] == list(range(8))
+    assert all(failure["error"].startswith("RetriesExhausted: ")
+               for failure in failures)
 
 
 

@@ -122,6 +122,7 @@ class TestRunDialogue:
         log = run_dialogue(goal, AgendaUserSimulator(goal),
                            SystemAgent(ontology, entities))
         assert log.termination_reason == "user_bye"
+        assert log.error is None
         assert log.annotations.provided  # system informed something
 
     def test_error_becomes_termination_reason(self, ontology, entities):
@@ -132,7 +133,21 @@ class TestRunDialogue:
         goal = generate_goal(0, ontology, entities)
         log = run_dialogue(goal, ExplodingUser(), SystemAgent(ontology, entities))
         assert log.termination_reason == "error"
+        assert log.error == "RuntimeError: boom"
         assert log.turns == []
+
+    def test_system_error_keeps_the_user_turn(self, ontology, entities):
+        class ExplodingSystem:
+            def respond(self, user_acts):
+                raise KeyError("no such entity")
+
+        goal = generate_goal(0, ontology, entities)
+        log = run_dialogue(goal, AgendaUserSimulator(goal), ExplodingSystem(),
+                           seed=0)
+        assert log.termination_reason == "error"
+        assert log.error == "KeyError: 'no such entity'"
+        assert [t.speaker for t in log.turns] == ["user"]
+        assert log.turns[0].acts
 
     def test_user_reads_the_one_history(self, ontology, entities):
         class RecordingUser:
