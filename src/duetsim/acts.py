@@ -228,12 +228,29 @@ class ActTable(dict):
         return act
 
 
+def _turn_line(turn: DialogueTurn, mode: str) -> str:
+    """One turn of a rendered history: speaker, then utterance or acts."""
+    if mode == ACTS:
+        body = render_act_list(list(turn.acts)) if turn.acts else "[]"
+    else:
+        body = turn.utterance
+    return f"{turn.speaker.upper()}: {body}"
+
+
 @dataclass
 class DialogueContext:
     """The turn history of one dialogue, renderable as utterances or as act
-    lists. The dialogue loop owns it; simulators only read it."""
+    lists. The dialogue loop owns it; simulators only read it.
+
+    ``render`` memoises its text per mode, keyed by the number of turns, and
+    extends it with only the turns added since. Turns are only ever added:
+    a turn edited or removed in place inside ``turns`` is not seen.
+    """
 
     turns: list[DialogueTurn] = field(default_factory=list)
+    # mode -> (number of turns rendered, their text)
+    _rendered: dict[str, tuple[int, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def append(self, speaker: str, acts, utterance: str) -> None:
         """Add the next turn, indexed by its position in the history."""
@@ -241,15 +258,13 @@ class DialogueContext:
                                        len(self.turns)))
 
     def render(self, mode: str = UTTERANCES) -> str:
-        lines = []
-        for turn in self.turns:
-            who = turn.speaker.upper()
-            if mode == ACTS:
-                body = render_act_list(list(turn.acts)) if turn.acts else "[]"
-            else:
-                body = turn.utterance
-            lines.append(f"{who}: {body}")
-        return "\n".join(lines)
+        count, text = self._rendered.get(mode, (0, ""))
+        total = len(self.turns)
+        if count != total:
+            lines = [_turn_line(t, mode) for t in self.turns[count:]]
+            text = "\n".join([text, *lines] if count else lines)
+            self._rendered[mode] = (total, text)
+        return text
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,20 @@ _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false",
               dict: "a mapping"}
 
 
+# The keys a backend spec of each kind may hold, and a cassette block.
+_BACKEND_FIELDS = {
+    "http": ("kind", *BackendConfig.__dataclass_fields__),
+    "scripted": ("kind", "script_file"),
+}
+_CASSETTE_FIELDS = ("mode", "path")
+
+
+def _reject_unknown(block: dict, allowed, prefix: str = "") -> None:
+    for key in block:
+        if key not in allowed:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+
+
 @dataclass
 class ExperimentConfig:
     simulator: str = "agenda"
@@ -90,6 +104,22 @@ class ExperimentConfig:
         if self.simulator.startswith("duet") and not self.generator_backend:
             raise ConfigError("generator_backend",
                               "required for duet simulators")
+        # Every block is checked, also one this run does not build.
+        for role in ("generator_backend", "verifier_backend"):
+            spec = getattr(self, role)
+            if spec:
+                kind = spec.get("kind", "http")
+                if not isinstance(kind, str) or kind not in _BACKEND_FIELDS:
+                    raise ConfigError(f"{role}.kind", f"unknown backend kind {kind!r}")
+                _reject_unknown(spec, _BACKEND_FIELDS[kind], f"{role}.")
+        _reject_unknown(self.cassette, _CASSETTE_FIELDS, "cassette.")
+        mode = self.cassette.get("mode", "off")
+        if mode not in ("record", "replay", "off"):
+            hint = " (YAML reads a bare off as false; quote it)" if mode is False else ""
+            raise ConfigError("cassette.mode",
+                              f"must be record, replay or off, got {mode!r}{hint}")
+        if mode != "off" and not self.cassette.get("path"):
+            raise ConfigError("cassette.path", "required when cassette is enabled")
 
     def workers(self) -> int:
         """Workers: 1 for a duet run with a scripted generator or verifier
@@ -123,20 +153,6 @@ def _interpolate_env(obj):
     return obj
 
 
-# The keys a backend spec of each kind may hold, and a cassette block.
-_BACKEND_FIELDS = {
-    "http": ("kind", *BackendConfig.__dataclass_fields__),
-    "scripted": ("kind", "script_file"),
-}
-_CASSETTE_FIELDS = ("mode", "path")
-
-
-def _reject_unknown(block: dict, allowed, prefix: str = "") -> None:
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"{prefix}{key}", "unknown field")
-
-
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     doc = {}
     if path:
@@ -165,11 +181,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 
 def _build_backend(spec: dict, role: str):
-    kind = spec.get("kind", "http")
-    if not isinstance(kind, str) or kind not in _BACKEND_FIELDS:
-        raise ConfigError(f"{role}.kind", f"unknown backend kind {kind!r}")
-    _reject_unknown(spec, _BACKEND_FIELDS[kind], f"{role}.")
-    if kind == "scripted":
+    """The backend a spec that ``ExperimentConfig.validate`` accepted names."""
+    if spec.get("kind", "http") == "scripted":
         path = spec.get("script_file")
         if not path:
             raise ConfigError(f"{role}.script_file", "required for scripted backend")
@@ -207,19 +220,13 @@ def _build_backend(spec: dict, role: str):
 
 
 def _wrap_cassette(backend, cassette: dict):
-    _reject_unknown(cassette, _CASSETTE_FIELDS, "cassette.")
+    """``backend`` behind the cassette block ``ExperimentConfig.validate``
+    accepted, or as it is when the cassette is off."""
     mode = cassette.get("mode", "off")
     if mode == "off":
         return backend
-    if mode not in ("record", "replay"):
-        hint = " (YAML reads a bare off as false; quote it)" if mode is False else ""
-        raise ConfigError("cassette.mode",
-                          f"must be record, replay or off, got {mode!r}{hint}")
-    path = cassette.get("path")
-    if not path:
-        raise ConfigError("cassette.path", "required when cassette is enabled")
     inner = backend if mode == "record" else None
-    return CassetteBackend(path=path, mode=mode, inner=inner)
+    return CassetteBackend(path=cassette["path"], mode=mode, inner=inner)
 
 
 def build_simulator_factory(config: ExperimentConfig, ontology):
@@ -312,6 +319,8 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
         yield from pool.map(_run_in_worker, seeds, chunksize=chunk)
     except BrokenProcessPool as e:
         raise WorkerFailed(f"a worker process died: {e}") from e
+    except DuetSimError:  # reported as at one worker, e.g. a goal not drawn
+        raise
     except Exception as e:  # raised by a worker, e.g. pickling its result
         raise WorkerFailed(f"a worker failed: {type(e).__name__}: {e}") from e
     finally:

@@ -1,8 +1,19 @@
 """Exception hierarchy shared across the package."""
 
+import copyreg
+
 
 class DuetSimError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Every error pickles: a worker process sends it back to the parent as it
+    is. It is rebuilt from its message and attributes, without ``__init__``,
+    because a subclass's ``__init__`` takes the fields the message is
+    formatted from, not the message.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- act codec ---

@@ -14,7 +14,7 @@ from importlib import resources
 
 from .acts import DialogueContext, render_act_list
 from .errors import EmptyActList, EmptyUtterance, MissingPriorStep, TemplateError
-from .world import UserGoal, describe_goal
+from .world import UserGoal
 
 STEP_ORDER = ("intent", "domain", "slot", "value")
 
@@ -38,12 +38,15 @@ class RequirementSet:
             raise ValueError("requirement set must be non-empty")
         if len(set(ids)) != len(ids):
             raise ValueError("requirement ids must be unique")
+        # frozen, so the rendered list is built once, here
+        object.__setattr__(self, "_text",
+                           "\n".join(f"{r.id}. {r.text}" for r in self.items))
 
     def merged(self, other: "RequirementSet") -> "RequirementSet":
         return RequirementSet(self.kind, self.items + other.items)
 
     def render(self) -> str:
-        return "\n".join(f"{r.id}. {r.text}" for r in self.items)
+        return self._text
 
     def ids(self) -> set[str]:
         return {r.id for r in self.items}
@@ -160,7 +163,7 @@ _STEP_INSTRUCTIONS = {
 def _goal_section(goal: UserGoal, config: PromptConfig) -> str:
     if config.omit_goal:
         return ""
-    return f"GOAL:\n{describe_goal(goal)}\n\n"
+    return f"GOAL:\n{goal.description}\n\n"
 
 
 def _context_body(context: DialogueContext, config: PromptConfig) -> str:

@@ -11,6 +11,7 @@ import json
 import random
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .acts import require_strings
@@ -113,7 +114,15 @@ class DomainGoal:
 
 @dataclass(frozen=True)
 class UserGoal:
+    """A user's goal. Treated as immutable once built: its prompt text is
+    rendered once and cached."""
+
     domains: dict[str, DomainGoal]
+
+    @cached_property
+    def description(self) -> str:
+        """``describe_goal(self)``, computed on first use."""
+        return describe_goal(self)
 
     def to_dict(self) -> dict:
         out = {}

@@ -12,6 +12,7 @@ from duetsim.acts import (
     DialogueTurn,
     INTENTS,
     LogAnnotations,
+    UTTERANCES,
     derive_annotations,
     parse_act_list,
     render_act_list,
@@ -155,6 +156,46 @@ class TestContext:
             ("user", [act("inform", "restaurant", "food", "thai")], "Thai please."),
         ))
         assert ctx.render(ACTS) == "USER: [['inform', 'restaurant', 'food', 'thai']]"
+
+    @staticmethod
+    def fresh_render(turns, mode):
+        """The history joined from scratch, with no memo."""
+        def body(turn):
+            if mode == ACTS:
+                return str([a.as_list() for a in turn.acts]) if turn.acts else "[]"
+            return turn.utterance
+        return "\n".join(f"{t.speaker.upper()}: {body(t)}" for t in turns)
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("append"), st.sampled_from(["user", "system"]),
+                  st.lists(st.sampled_from([act("bye", "general"),
+                                            act("inform", "hotel", "area", "north"),
+                                            act("request", "restaurant", "phone")]),
+                           max_size=2),
+                  st.text(max_size=12)),
+        st.tuples(st.just("render"), st.sampled_from([UTTERANCES, ACTS])),
+    ), max_size=16))
+    def test_memoised_render_equals_fresh_join(self, ops):
+        """Renders interleaved with appends, in both modes, never go stale."""
+        ctx = DialogueContext()
+        for op, *args in ops:
+            if op == "append":
+                ctx.append(*args)
+            else:
+                assert ctx.render(*args) == self.fresh_render(ctx.turns, *args)
+        assert ctx.render() == self.fresh_render(ctx.turns, UTTERANCES)
+        assert ctx.render(ACTS) == self.fresh_render(ctx.turns, ACTS)
+
+    def test_turns_appended_to_the_list_are_rendered(self):
+        ctx = DialogueContext()
+        assert ctx.render() == ""
+        ctx.turns.extend(make_turns(("user", [act("bye", "general")], "Bye.")))
+        assert ctx.render() == "USER: Bye."
+
+    def test_memo_is_not_part_of_equality(self):
+        rendered = DialogueContext(turns=make_turns(("user", [], "Hi.")))
+        rendered.render()
+        assert rendered == DialogueContext(turns=make_turns(("user", [], "Hi.")))
 
 
 class TestLogReplay:

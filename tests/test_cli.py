@@ -29,6 +29,23 @@ from conftest import PERFBENCH, load_perfbench, src_env
 
 
 @pytest.fixture
+def no_goal_for_seed_3(monkeypatch):
+    """``generate_goal`` raises EmptyWorld for seed 3, as for a world
+    without hotels."""
+    import duetsim.cli
+    from duetsim.errors import EmptyWorld
+
+    generate_goal = duetsim.cli.generate_goal
+
+    def failing_generate_goal(seed, *args):
+        if seed == 3:
+            raise EmptyWorld("no entities for domain 'hotel'")
+        return generate_goal(seed, *args)
+
+    monkeypatch.setattr(duetsim.cli, "generate_goal", failing_generate_goal)
+
+
+@pytest.fixture
 def no_handler_threads():
     """For tests that fork workers: a forked child gets a copy of every lock
     another thread holds, so no HTTP handler thread left by an earlier test
@@ -413,23 +430,49 @@ class TestCommands:
             "error: config field 'cassette.mode': must be record, replay or off, "
             "got False (YAML reads a bare off as false; quote it)\n")
 
-    def test_goal_sampling_error_exit_2(self, tmp_path, monkeypatch):
+    @pytest.mark.usefixtures("no_goal_for_seed_3")
+    def test_goal_sampling_error_exit_2(self, tmp_path):
         """A goal that cannot be drawn is not a failed dialogue: it stops
         the run."""
-        import duetsim.cli
-        from duetsim.errors import EmptyWorld
-
-        generate_goal = duetsim.cli.generate_goal
-
-        def failing_generate_goal(seed, *args):
-            if seed == 3:
-                raise EmptyWorld("no entities for domain 'hotel'")
-            return generate_goal(seed, *args)
-
-        monkeypatch.setattr(duetsim.cli, "generate_goal", failing_generate_goal)
         result = self.invoke("simulate", "-n", "5", "-o", str(tmp_path / "run"))
         assert result.exit_code == 2, result.output
         assert result.output == "error: no entities for domain 'hotel'\n"
+
+    @pytest.mark.usefixtures("no_handler_threads", "no_goal_for_seed_3")
+    def test_goal_sampling_error_same_at_any_parallelism(self, tmp_path):
+        """An error a worker process raises is reported as the same one
+        line as in this process. Forked workers inherit the patch."""
+        outputs = []
+        for parallelism in ("1", "2"):
+            result = self.invoke("simulate", "-n", "5", "--parallelism",
+                                 parallelism, "-o", str(tmp_path / parallelism))
+            assert result.exit_code == 2, result.output
+            outputs.append(result.output)
+        assert outputs == ["error: no entities for domain 'hotel'\n"] * 2
+
+    @pytest.mark.parametrize("field,doc", [
+        ("generator_backend.kind",
+         {"simulator": "agenda", "generator_backend": {"kind": "htp"}}),
+        ("cassette.pth",
+         {"simulator": "agenda", "cassette": {"mode": "record", "pth": "x"}}),
+        ("verifier_backend.timout",
+         {"simulator": "duet-no-verifier",
+          "generator_backend": {"kind": "scripted", "script_file": "SCRIPT"},
+          "verifier_backend": {"base_url": "http://127.0.0.1:9", "timout": 5}}),
+    ], ids=["agenda_backend_kind", "agenda_cassette_typo",
+            "unused_verifier_typo"])
+    def test_block_the_run_does_not_build_is_checked(self, tmp_path, field,
+                                                     doc):
+        script = tmp_path / "script.jsonl"
+        script.write_text('"ok"\n')
+        doc = json.loads(json.dumps(doc).replace("SCRIPT", str(script)))
+        doc.update(dialogues=1, output_dir=str(tmp_path / "run"))
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"error: config field '{field}': ")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.usefixtures("no_handler_threads")
     @pytest.mark.parametrize("fault", ["dies", "unpicklable"])

@@ -1,6 +1,10 @@
+import collections
 import itertools
 
 import pytest
+
+import duetsim.acts
+import duetsim.world
 
 from duetsim.acts import DialogueContext
 from duetsim.backend import ScriptedBackend
@@ -14,6 +18,7 @@ from duetsim.loop import (
     run_dialogue,
 )
 from duetsim.agenda import AgendaUserSimulator
+from duetsim.prompts import PromptConfig
 from duetsim.system import SystemAgent
 from duetsim.world import generate_goal
 
@@ -202,3 +207,35 @@ class TestRunDialogue:
         for request in second_turn_steps + verifier.requests[1:]:
             assert f"USER: {user_utterance}" in request.user_text
             assert f"SYSTEM: {system_utterance}" in request.user_text
+
+    @pytest.mark.parametrize("render_mode", ["utterances", "acts"])
+    def test_prompt_sections_rendered_once(self, ontology, entities,
+                                           monkeypatch, render_mode):
+        """Over one dialogue the goal is described once, and each history
+        line is built once per render mode, however many prompts use it."""
+        goal, session, generator, verifier = self.scripted_duet(ontology)
+        session.prompt_config = PromptConfig(render_mode=render_mode)
+        described = []
+        describe_goal = duetsim.world.describe_goal
+
+        def counting_describe_goal(g):
+            described.append(g)
+            return describe_goal(g)
+
+        lines = collections.Counter()
+        turn_line = duetsim.acts._turn_line
+
+        def counting_turn_line(turn, mode):
+            lines[turn.turn_index, mode] += 1
+            return turn_line(turn, mode)
+
+        monkeypatch.setattr(duetsim.world, "describe_goal", counting_describe_goal)
+        monkeypatch.setattr(duetsim.acts, "_turn_line", counting_turn_line)
+        log = run_dialogue(goal, DuetUserSimulator(session),
+                           SystemAgent(ontology, entities))
+        assert log.termination_reason == "user_bye"
+        assert len(generator.requests) + len(verifier.requests) == 2 * 7
+        assert described == [goal]
+        # the second user turn renders the two turns before it
+        assert lines == {(i, mode): 1 for i in range(2)
+                         for mode in {render_mode, "utterances"}}
