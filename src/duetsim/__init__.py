@@ -21,6 +21,7 @@ from .backend import (
     CompletionResult,
     HTTPBackend,
     ScriptedBackend,
+    load_cassette,
 )
 from .generator import DraftActs, Utterance, generate_acts_cot, realize_utterance
 from .loop import DuetSession, DuetUserSimulator, LoopConfig, TurnTrace, next_user_turn, run_dialogue
@@ -54,7 +55,7 @@ __all__ = [
     "Ontology", "PromptConfig", "RequirementSet", "ScriptedBackend",
     "SystemAgent", "TurnTrace", "UserGoal", "Utterance", "Verdict",
     "agenda_step", "describe_goal", "diversity", "fulfillment",
-    "generate_acts_cot", "generate_goal", "init_agenda", "load_world",
+    "generate_acts_cot", "generate_goal", "init_agenda", "load_cassette", "load_world",
     "next_user_turn", "parse_act_list", "query_entities", "realize_utterance",
     "render_act_list", "run_dialogue", "system_turn", "template_nlg",
     "validate_acts", "verify",

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 
+from .acts import require_int, require_strings
 from .errors import (
     CassetteIOError,
     CassetteMiss,
@@ -94,17 +94,15 @@ class ScriptedBackend:
     def __init__(self, responses):
         self._responses = list(responses)
         self._cursor = 0
-        self._lock = threading.Lock()
         self.requests: list[CompletionRequest] = []
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        with self._lock:
-            self.requests.append(request)
-            if self._cursor >= len(self._responses):
-                raise ScriptExhausted(
-                    f"script exhausted after {len(self._responses)} responses")
-            text = self._responses[self._cursor]
-            self._cursor += 1
+        self.requests.append(request)
+        if self._cursor >= len(self._responses):
+            raise ScriptExhausted(
+                f"script exhausted after {len(self._responses)} responses")
+        text = self._responses[self._cursor]
+        self._cursor += 1
         return CompletionResult(text=text)
 
     @property
@@ -293,65 +291,64 @@ def parse_completion(data: bytes) -> tuple[str, dict]:
     return content, usage if isinstance(usage, dict) else {}
 
 
+def load_cassette(path: str) -> dict[tuple[int, str, int], str]:
+    """{(seed, digest, n): response} of a cassette file, whose other keys
+    are ignored; a line that cannot be read is a CassetteIOError."""
+    replies = {}
+    try:
+        with open(path, "rb") as f:
+            for number, raw in enumerate(f, start=1):
+                if not raw.strip():
+                    continue
+                try:  # a ValueError is also bad UTF-8 or bad JSON
+                    record = json.loads(raw.decode("utf-8"))
+                    if not isinstance(record, dict):
+                        raise TypeError(f"expected an object, got {record!r:.80}")
+                    if "seed" not in record and "digest" in record:
+                        raise ValueError("no seed: the cassette predates "
+                                         "per-dialogue keys; record it again")
+                    key = (require_int("seed", record.get("seed")), record.get("digest"),
+                           require_int("n", record.get("n")))
+                    require_strings("digest and response", (key[1], record.get("response")))
+                    if key in replies:
+                        raise ValueError(f"repeats the key of an earlier line, {key}")
+                except (TypeError, ValueError) as e:
+                    raise CassetteIOError(f"cassette {path} line {number}: {e}") from e
+                replies[key] = record["response"]
+    except OSError as e:
+        raise CassetteIOError(f"cannot read cassette {path}: {e}") from e
+    return replies
+
+
 class CassetteBackend:
-    """Record/replay wrapper around any backend.
+    """One dialogue's record or replay of its backend calls, keyed by
+    (dialogue seed, request digest, n), where n counts the dialogue's earlier
+    requests with that digest. With ``inner`` it forwards each request and
+    keeps its cassette line in ``lines``; with ``replies`` from
+    ``load_cassette`` it answers from them. It reads and writes no file."""
 
-    Record mode forwards to the inner backend and appends (digest, request,
-    response) records to the cassette file. Replay mode serves responses by
-    request digest without touching the inner backend and fails on a miss.
-    Repeated identical requests replay in recorded order.
-    """
-
-    def __init__(self, path: str, mode: str, inner=None):
-        if mode not in ("record", "replay"):
-            raise ValueError(f"unknown cassette mode {mode!r}")
-        if mode == "record" and inner is None:
-            raise ValueError("record mode requires an inner backend")
-        self.path = path
-        self.mode = mode
+    def __init__(self, seed: int, inner=None, replies=None):
+        if (inner is None) == (replies is None):
+            raise ValueError("give inner to record or replies to replay")
+        self.seed = seed
         self.inner = inner
-        self._lock = threading.Lock()
-        self._responses: dict[str, list[str]] = {}
-        self._served: dict[str, int] = {}
-        if mode == "replay":
-            self._load()
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self._responses.setdefault(record["digest"], []).append(
-                        record["response"])
-        except OSError as e:
-            raise CassetteIOError(f"cannot read cassette {self.path}: {e}") from e
-        except (json.JSONDecodeError, KeyError) as e:
-            raise CassetteIOError(f"corrupt cassette {self.path}: {e}") from e
+        self.replies = replies
+        self.lines: list[str] = []  # JSON lines, each ending in a newline
+        self._seen: dict[str, int] = {}  # digest -> requests answered
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         digest = request_digest(request)
-        if self.mode == "replay":
-            with self._lock:
-                recorded = self._responses.get(digest)
-                if not recorded:
-                    raise CassetteMiss(digest)
-                index = self._served.get(digest, 0)
-                text = recorded[min(index, len(recorded) - 1)]
-                self._served[digest] = index + 1
-            return CompletionResult(text=text)
-        result = self.inner.complete(request)
-        record = {
-            "digest": digest,
-            "request": {"system": request.system_text, "user": request.user_text},
-            "response": result.text,
-        }
-        with self._lock:
-            try:
-                with open(self.path, "a", encoding="utf-8") as f:
-                    f.write(json.dumps(record) + "\n")
-            except OSError as e:
-                raise CassetteIOError(f"cannot write cassette {self.path}: {e}") from e
+        n = self._seen.get(digest, 0)
+        if self.inner is None:
+            if (self.seed, digest, n) not in self.replies:
+                raise CassetteMiss(f"no recorded reply for seed {self.seed}, "
+                                   f"digest {digest}, n {n}")
+            result = CompletionResult(text=self.replies[self.seed, digest, n])
+        else:
+            result = self.inner.complete(request)
+            self.lines.append(json.dumps({
+                "seed": self.seed, "digest": digest, "n": n,
+                "request": {"system": request.system_text, "user": request.user_text},
+                "response": result.text}) + "\n")
+        self._seen[digest] = n + 1
         return result

@@ -9,17 +9,19 @@ import json
 import os
 import re
 import time
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .acts import ActTable, DialogueLog, require_int
+from .acts import ActTable, DialogueLog, require_int, require_strings
 from .agenda import AgendaUserSimulator
-from .backend import BackendConfig, CassetteBackend, HTTPBackend, ScriptedBackend
+from .backend import (BackendConfig, CassetteBackend, HTTPBackend, ScriptedBackend,
+                      load_cassette)
 from .errors import (
+    CassetteIOError,
     ConfigError,
     DuetSimError,
     EmptyLogSet,
@@ -107,11 +109,10 @@ class ExperimentConfig:
         # Every block is checked, also one this run does not build.
         for role in ("generator_backend", "verifier_backend"):
             spec = getattr(self, role)
-            if spec:
-                kind = spec.get("kind", "http")
-                if not isinstance(kind, str) or kind not in _BACKEND_FIELDS:
-                    raise ConfigError(f"{role}.kind", f"unknown backend kind {kind!r}")
-                _reject_unknown(spec, _BACKEND_FIELDS[kind], f"{role}.")
+            kind = spec.get("kind", "http")
+            if not isinstance(kind, str) or kind not in _BACKEND_FIELDS:
+                raise ConfigError(f"{role}.kind", f"unknown backend kind {kind!r}")
+            _reject_unknown(spec, _BACKEND_FIELDS[kind], f"{role}.")
         _reject_unknown(self.cassette, _CASSETTE_FIELDS, "cassette.")
         mode = self.cassette.get("mode", "off")
         if mode not in ("record", "replay", "off"):
@@ -123,14 +124,12 @@ class ExperimentConfig:
 
     def workers(self) -> int:
         """Workers: 1 for a duet run with a scripted generator or verifier
-        backend or with a cassette, since each answers in call order; else
-        the configured value, or 1 for agenda runs and 4 for duet runs
-        (backend-bound), but never more than there are dialogues. More than
-        one worker means worker processes, all started up front."""
-        if self.simulator != "agenda" and (
-                "scripted" in (self.generator_backend.get("kind"),
-                               self.verifier_backend.get("kind"))
-                or self.cassette.get("mode") in ("record", "replay")):
+        backend, which answers in call order; else ``parallelism``, or 1 for
+        agenda and 4 for (backend-bound) duet runs, but never more than the
+        dialogues. More than one means worker processes, started up front."""
+        if self.simulator != "agenda" and "scripted" in (
+                self.generator_backend.get("kind"),
+                self.verifier_backend.get("kind")):
             return 1
         if self.parallelism is not None:
             workers = self.parallelism
@@ -188,21 +187,15 @@ def _build_backend(spec: dict, role: str):
             raise ConfigError(f"{role}.script_file", "required for scripted backend")
         responses = []
         try:
-            with open(path, encoding="utf-8") as f:
+            with open(path, "rb") as f:
                 for number, line in enumerate(f, start=1):
                     if line.strip():
-                        response = json.loads(line)
-                        if not isinstance(response, str):
-                            raise ConfigError(
-                                f"{role}.script_file",
-                                f"{path} line {number}: expected a JSON string, "
-                                f"got {type(response).__name__}")
-                        responses.append(response)
-        except (OSError, UnicodeDecodeError) as e:
+                        responses.append(json.loads(line.decode("utf-8")))
+                        require_strings("response", responses[-1:])
+        except OSError as e:
             raise ConfigError(f"{role}.script_file", str(e)) from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{role}.script_file",
-                              f"{path} line {number}: {e}") from e
+        except (TypeError, ValueError) as e:  # not UTF-8, not JSON, not a string
+            raise ConfigError(f"{role}.script_file", f"{path} line {number}: {e}") from e
         return ScriptedBackend(responses)
     try:
         return HTTPBackend(BackendConfig(
@@ -219,20 +212,11 @@ def _build_backend(spec: dict, role: str):
         raise ConfigError(role, str(e)) from e
 
 
-def _wrap_cassette(backend, cassette: dict):
-    """``backend`` behind the cassette block ``ExperimentConfig.validate``
-    accepted, or as it is when the cassette is off."""
-    mode = cassette.get("mode", "off")
-    if mode == "off":
-        return backend
-    inner = backend if mode == "record" else None
-    return CassetteBackend(path=cassette["path"], mode=mode, inner=inner)
-
-
 def build_simulator_factory(config: ExperimentConfig, ontology):
-    """Returns (factory(goal) -> user simulator, backends)."""
+    """Returns (factory(goal, seed) -> (user simulator, cassettes), backends);
+    ``cassettes`` wrap each backend for the dialogue when there is a cassette."""
     if config.simulator == "agenda":
-        return (lambda goal: AgendaUserSimulator(goal)), ()
+        return (lambda goal, seed: (AgendaUserSimulator(goal), ())), ()
 
     verifier = config.simulator == "duet"  # the one switch for the verifier
     specs = [("generator_backend", config.generator_backend)]
@@ -240,21 +224,24 @@ def build_simulator_factory(config: ExperimentConfig, ontology):
     if verifier and ver_spec != config.generator_backend:
         specs.append(("verifier_backend", ver_spec))
     backends = tuple(_build_backend(spec, role) for role, spec in specs)
-    clients = [_wrap_cassette(backend, config.cassette) for backend in backends]
-    gen_backend = clients[0]
-    ver_backend = clients[-1] if verifier else None
+    mode = config.cassette.get("mode", "off")
+    replies = load_cassette(config.cassette["path"]) if mode == "replay" else None
 
     prompt_config = PromptConfig(omit_goal=config.omit_goal,
                                  omit_history=config.omit_history,
                                  render_mode=config.context_mode)
 
-    def factory(goal):
+    def factory(goal, seed):
+        cassettes = () if mode == "off" else tuple(
+            CassetteBackend(seed, None if mode == "replay" else backend, replies)
+            for backend in backends)
+        clients = cassettes or backends
         session = DuetSession(goal=goal, ontology=ontology,
-                              generator_backend=gen_backend,
-                              verifier_backend=ver_backend,
+                              generator_backend=clients[0],
+                              verifier_backend=clients[-1] if verifier else None,
                               loop_config=config.loop,
                               prompt_config=prompt_config)
-        return DuetUserSimulator(session)
+        return DuetUserSimulator(session), cassettes
 
     return factory, backends
 
@@ -267,17 +254,19 @@ class _DialogueRunner:
         self.ontology, self.entities = load_world(config.world)
         self.factory, self.backends = build_simulator_factory(config, self.ontology)
 
-    def __call__(self, seed: int) -> tuple[str, dict | None]:
-        """(record line, failure entry or None); the failure is the log's error."""
+    def __call__(self, seed: int) -> tuple[str, dict | None, str]:
+        """(record line, failure entry or None, cassette lines recorded)."""
         from .loop import run_dialogue
 
         goal = generate_goal(seed, self.ontology, self.entities)
-        log = run_dialogue(goal, self.factory(goal),
+        user, cassettes = self.factory(goal, seed)
+        log = run_dialogue(goal, user,
                            SystemAgent(self.ontology, self.entities, seed=seed),
                            max_user_turns=self.config.turn_cap, seed=seed)
         failure = {"seed": seed, "error": log.error} if log.error else None
         record = {"v": LOG_SCHEMA_VERSION, "log": log.to_dict()}
-        return json.dumps(record, sort_keys=True) + "\n", failure
+        return (json.dumps(record, sort_keys=True) + "\n", failure,
+                "".join(line for cassette in cassettes for line in cassette.lines))
 
 
 _worker_runner: _DialogueRunner | None = None  # set in each worker process
@@ -288,12 +277,12 @@ def _init_worker(config: ExperimentConfig) -> None:
     _worker_runner = _DialogueRunner(config)
 
 
-def _run_in_worker(seed: int) -> tuple[str, dict | None]:
+def _run_in_worker(seed: int) -> tuple[str, dict | None, str]:
     return _worker_runner(seed)
 
 
 def _records(runner: _DialogueRunner, seeds: range, workers: int):
-    """(record line, failure entry or None) for each seed, in seed order.
+    """What ``runner`` returns for each seed, in seed order.
 
     More than one worker means worker processes, each of which builds its
     own world, simulators and backends from the config.
@@ -327,8 +316,19 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _open_cassette(cassette: dict):
+    """The cassette file a recording writes, emptied; else a null context."""
+    if cassette.get("mode") != "record":
+        return nullcontext()
+    try:
+        return open(cassette["path"], "w", encoding="utf-8")
+    except OSError as e:
+        raise CassetteIOError(f"cannot write cassette {cassette['path']}: {e}") from e
+
+
 def run_experiment(config: ExperimentConfig) -> Path:
-    """Run the configured number of dialogues and write logs plus manifest."""
+    """Run the configured dialogues; write logs, manifest and, if recording, the cassette."""
+    config.validate()
     runner = _DialogueRunner(config)
     lint_all_templates()
 
@@ -341,13 +341,17 @@ def run_experiment(config: ExperimentConfig) -> Path:
     failures = []
     try:
         with open(log_path, "w", encoding="utf-8") as log_file, \
+                _open_cassette(config.cassette) as cassette_file, \
                 closing(_records(runner, seeds, config.workers())) as records:
             # Records arrive in seed order and each is dropped once written.
-            for line, failure in records:
+            for line, failure, cassette_lines in records:
                 if failure:
                     failures.append(failure)
                 log_file.write(line)
                 log_file.flush()
+                if cassette_lines:
+                    cassette_file.write(cassette_lines)
+                    cassette_file.flush()
     finally:
         for backend in runner.backends:
             if isinstance(backend, HTTPBackend):
@@ -422,8 +426,8 @@ def _fail(error: DuetSimError, code: int):
 @click.option("--turn-cap", type=int, default=None)
 @click.option("--parallelism", type=int, default=None,
               help="Worker processes. Default: 1 for agenda runs, 4 for "
-                   "duet runs. A duet run with a scripted backend or a "
-                   "cassette always uses 1.")
+                   "duet runs. A duet run with a scripted backend always "
+                   "uses 1.")
 @click.option("--output-dir", "-o", type=click.Path(), default=None)
 @click.option("--context-mode", type=click.Choice(["utterances", "acts"]),
               default=None)

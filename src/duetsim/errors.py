@@ -94,13 +94,11 @@ class ScriptExhausted(DuetSimError):
 
 
 class CassetteMiss(DuetSimError):
-    def __init__(self, digest: str):
-        self.digest = digest
-        super().__init__(f"no recorded response for request digest {digest}")
+    """A replayed dialogue sent a request its cassette holds no reply for."""
 
 
 class CassetteIOError(DuetSimError):
-    pass
+    """A cassette file could not be read or written, or holds a bad line."""
 
 
 # --- prompts ---

@@ -4,6 +4,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from duetsim.backend import (
     BackendConfig,
@@ -12,9 +13,11 @@ from duetsim.backend import (
     CompletionResult,
     HTTPBackend,
     ScriptedBackend,
+    load_cassette,
     request_digest,
 )
 from duetsim.errors import (
+    CassetteIOError,
     CassetteMiss,
     EndpointError,
     MalformedResponse,
@@ -326,41 +329,123 @@ class TestHTTP:
         assert not {"requests", "urllib3"} & imported_modules
 
 
+def record(seed, responses, *prompts):
+    """The cassette lines of one dialogue that sends ``prompts`` in order."""
+    recorder = CassetteBackend(seed, inner=ScriptedBackend(responses))
+    for prompt in prompts:
+        recorder.complete(req(prompt))
+    return recorder.lines
+
+
+def tape(tmp_path, *lines):
+    path = tmp_path / "tape.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(path)
+
+
 class TestCassette:
     def test_record_then_replay(self, tmp_path):
-        path = str(tmp_path / "tape.jsonl")
         inner = ScriptedBackend(["one", "two"])
-        recorder = CassetteBackend(path=path, mode="record", inner=inner)
+        recorder = CassetteBackend(3, inner=inner)
         recorder.complete(req("p1"))
         recorder.complete(req("p2"))
 
-        replayer = CassetteBackend(path=path, mode="replay")
+        replies = load_cassette(tape(tmp_path, *recorder.lines))
+        replayer = CassetteBackend(3, replies=replies)
         assert replayer.complete(req("p2")).text == "two"
         assert replayer.complete(req("p1")).text == "one"
         assert inner.calls == 2  # replay made no live calls
 
     def test_miss(self, tmp_path):
-        path = tmp_path / "tape.jsonl"
-        path.write_text("")
-        replayer = CassetteBackend(path=str(path), mode="replay")
+        replies = load_cassette(tape(tmp_path, *record(0, ["x"], "seen")))
         with pytest.raises(CassetteMiss):
-            replayer.complete(req("unseen"))
+            CassetteBackend(0, replies=replies).complete(req("unseen"))
+        with pytest.raises(CassetteMiss):  # another dialogue's reply
+            CassetteBackend(1, replies=replies).complete(req("seen"))
 
     def test_repeated_identical_requests(self, tmp_path):
-        path = str(tmp_path / "tape.jsonl")
-        recorder = CassetteBackend(path=path, mode="record",
-                                   inner=ScriptedBackend(["first", "second"]))
-        recorder.complete(req("same"))
-        recorder.complete(req("same"))
-        replayer = CassetteBackend(path=path, mode="replay")
+        """A request that recurs in a dialogue gets its replies in recorded
+        order, whatever other dialogues recorded for it."""
+        replies = load_cassette(tape(
+            tmp_path, *record(0, ["other"], "same"),
+            *record(1, ["first", "second"], "same", "same")))
+        replayer = CassetteBackend(1, replies=replies)
         assert replayer.complete(req("same")).text == "first"
         assert replayer.complete(req("same")).text == "second"
+        with pytest.raises(CassetteMiss):
+            replayer.complete(req("same"))
+        assert CassetteBackend(0, replies=replies).complete(req("same")).text == "other"
 
-    def test_cassette_lines_are_json(self, tmp_path):
-        path = str(tmp_path / "tape.jsonl")
-        recorder = CassetteBackend(path=path, mode="record",
-                                   inner=ScriptedBackend(["x"]))
-        recorder.complete(req("p"))
-        with open(path) as f:
-            record = json.loads(f.readline())
-        assert set(record) == {"digest", "request", "response"}
+    def test_cassette_lines_are_json(self):
+        lines = record(7, ["x", "y"], "p", "p")
+        assert all(line.endswith("\n") for line in lines)
+        records = [json.loads(line) for line in lines]
+        assert [list(r) for r in records] == [["seed", "digest", "n", "request", "response"]] * 2
+        assert [(r["seed"], r["n"], r["response"]) for r in records] == [(7, 0, "x"), (7, 1, "y")]
+        assert records[0]["digest"] == request_digest(req("p"))
+        assert records[0]["request"] == {"system": "", "user": "p"}
+
+    @pytest.mark.parametrize("kwargs", [{}, {"inner": ScriptedBackend([]), "replies": {}}])
+    def test_needs_inner_or_replies(self, kwargs):
+        with pytest.raises(ValueError):
+            CassetteBackend(0, **kwargs)
+
+
+GOOD_LINE = {"seed": 0, "digest": "d", "n": 0, "response": "r"}
+
+
+class TestLoadCassette:
+    def test_extra_keys_ignored(self, tmp_path):
+        line = json.dumps(dict(GOOD_LINE, latency=0.5, request={})) + "\n\n"
+        assert load_cassette(tape(tmp_path, line)) == {(0, "d", 0): "r"}
+
+    @pytest.mark.parametrize("line,message", [
+        ("[1]", "expected an object"),
+        ('"x"', "expected an object"),
+        ("{not json", "Expecting property name"),
+        ('{"digest": "d", "response": 5}', "predates per-dialogue keys"),
+        (json.dumps(dict(GOOD_LINE, response=5)), "expected a string, got 5"),
+        (json.dumps(dict(GOOD_LINE, seed="0")), "seed: expected an integer"),
+        (json.dumps(dict(GOOD_LINE, n=True)), "n: expected an integer"),
+        (json.dumps({"seed": 0, "digest": "d", "response": "r"}), "n: expected an integer, got None"),
+    ], ids=["list", "string", "not_json", "old_format", "response_int",
+            "seed_str", "n_bool", "no_n"])
+    def test_bad_line_names_path_and_line(self, tmp_path, line, message):
+        path = tape(tmp_path, json.dumps(GOOD_LINE) + "\n", line + "\n")
+        with pytest.raises(CassetteIOError) as e:
+            load_cassette(path)
+        assert str(e.value).startswith(f"cassette {path} line 2: ")
+        assert message in str(e.value)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "tape.jsonl"
+        path.write_bytes(json.dumps(GOOD_LINE).encode() + b"\n\xff\xfe\n")
+        with pytest.raises(CassetteIOError, match=r"line 2: 'utf-8' codec"):
+            load_cassette(str(path))
+
+    def test_repeated_key(self, tmp_path):
+        """Two recordings joined into one file are not one cassette."""
+        line = json.dumps(GOOD_LINE) + "\n"
+        with pytest.raises(CassetteIOError, match="line 2: repeats the key"):
+            load_cassette(tape(tmp_path, line, line))
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CassetteIOError, match="cannot read cassette"):
+            load_cassette(str(tmp_path / "absent.jsonl"))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+        | st.text(max_size=5),
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(
+            st.sampled_from(["seed", "digest", "n", "response", "request", "x"]),
+            children, max_size=5)))
+    def test_any_json_line_loads_or_is_typed(self, tmp_path, value):
+        path = tape(tmp_path, json.dumps(value) + "\n")
+        try:
+            replies = load_cassette(path)
+        except CassetteIOError as e:
+            assert f"cassette {path} line 1: " in str(e)
+        else:
+            assert replies == {(value["seed"], value["digest"], value["n"]): value["response"]}

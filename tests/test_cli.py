@@ -142,15 +142,23 @@ class TestConfig:
     @pytest.mark.parametrize("fields", [
         {"generator_backend": {"kind": "scripted"}},
         {"verifier_backend": {"kind": "scripted"}},
-        {"cassette": {"mode": "record"}},
-        {"cassette": {"mode": "replay"}},
-    ], ids=["scripted_generator", "scripted_verifier", "record", "replay"])
+    ], ids=["scripted_generator", "scripted_verifier"])
     def test_call_order_backends_use_one_worker(self, fields):
-        """A scripted backend, or a cassette, answers in call order."""
+        """A scripted backend answers in call order."""
         config = ExperimentConfig(
             simulator="duet", parallelism=4,
             **{"generator_backend": {"kind": "http"}, **fields})
         assert config.workers() == 1
+
+    @pytest.mark.parametrize("mode", ["record", "replay"])
+    def test_cassette_runs_use_parallelism(self, mode):
+        """A cassette keys each reply by dialogue, so it sets no worker count."""
+        for parallelism, workers in ((None, 4), (3, 3)):
+            config = ExperimentConfig(
+                simulator="duet", parallelism=parallelism,
+                generator_backend={"kind": "http"},
+                cassette={"mode": mode, "path": "cassette.jsonl"})
+            assert config.workers() == workers
 
 
 class TestReadLogs:
@@ -430,6 +438,42 @@ class TestCommands:
             "error: config field 'cassette.mode': must be record, replay or off, "
             "got False (YAML reads a bare off as false; quote it)\n")
 
+    @pytest.mark.parametrize("content,message", [
+        (b"[1]\n", "expected an object, got [1]"),
+        (b'"x"\n', "expected an object, got 'x'"),
+        (b'{"digest": "d", "response": 5}\n', "predates per-dialogue keys"),
+        (b'{"digest": "d", "request": {"system": "", "user": "u"}, '
+         b'"response": "r"}\n', "predates per-dialogue keys"),
+        (b"\xff\xfe\n", "'utf-8' codec can't decode"),
+    ], ids=["list", "string", "old_bad_response", "old_format", "not_utf8"])
+    def test_bad_cassette_exit_2(self, tmp_path, content, message):
+        """A cassette line the replay cannot use is one error line naming
+        the file and the line, before any dialogue runs."""
+        cassette = tmp_path / "cassette.jsonl"
+        cassette.write_bytes(content)
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({
+            "simulator": "duet", "output_dir": str(tmp_path / "run"),
+            "generator_backend": {"base_url": "http://127.0.0.1:9"},
+            "cassette": {"mode": "replay", "path": str(cassette)}}))
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 2, result.output
+        assert len(result.output.splitlines()) == 1, result.output
+        assert result.output.startswith(f"error: cassette {cassette} line 1: ")
+        assert message in result.output
+        assert not (tmp_path / "run").exists()
+
+    def test_unwritable_cassette_exit_2(self, tmp_path):
+        cassette = tmp_path / "absent" / "cassette.jsonl"
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({
+            "simulator": "duet", "output_dir": str(tmp_path / "run"),
+            "generator_backend": {"base_url": "http://127.0.0.1:9"},
+            "cassette": {"mode": "record", "path": str(cassette)}}))
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: cannot write cassette {cassette}: ")
+
     @pytest.mark.usefixtures("no_goal_for_seed_3")
     def test_goal_sampling_error_exit_2(self, tmp_path):
         """A goal that cannot be drawn is not a failed dialogue: it stops
@@ -496,8 +540,8 @@ class TestCommands:
             run_one = duetsim.cli._DialogueRunner.__call__
 
             def unpicklable_run_one(self, seed):
-                line, failure = run_one(self, seed)
-                return (threading.Lock() if seed == 7 else line), failure
+                line, *rest = run_one(self, seed)
+                return (threading.Lock() if seed == 7 else line), *rest
 
             monkeypatch.setattr(duetsim.cli._DialogueRunner, "__call__",
                                 unpicklable_run_one)
@@ -665,13 +709,27 @@ def test_written_logs_are_released(tmp_path, monkeypatch, parallelism):
         assert all(int(pid) != os.getpid() for _, pid in entries)
 
 
+# A backend spec that validates; no test below sends a request to it.
+CLOSED_PORT = {"kind": "http", "base_url": "http://127.0.0.1:9"}
+
+
+@pytest.mark.usefixtures("no_handler_threads")
 def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
-    """Replay serves a repeated request's answers in recorded order, so,
-    like record, it runs one dialogue at a time, even where the config asks
-    for more workers; replies that vary per call then replay exactly."""
+    """A cassette run uses the workers ``parallelism`` asks for, in worker
+    processes, and replies that vary per call replay exactly at any
+    parallelism. Forked workers inherit the patches below."""
     import duetsim.cli
     import duetsim.loop
 
+    ran = tmp_path / "ran.txt"
+    run_dialogue = duetsim.loop.run_dialogue
+
+    def logged_run_dialogue(*args, **kwargs):
+        with open(ran, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return run_dialogue(*args, **kwargs)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", logged_run_dialogue)
     dialogues = 12
     cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
     with monkeypatch.context() as patch:
@@ -679,26 +737,82 @@ def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
                       lambda spec, role: VaryingResponder())
         recorded = run_experiment(ExperimentConfig(
             simulator="duet", dialogues=dialogues, output_dir=str(tmp_path / "record"),
-            generator_backend={"kind": "responder"}, cassette=cassette))
+            generator_backend=CLOSED_PORT, cassette=cassette))
+    pids = {int(pid) for pid in ran.read_text().split()}
+    assert os.getpid() not in pids
 
-    threads = set()
-    run_dialogue = duetsim.loop.run_dialogue
-
-    def tracked_run_dialogue(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return run_dialogue(*args, **kwargs)
-
-    monkeypatch.setattr(duetsim.loop, "run_dialogue", tracked_run_dialogue)
-    for parallelism in (None, 4):
+    for parallelism in (1, None, 4):
+        ran.unlink()
         out = run_experiment(ExperimentConfig(
             simulator="duet", dialogues=dialogues, parallelism=parallelism,
             output_dir=str(tmp_path / f"replay-{parallelism}"),
-            generator_backend={"kind": "http", "base_url": "http://127.0.0.1:9"},
+            generator_backend=CLOSED_PORT,
             cassette=dict(cassette, mode="replay")))
         assert json.loads((out / "manifest.json").read_text())["failures"] == []
         assert (out / "logs.jsonl").read_bytes() == \
             (recorded / "logs.jsonl").read_bytes()
-    assert threads == {threading.get_ident()}
+        pids = [int(pid) for pid in ran.read_text().split()]
+        assert len(pids) == dialogues
+        assert (os.getpid() in pids) == (parallelism == 1)
+
+
+def test_each_seed_replays_alone(tmp_path, monkeypatch):
+    """Replaying one seed of a cassette gives that seed's recorded log line,
+    even when the model's replies vary per call and another dialogue sent
+    the same request first."""
+    import duetsim.cli
+
+    cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
+    with monkeypatch.context() as patch:
+        patch.setattr(duetsim.cli, "_build_backend",
+                      lambda spec, role: VaryingResponder())
+        recorded = run_experiment(ExperimentConfig(
+            simulator="duet", dialogues=6, parallelism=1,
+            output_dir=str(tmp_path / "record"),
+            generator_backend=CLOSED_PORT, cassette=cassette))
+    lines = (recorded / "logs.jsonl").read_bytes().splitlines(keepends=True)
+    for seed in range(6):
+        out = run_experiment(ExperimentConfig(
+            simulator="duet", dialogues=1, seed=seed,
+            output_dir=str(tmp_path / f"seed-{seed}"),
+            generator_backend=CLOSED_PORT, cassette=dict(cassette, mode="replay")))
+        assert (out / "logs.jsonl").read_bytes() == lines[seed]
+
+
+def test_recording_again_replaces_the_cassette(tmp_path, monkeypatch):
+    """A second recording to a path replaces the first, so its replay gives
+    the second run's logs."""
+    import duetsim.cli
+
+    cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
+    for name, backend in (("first", RecordingResponder),
+                          ("second", VaryingResponder)):
+        with monkeypatch.context() as patch:
+            patch.setattr(duetsim.cli, "_build_backend",
+                          lambda spec, role: backend())
+            recorded = run_experiment(ExperimentConfig(
+                simulator="duet", dialogues=3, parallelism=1,
+                output_dir=str(tmp_path / name),
+                generator_backend=CLOSED_PORT, cassette=cassette))
+    out = run_experiment(ExperimentConfig(
+        simulator="duet", dialogues=3, parallelism=1,
+        output_dir=str(tmp_path / "replay"), generator_backend=CLOSED_PORT,
+        cassette=dict(cassette, mode="replay")))
+    assert (out / "logs.jsonl").read_bytes() == \
+        (recorded / "logs.jsonl").read_bytes()
+    assert (out / "logs.jsonl").read_bytes() != \
+        (tmp_path / "first" / "logs.jsonl").read_bytes()
+
+
+def test_run_experiment_validates_its_config(tmp_path):
+    """A config built in code gets the checks ``load_config`` makes."""
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="generator_backend.kind"):
+        run_experiment(ExperimentConfig(
+            simulator="agenda", dialogues=2, output_dir=str(out),
+            generator_backend={"kind": "htp"},
+            cassette={"mode": "record", "pth": "x"}))
+    assert not out.exists()
 
 
 def test_readme_configs_are_accepted(tmp_path, monkeypatch):
@@ -852,6 +966,11 @@ DUET_SEEDS_0_9_SHA256 = {
         "3a93ef4d3fdccd93b7403cc7ee0f0deaef22e86e88a65919abd4b4301bc161a2"),
 }
 
+# sha256 of the cassette that a duet run of seeds 0-9 records against
+# perfbench/fake_server.py; see test_parallel_http_cassette_pinned.
+DUET_CASSETTE_SEEDS_0_9_SHA256 = (
+    "c87a014bc05765533ce1f5f707de76ac72dbf114c7266fb6e6f75b547d0e7183")
+
 
 @pytest.fixture
 def fake_server_url(monkeypatch):
@@ -896,6 +1015,44 @@ def test_parallel_http_duet_logs_pinned(tmp_path, monkeypatch, fake_server_url,
         DUET_SEEDS_0_9_SHA256["utterances", "duet"][0]
 
 
+@pytest.mark.usefixtures("no_handler_threads")
+@pytest.mark.parametrize("parallelism,start_methods", [
+    (1, None), (2, None), (2, ["spawn"])], ids=["1", "2", "2-spawn"])
+def test_parallel_http_cassette_pinned(tmp_path, monkeypatch, fake_server_url,
+                                       parallelism, start_methods):
+    """A cassette recorded over HTTP is the same file on one worker and on
+    worker processes, forked or spawned. Its replay at that parallelism
+    gives the recorded logs, and so does the replay of each seed alone."""
+    import multiprocessing
+
+    if start_methods:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: start_methods)
+    cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
+
+    def run(name, mode, base_url=fake_server_url, seed=0, dialogues=10):
+        out = run_experiment(ExperimentConfig(
+            simulator="duet", dialogues=dialogues, seed=seed, turn_cap=20,
+            parallelism=parallelism, output_dir=str(tmp_path / name),
+            generator_backend={"kind": "http", "base_url": base_url,
+                               "model": "fake"},
+            cassette=dict(cassette, mode=mode)))
+        assert json.loads((out / "manifest.json").read_text())["failures"] == []
+        return (out / "logs.jsonl").read_bytes()
+
+    recorded = run("record", "record")
+    assert hashlib.sha256(recorded).hexdigest() == \
+        DUET_SEEDS_0_9_SHA256["utterances", "duet"][0]
+    data = (tmp_path / "cassette.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DUET_CASSETTE_SEEDS_0_9_SHA256
+    # the replays point at a closed port: a request they sent would fail
+    assert run("replay", "replay", CLOSED_PORT["base_url"]) == recorded
+    lines = recorded.splitlines(keepends=True)
+    for seed in range(10):
+        assert run(f"seed-{seed}", "replay", CLOSED_PORT["base_url"],
+                   seed=seed, dialogues=1) == lines[seed]
+
+
 @pytest.mark.parametrize("context_mode", ["utterances", "acts"])
 @pytest.mark.parametrize("simulator", ["duet", "duet-no-verifier"])
 def test_duet_logs_pinned(tmp_path, monkeypatch, context_mode, simulator):
@@ -906,7 +1063,7 @@ def test_duet_logs_pinned(tmp_path, monkeypatch, context_mode, simulator):
     config = ExperimentConfig(simulator=simulator, dialogues=10, seed=0,
                               turn_cap=20, parallelism=1,
                               context_mode=context_mode,
-                              generator_backend={"kind": "responder"},
+                              generator_backend=CLOSED_PORT,
                               output_dir=str(tmp_path / "run"))
     data = (run_experiment(config) / "logs.jsonl").read_bytes()
     prompts = json.dumps(backend.prompts).encode("utf-8")
