@@ -54,7 +54,7 @@ class CompletionResult:
 @dataclass
 class BackendConfig:
     base_url: str
-    model: str
+    model: str = ""
     api_key_env: str = ""
     timeout: float = 30.0
     retries: int = 2
@@ -118,7 +118,7 @@ class HTTPBackend:
     responses and malformed bodies fail immediately.
 
     The backend keeps one keep-alive connection, so it is not shared
-    between threads: each worker process builds its own. The connection is
+    between threads: each worker process runs its own copy. The connection is
     closed and forgotten after a transport error or a response that ends it;
     one the server closed while it sat idle is replaced without spending a
     retry. ``http_proxy``, ``https_proxy`` and ``no_proxy`` are read from

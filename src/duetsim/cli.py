@@ -49,22 +49,32 @@ _FIELD_TYPES = {
     "generator_backend": dict, "verifier_backend": dict, "cassette": dict,
 }
 _NULLABLE_FIELDS = ("world", "parallelism")
-_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false",
-              dict: "a mapping"}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "true or false", dict: "a mapping"}
 
-
-# The keys a backend spec of each kind may hold, and a cassette block.
+# The keys a backend spec of each kind may hold, and a cassette block, with
+# the type of each; float stands for any number.
 _BACKEND_FIELDS = {
-    "http": ("kind", *BackendConfig.__dataclass_fields__),
-    "scripted": ("kind", "script_file"),
+    "http": {"kind": str, "base_url": str, "model": str, "api_key_env": str,
+             "timeout": float, "retries": int, "backoff_base": float},
+    "scripted": {"kind": str, "script_file": str},
 }
-_CASSETTE_FIELDS = ("mode", "path")
+_CASSETTE_FIELDS = {"mode": str, "path": str}
 
 
-def _reject_unknown(block: dict, allowed, prefix: str = "") -> None:
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"{prefix}{key}", "unknown field")
+def _check_type(name: str, value, kind: type) -> None:
+    # bool is a subclass of int, but `seed: true` is not a seed
+    if not isinstance(value, (int, float) if kind is float else kind) or (
+            kind in (int, float) and isinstance(value, bool)):
+        raise ConfigError(name, f"must be {_TYPE_NAMES[kind]}, "
+                                f"not {type(value).__name__}")
+
+
+def _check_block(block: dict, types: dict, prefix: str) -> None:
+    for key, value in block.items():
+        if key not in types:
+            raise ConfigError(prefix + key, "unknown field")
+        _check_type(prefix + key, value, types[key])
 
 
 @dataclass
@@ -89,10 +99,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and name in _NULLABLE_FIELDS:
                 continue
-            # bool is a subclass of int, but `seed: true` is not a seed
-            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-                raise ConfigError(name, f"must be {_TYPE_NAMES[kind]}, "
-                                        f"not {type(value).__name__}")
+            _check_type(name, value, kind)
         if self.simulator not in SIMULATOR_KINDS:
             raise ConfigError("simulator", f"must be one of {SIMULATOR_KINDS}")
         if self.dialogues < 1:
@@ -112,24 +119,24 @@ class ExperimentConfig:
             kind = spec.get("kind", "http")
             if not isinstance(kind, str) or kind not in _BACKEND_FIELDS:
                 raise ConfigError(f"{role}.kind", f"unknown backend kind {kind!r}")
-            _reject_unknown(spec, _BACKEND_FIELDS[kind], f"{role}.")
-        _reject_unknown(self.cassette, _CASSETTE_FIELDS, "cassette.")
+            _check_block(spec, _BACKEND_FIELDS[kind], f"{role}.")
         mode = self.cassette.get("mode", "off")
         if mode not in ("record", "replay", "off"):
             hint = " (YAML reads a bare off as false; quote it)" if mode is False else ""
             raise ConfigError("cassette.mode",
                               f"must be record, replay or off, got {mode!r}{hint}")
+        _check_block(self.cassette, _CASSETTE_FIELDS, "cassette.")
         if mode != "off" and not self.cassette.get("path"):
             raise ConfigError("cassette.path", "required when cassette is enabled")
 
     def workers(self) -> int:
-        """Workers: 1 for a duet run with a scripted generator or verifier
-        backend, which answers in call order; else ``parallelism``, or 1 for
-        agenda and 4 for (backend-bound) duet runs, but never more than the
-        dialogues. More than one means worker processes, started up front."""
-        if self.simulator != "agenda" and "scripted" in (
-                self.generator_backend.get("kind"),
-                self.verifier_backend.get("kind")):
+        """Workers: 1 for a duet run that calls a scripted backend, which
+        answers in call order (a replay calls none); else ``parallelism``, or
+        1 for agenda and 4 for (backend-bound) duet runs, but never more than
+        the dialogues. More than one means worker processes, started up front."""
+        if self.simulator != "agenda" and self.cassette.get("mode") != "replay" \
+                and "scripted" in (self.generator_backend.get("kind"),
+                                   self.verifier_backend.get("kind")):
             return 1
         if self.parallelism is not None:
             workers = self.parallelism
@@ -168,7 +175,9 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         raise ConfigError("config", "top level must be a mapping")
     doc = _interpolate_env(doc)
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    _reject_unknown(doc, ExperimentConfig.__dataclass_fields__)
+    for key in doc:
+        if key not in ExperimentConfig.__dataclass_fields__:
+            raise ConfigError(key, "unknown field")
     loop_doc = doc.pop("loop", {}) or {}
     config = ExperimentConfig(**doc)
     try:
@@ -197,72 +206,65 @@ def _build_backend(spec: dict, role: str):
         except (TypeError, ValueError) as e:  # not UTF-8, not JSON, not a string
             raise ConfigError(f"{role}.script_file", f"{path} line {number}: {e}") from e
         return ScriptedBackend(responses)
+    if "base_url" not in spec:
+        raise ConfigError(f"{role}.base_url", "missing")
     try:
-        return HTTPBackend(BackendConfig(
-            base_url=spec["base_url"],
-            model=spec.get("model", ""),
-            api_key_env=spec.get("api_key_env", ""),
-            timeout=float(spec.get("timeout", 30.0)),
-            retries=int(spec.get("retries", 2)),
-            backoff_base=float(spec.get("backoff_base", 0.5)),
-        ))
-    except KeyError as e:
-        raise ConfigError(f"{role}.{e.args[0]}", "missing") from e
-    except (TypeError, ValueError) as e:
+        return HTTPBackend(BackendConfig(**{k: v for k, v in spec.items() if k != "kind"}))
+    except ValueError as e:
         raise ConfigError(role, str(e)) from e
 
 
-def build_simulator_factory(config: ExperimentConfig, ontology):
-    """Returns (factory(goal, seed) -> (user simulator, cassettes), backends);
-    ``cassettes`` wrap each backend for the dialogue when there is a cassette."""
-    if config.simulator == "agenda":
-        return (lambda goal, seed: (AgendaUserSimulator(goal), ())), ()
-
-    verifier = config.simulator == "duet"  # the one switch for the verifier
-    specs = [("generator_backend", config.generator_backend)]
-    ver_spec = config.verifier_backend or config.generator_backend
-    if verifier and ver_spec != config.generator_backend:
-        specs.append(("verifier_backend", ver_spec))
-    backends = tuple(_build_backend(spec, role) for role, spec in specs)
-    mode = config.cassette.get("mode", "off")
-    replies = load_cassette(config.cassette["path"]) if mode == "replay" else None
-
-    prompt_config = PromptConfig(omit_goal=config.omit_goal,
-                                 omit_history=config.omit_history,
-                                 render_mode=config.context_mode)
-
-    def factory(goal, seed):
-        cassettes = () if mode == "off" else tuple(
-            CassetteBackend(seed, None if mode == "replay" else backend, replies)
-            for backend in backends)
-        clients = cassettes or backends
-        session = DuetSession(goal=goal, ontology=ontology,
-                              generator_backend=clients[0],
-                              verifier_backend=clients[-1] if verifier else None,
-                              loop_config=config.loop,
-                              prompt_config=prompt_config)
-        return DuetUserSimulator(session), cassettes
-
-    return factory, backends
-
-
 class _DialogueRunner:
-    """Runs one dialogue per seed; each process that runs dialogues builds one."""
+    """Runs one dialogue per seed. The one place that builds a run, once and
+    only what its dialogues call: the world and, for a duet run, the prompt
+    config and either its backends or, in a replay, the cassette replies."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.ontology, self.entities = load_world(config.world)
-        self.factory, self.backends = build_simulator_factory(config, self.ontology)
+        self.backends, self.replies = (), None  # run_experiment closes backends
+        if config.simulator == "agenda":
+            return
+        if config.cassette.get("mode") == "replay":  # calls no backend
+            self.replies = load_cassette(config.cassette["path"])
+        else:
+            specs = [("generator_backend", config.generator_backend)]
+            ver_spec = config.verifier_backend or config.generator_backend
+            if config.simulator == "duet" and ver_spec != config.generator_backend:
+                specs.append(("verifier_backend", ver_spec))
+            self.backends = tuple(_build_backend(spec, role) for role, spec in specs)
+        self.prompt_config = PromptConfig(omit_goal=config.omit_goal,
+                                          omit_history=config.omit_history,
+                                          render_mode=config.context_mode)
+
+    def __reduce__(self):
+        """Pickled, as for a spawned worker, the run is rebuilt from its config."""
+        return _DialogueRunner, (self.config,)
 
     def __call__(self, seed: int) -> tuple[str, dict | None, str]:
         """(record line, failure entry or None, cassette lines recorded)."""
         from .loop import run_dialogue
 
+        config = self.config
         goal = generate_goal(seed, self.ontology, self.entities)
-        user, cassettes = self.factory(goal, seed)
+        cassettes = ()
+        # One replay answers both roles: their requests differ in temperature,
+        # so no digest is both roles'.
+        if self.replies is not None:
+            cassettes = (CassetteBackend(seed, replies=self.replies),)
+        elif config.cassette.get("mode") == "record":
+            cassettes = tuple(CassetteBackend(seed, inner=b) for b in self.backends)
+        if config.simulator == "agenda":
+            user = AgendaUserSimulator(goal)
+        else:
+            clients = cassettes or self.backends
+            user = DuetUserSimulator(DuetSession(
+                goal=goal, ontology=self.ontology, generator_backend=clients[0],
+                verifier_backend=clients[-1] if config.simulator == "duet" else None,
+                loop_config=config.loop, prompt_config=self.prompt_config))
         log = run_dialogue(goal, user,
                            SystemAgent(self.ontology, self.entities, seed=seed),
-                           max_user_turns=self.config.turn_cap, seed=seed)
+                           max_user_turns=config.turn_cap, seed=seed)
         failure = {"seed": seed, "error": log.error} if log.error else None
         record = {"v": LOG_SCHEMA_VERSION, "log": log.to_dict()}
         return (json.dumps(record, sort_keys=True) + "\n", failure,
@@ -272,9 +274,9 @@ class _DialogueRunner:
 _worker_runner: _DialogueRunner | None = None  # set in each worker process
 
 
-def _init_worker(config: ExperimentConfig) -> None:
+def _init_worker(runner: _DialogueRunner) -> None:
     global _worker_runner
-    _worker_runner = _DialogueRunner(config)
+    _worker_runner = runner
 
 
 def _run_in_worker(seed: int) -> tuple[str, dict | None, str]:
@@ -282,11 +284,9 @@ def _run_in_worker(seed: int) -> tuple[str, dict | None, str]:
 
 
 def _records(runner: _DialogueRunner, seeds: range, workers: int):
-    """What ``runner`` returns for each seed, in seed order.
-
-    More than one worker means worker processes, each of which builds its
-    own world, simulators and backends from the config.
-    """
+    """What ``runner`` returns for each seed, in seed order. More than one
+    worker means worker processes, which inherit ``runner`` when forked and
+    rebuild it from its config when spawned."""
     if workers == 1:
         yield from map(runner, seeds)
         return
@@ -303,7 +303,7 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
     pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork" if fork else "spawn"),
-        initializer=_init_worker, initargs=(runner.config,))
+        initializer=_init_worker, initargs=(runner,))
     try:
         yield from pool.map(_run_in_worker, seeds, chunksize=chunk)
     except BrokenProcessPool as e:
@@ -426,8 +426,8 @@ def _fail(error: DuetSimError, code: int):
 @click.option("--turn-cap", type=int, default=None)
 @click.option("--parallelism", type=int, default=None,
               help="Worker processes. Default: 1 for agenda runs, 4 for "
-                   "duet runs. A duet run with a scripted backend always "
-                   "uses 1.")
+                   "duet runs. A duet run that calls a scripted backend "
+                   "always uses 1; a replay calls none.")
 @click.option("--output-dir", "-o", type=click.Path(), default=None)
 @click.option("--context-mode", type=click.Choice(["utterances", "acts"]),
               default=None)

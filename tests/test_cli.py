@@ -16,14 +16,13 @@ from duetsim.acts import DialogueLog
 from duetsim.backend import CompletionResult
 from duetsim.cli import (
     ExperimentConfig,
-    build_simulator_factory,
+    _DialogueRunner,
     load_config,
     main,
     read_logs,
     run_experiment,
 )
 from duetsim.errors import ConfigError, LogParseError
-from duetsim.world import load_world
 
 from conftest import PERFBENCH, load_perfbench, src_env
 
@@ -427,6 +426,50 @@ class TestCommands:
         assert result.output == f"error: config field '{field}': unknown field\n"
         assert not (tmp_path / "run").exists()
 
+    # An http spec that validates, and a file descriptor no test holds open:
+    # open() takes an int for one.
+    HTTP = {"base_url": "http://127.0.0.1:9", "retries": 0}
+    NOT_A_PATH = 987654
+
+    @pytest.mark.parametrize("field,doc,message", [
+        ("cassette.path", {"cassette": {"mode": "record", "path": NOT_A_PATH}},
+         "must be a string, not int"),
+        ("generator_backend.script_file",
+         {"generator_backend": {"kind": "scripted", "script_file": NOT_A_PATH}},
+         "must be a string, not int"),
+        ("generator_backend.retries", {"generator_backend": {**HTTP, "retries": True}},
+         "must be an integer, not bool"),
+        ("generator_backend.retries", {"generator_backend": {**HTTP, "retries": 1.0}},
+         "must be an integer, not float"),
+        ("generator_backend.timeout", {"generator_backend": {**HTTP, "timeout": True}},
+         "must be a number, not bool"),
+        ("generator_backend.timeout", {"generator_backend": {**HTTP, "timeout": "30"}},
+         "must be a number, not str"),
+        ("generator_backend.api_key_env",
+         {"generator_backend": {**HTTP, "api_key_env": 7}}, "must be a string, not int"),
+        ("generator_backend.model", {"generator_backend": {**HTTP, "model": 5}},
+         "must be a string, not int"),
+        ("verifier_backend.backoff_base",
+         {"simulator": "duet-no-verifier",
+          "verifier_backend": {**HTTP, "backoff_base": "0.5"}},
+         "must be a number, not str"),
+    ], ids=["cassette_path", "script_file", "retries_bool", "retries_float",
+            "timeout_bool", "timeout_str", "api_key_env", "model",
+            "unused_verifier_backoff"])
+    def test_mistyped_backend_or_cassette_value_exit_1(self, tmp_path, field,
+                                                       doc, message):
+        """A value of the wrong type in a backend spec or the cassette block
+        is a configuration error that names the dotted field, before
+        anything runs; a number is never a bool or a string."""
+        doc = {"simulator": "duet", "dialogues": 1, "generator_backend": self.HTTP,
+               "output_dir": str(tmp_path / "run"), **doc}
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = self.invoke("simulate", "-c", str(path))
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: config field '{field}': {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_bare_off_cassette_mode_names_the_value(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text("simulator: duet\n"
@@ -816,17 +859,145 @@ def test_run_experiment_validates_its_config(tmp_path):
 
 
 def test_readme_configs_are_accepted(tmp_path, monkeypatch):
-    """Every YAML example in the README loads and builds its simulators, as
+    """Every YAML example in the README loads and builds its run, as
     ``simulate -c`` would before the first dialogue."""
     monkeypatch.setenv("LLM_BASE_URL", "http://127.0.0.1:9/v1")
     readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.M | re.S)
     assert blocks
-    ontology, _ = load_world()
     for number, block in enumerate(blocks):
         path = tmp_path / f"readme-{number}.yaml"
         path.write_text(block)
-        build_simulator_factory(load_config(str(path), {}), ontology)
+        _DialogueRunner(load_config(str(path), {}))
+
+
+def readme_config(tmp_path, name, **fields):
+    """The README's YAML example with ``fields`` set, written to a file whose
+    path is returned; ``${VAR}`` references are kept for ``simulate``."""
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    doc = yaml.safe_load(re.search(r"^```yaml\n(.*?)^```", readme, re.M | re.S)[1])
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump({**doc, **fields}))
+    return str(path)
+
+
+@pytest.mark.usefixtures("no_handler_threads")
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_readme_config_replays_offline(tmp_path, monkeypatch, fake_server_url,
+                                       parallelism):
+    """A replay builds no backend, so the README's config replays with the
+    endpoint's variable unset and gives the recorded logs."""
+    cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
+    logs = []
+    for mode in ("record", "replay"):
+        if mode == "record":
+            monkeypatch.setenv("LLM_BASE_URL", fake_server_url)
+        else:
+            monkeypatch.delenv("LLM_BASE_URL")
+        config = readme_config(tmp_path, mode, dialogues=4,
+                               cassette=dict(cassette, mode=mode))
+        out = tmp_path / mode
+        result = CliRunner().invoke(main, ["simulate", "-c", config, "-o", str(out),
+                                           "--parallelism", parallelism])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "manifest.json").read_text())["failures"] == []
+        logs.append((out / "logs.jsonl").read_bytes())
+    assert logs[0] == logs[1]
+
+
+@pytest.mark.usefixtures("no_handler_threads")
+def test_scripted_recording_replays_without_its_script(tmp_path, monkeypatch):
+    """A replay reads no script file and is not held to the one worker a
+    scripted backend needs: it runs in worker processes and gives the
+    recorded logs after the scripts are gone. The generator and the
+    verifier were recorded apart, and one replay answers both. Forked
+    workers inherit the patch below."""
+    import duetsim.cli
+    import duetsim.loop
+
+    backend = RecordingResponder()
+    with monkeypatch.context() as patch:
+        patch.setattr(duetsim.cli, "_build_backend", lambda spec, role: backend)
+        reference = run_experiment(ExperimentConfig(
+            simulator="duet", dialogues=4, parallelism=1,
+            output_dir=str(tmp_path / "reference"), generator_backend=CLOSED_PORT))
+    scripts = {role: tmp_path / f"{role}.jsonl" for role in ("generator", "verifier")}
+    responder = backend.responder
+    for _, user in backend.prompts:
+        role = "verifier" if responder.kind(user) == responder.VERIFIER else "generator"
+        with open(scripts[role], "a", encoding="utf-8") as f:
+            f.write(json.dumps(responder.reply(user)) + "\n")
+    cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
+    config = dict(simulator="duet", dialogues=4, parallelism=2, **{
+        f"{role}_backend": {"kind": "scripted", "script_file": str(path)}
+        for role, path in scripts.items()})
+    recorded = run_experiment(ExperimentConfig(
+        output_dir=str(tmp_path / "record"), cassette=cassette, **config))
+    assert (recorded / "logs.jsonl").read_bytes() == \
+        (reference / "logs.jsonl").read_bytes()
+    for path in scripts.values():
+        path.unlink()
+
+    ran = tmp_path / "ran.txt"
+    run_dialogue = duetsim.loop.run_dialogue
+
+    def logged_run_dialogue(*args, **kwargs):
+        with open(ran, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return run_dialogue(*args, **kwargs)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", logged_run_dialogue)
+    out = run_experiment(ExperimentConfig(
+        output_dir=str(tmp_path / "replay"), cassette=dict(cassette, mode="replay"),
+        **config))
+    assert json.loads((out / "manifest.json").read_text())["failures"] == []
+    assert (out / "logs.jsonl").read_bytes() == (recorded / "logs.jsonl").read_bytes()
+    pids = [int(pid) for pid in ran.read_text().split()]
+    assert len(pids) == 4 and os.getpid() not in pids
+
+
+@pytest.mark.usefixtures("no_handler_threads")
+@pytest.mark.parametrize("simulator", ["agenda", "duet-replay"])
+def test_parallel_run_is_built_once(tmp_path, monkeypatch, simulator):
+    """A parallel run loads its world and its cassette once, in the calling
+    process; forked workers inherit what it built and run every dialogue.
+    They inherit the patches below too, so a load there would be seen."""
+    import duetsim.cli
+    import duetsim.loop
+
+    cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
+    fields = {"simulator": "agenda"}
+    if simulator == "duet-replay":
+        with monkeypatch.context() as patch:
+            patch.setattr(duetsim.cli, "_build_backend",
+                          lambda spec, role: VaryingResponder())
+            run_experiment(ExperimentConfig(
+                simulator="duet", dialogues=8, parallelism=1, cassette=cassette,
+                output_dir=str(tmp_path / "record"), generator_backend=CLOSED_PORT))
+        fields = {"simulator": "duet", "generator_backend": CLOSED_PORT,
+                  "cassette": dict(cassette, mode="replay")}
+
+    calls = tmp_path / "calls.txt"
+
+    def logged(name, function):
+        def call(*args, **kwargs):
+            with open(calls, "a", encoding="utf-8") as f:
+                f.write(f"{name} {os.getpid()}\n")
+            return function(*args, **kwargs)
+        return call
+
+    for owner, name in ((duetsim.cli, "load_world"), (duetsim.cli, "load_cassette"),
+                        (duetsim.loop, "run_dialogue")):
+        monkeypatch.setattr(owner, name, logged(name, getattr(owner, name)))
+    out = run_experiment(ExperimentConfig(
+        dialogues=8, parallelism=2, output_dir=str(tmp_path / "run"), **fields))
+    assert json.loads((out / "manifest.json").read_text())["failures"] == []
+    entries = [line.split() for line in calls.read_text().splitlines()]
+    built = [entry for entry in entries if entry[0] != "run_dialogue"]
+    loads = ["load_world"] + (["load_cassette"] if simulator == "duet-replay" else [])
+    assert built == [[name, str(os.getpid())] for name in loads]
+    ran = [int(pid) for name, pid in entries if name == "run_dialogue"]
+    assert len(ran) == 8 and os.getpid() not in ran
 
 
 def test_import_does_not_load_process_pool(imported_modules):
