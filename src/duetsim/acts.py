@@ -243,14 +243,17 @@ class DialogueContext:
     lists. The dialogue loop owns it; simulators only read it.
 
     ``render`` memoises its text per mode, keyed by the number of turns, and
-    extends it with only the turns added since. Turns are only ever added:
-    a turn edited or removed in place inside ``turns`` is not seen.
+    extends it with only the turns added since; ``memo`` keeps text derived
+    from the history until the next turn. Turns are only ever added: a turn
+    edited or removed in place inside ``turns`` is not seen.
     """
 
     turns: list[DialogueTurn] = field(default_factory=list)
     # mode -> (number of turns rendered, their text)
     _rendered: dict[str, tuple[int, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # build -> (number of turns when built, key, value)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def append(self, speaker: str, acts, utterance: str) -> None:
         """Add the next turn, indexed by its position in the history."""
@@ -265,6 +268,16 @@ class DialogueContext:
             text = "\n".join([text, *lines] if count else lines)
             self._rendered[mode] = (total, text)
         return text
+
+    def memo(self, build, key, *args):
+        """``build(*args)``, kept, one value per ``build``, until the history
+        grows or ``key`` changes. ``key`` must hold, by value, every input of
+        ``build`` but this history."""
+        total = len(self.turns)
+        hit = self._memo.get(build)
+        if hit is None or hit[0] != total or hit[1] != key:
+            hit = self._memo[build] = (total, key, build(*args))
+        return hit[2]
 
 
 @dataclass(frozen=True)

@@ -129,14 +129,24 @@ class ExperimentConfig:
         if mode != "off" and not self.cassette.get("path"):
             raise ConfigError("cassette.path", "required when cassette is enabled")
 
+    def backend_specs(self) -> list[tuple[str, dict]]:
+        """(field, spec) of each backend the run builds and calls: none for
+        agenda or a replay; else the generator's and, for a duet run whose
+        verifier spec differs from it, the verifier's."""
+        if self.simulator == "agenda" or self.cassette.get("mode") == "replay":
+            return []
+        specs = [("generator_backend", self.generator_backend)]
+        verifier = self.verifier_backend or self.generator_backend
+        if self.simulator == "duet" and verifier != self.generator_backend:
+            specs.append(("verifier_backend", verifier))
+        return specs
+
     def workers(self) -> int:
-        """Workers: 1 for a duet run that calls a scripted backend, which
-        answers in call order (a replay calls none); else ``parallelism``, or
-        1 for agenda and 4 for (backend-bound) duet runs, but never more than
-        the dialogues. More than one means worker processes, started up front."""
-        if self.simulator != "agenda" and self.cassette.get("mode") != "replay" \
-                and "scripted" in (self.generator_backend.get("kind"),
-                                   self.verifier_backend.get("kind")):
+        """Workers: 1 for a run that calls a scripted backend, which answers
+        in call order; else ``parallelism``, or 1 for agenda and 4 for
+        (backend-bound) duet runs, but never more than the dialogues. More
+        than one means worker processes, started up front."""
+        if any(spec.get("kind") == "scripted" for _, spec in self.backend_specs()):
             return 1
         if self.parallelism is not None:
             workers = self.parallelism
@@ -222,17 +232,14 @@ class _DialogueRunner:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.ontology, self.entities = load_world(config.world)
-        self.backends, self.replies = (), None  # run_experiment closes backends
+        # run_experiment closes the backends
+        self.backends = tuple(_build_backend(spec, role)
+                              for role, spec in config.backend_specs())
+        self.replies = None
         if config.simulator == "agenda":
             return
         if config.cassette.get("mode") == "replay":  # calls no backend
             self.replies = load_cassette(config.cassette["path"])
-        else:
-            specs = [("generator_backend", config.generator_backend)]
-            ver_spec = config.verifier_backend or config.generator_backend
-            if config.simulator == "duet" and ver_spec != config.generator_backend:
-                specs.append(("verifier_backend", ver_spec))
-            self.backends = tuple(_build_backend(spec, role) for role, spec in specs)
         self.prompt_config = PromptConfig(omit_goal=config.omit_goal,
                                           omit_history=config.omit_history,
                                           render_mode=config.context_mode)

@@ -38,9 +38,10 @@ class RequirementSet:
             raise ValueError("requirement set must be non-empty")
         if len(set(ids)) != len(ids):
             raise ValueError("requirement ids must be unique")
-        # frozen, so the rendered list is built once, here
+        # frozen, so the rendered list and the id set are built once, here
         object.__setattr__(self, "_text",
                            "\n".join(f"{r.id}. {r.text}" for r in self.items))
+        object.__setattr__(self, "_ids", frozenset(ids))
 
     def merged(self, other: "RequirementSet") -> "RequirementSet":
         return RequirementSet(self.kind, self.items + other.items)
@@ -48,8 +49,8 @@ class RequirementSet:
     def render(self) -> str:
         return self._text
 
-    def ids(self) -> set[str]:
-        return {r.id for r in self.items}
+    def ids(self) -> frozenset[str]:
+        return self._ids
 
 
 DEFAULT_GENERATOR_REQUIREMENTS = RequirementSet("generator", (
@@ -105,13 +106,58 @@ def load_template(name: str) -> str:
     return resources.files("duetsim.data.templates").joinpath(f"{name}.txt").read_text()
 
 
-def template_placeholders(text: str) -> set[str]:
-    return {name for _, name, _, _ in string.Formatter().parse(text) if name}
+# A template split into (literal, field) pairs: the text is the literals
+# with each field's value after its literal, and the last field may be None.
+Frame = tuple[tuple[str, str | None], ...]
+
+
+@lru_cache(maxsize=None)
+def template_frame(name: str) -> Frame:
+    """Template ``name`` split once into its literal and field segments.
+
+    Filling the segments gives the text ``str.format`` gives, so a field must
+    be a plain name: a positional field, a conversion or a format spec is a
+    TemplateError.
+    """
+    frame = []
+    for literal, field, spec, conversion in string.Formatter().parse(load_template(name)):
+        if field == "" or spec or conversion:
+            raise TemplateError(f"template {name!r} has a field that is not a plain "
+                                f"name: {field!r}")
+        frame.append((literal, field))
+    return tuple(frame)
+
+
+def _bind(frame: Frame, values: dict[str, str]) -> Frame:
+    """Fill the fields named in ``values``; the others stay open. Values are
+    copied, never parsed, so they may hold braces."""
+    out, parts = [], []
+    for literal, field in frame:
+        parts.append(literal)
+        if field is None:
+            continue
+        if field in values:
+            parts.append(values[field])
+        else:
+            out.append(("".join(parts), field))
+            parts = []
+    out.append(("".join(parts), None))
+    return tuple(out)
+
+
+def _fill(frame: Frame, values: dict[str, str]) -> str:
+    """The text of ``frame`` with every open field taken from ``values``."""
+    parts = []
+    for literal, field in frame:
+        parts.append(literal)
+        if field is not None:
+            parts.append(values[field])
+    return "".join(parts)
 
 
 def lint_template(name: str, required: set[str]) -> None:
     """Verify a template exposes exactly the expected placeholders."""
-    found = template_placeholders(load_template(name))
+    found = {field for _, field in template_frame(name) if field}
     missing = required - found
     extra = found - required
     if missing:
@@ -177,11 +223,38 @@ def _context_section(context: DialogueContext, config: PromptConfig) -> str:
     return f"CONVERSATION SO FAR:\n{_context_body(context, config)}\n\n"
 
 
-def _feedback_section(feedback: Feedback | None) -> str:
-    if feedback is None:
-        return ""
+def _feedback_section(feedback: Feedback) -> str:
     return ("\nFEEDBACK on your previous draft (requirement "
             f"{feedback.requirement_id} was violated): {feedback.text}")
+
+
+def _step_frame(goal, context, requirements, config) -> Frame:
+    return _bind(template_frame("generator_step"), {
+        "goal_section": _goal_section(goal, config),
+        "context_section": _context_section(context, config),
+        "requirements": requirements.render()})
+
+
+def _verifier_frame(goal, context, requirements, config) -> Frame:
+    return _bind(template_frame("verifier"), {
+        "goal_section": _goal_section(goal, config),
+        "context": _context_body(context, config),
+        "requirements": requirements.render()})
+
+
+def _turn_prompt(build, goal: UserGoal, context: DialogueContext,
+                 requirements: RequirementSet, config: PromptConfig,
+                 values: dict[str, str]) -> PromptText:
+    """``build``'s template with its goal, history and requirement fields,
+    which every prompt of a turn shares, and then ``values`` filled in. The
+    shared text is joined into the template once per turn: ``context`` keeps
+    it while the goal text, the requirements and the config are equal."""
+    frame = context.memo(build, (goal.description, requirements.render(), config),
+                         goal, context, requirements, config)
+    return PromptText(user_text=_fill(frame, values))
+
+
+_PRIOR_STEPS = {step: STEP_ORDER[:i] for i, step in enumerate(STEP_ORDER)}
 
 
 def generator_step_prompt(goal: UserGoal, context: DialogueContext,
@@ -194,52 +267,41 @@ def generator_step_prompt(goal: UserGoal, context: DialogueContext,
     ``partial`` must hold exactly the outputs of all prior steps; feedback,
     when given, is appended at the very end of the prompt.
     """
-    if step not in STEP_ORDER:
+    if step not in _PRIOR_STEPS:
         raise ValueError(f"unknown step {step!r}")
-    for prior in STEP_ORDER[:STEP_ORDER.index(step)]:
+    for prior in _PRIOR_STEPS[step]:
         if prior not in partial:
             raise MissingPriorStep(step, prior)
     if partial:
-        lines = "\n".join(f"{s}: {partial[s]}" for s in STEP_ORDER if s in partial)
+        lines = "\n".join([f"{s}: {partial[s]}" for s in STEP_ORDER if s in partial])
         partial_section = f"CHOSEN SO FAR:\n{lines}\n\n"
     else:
         partial_section = ""
-    body = load_template("generator_step").format(
-        goal_section=_goal_section(goal, config),
-        context_section=_context_section(context, config),
-        requirements=requirements.render(),
-        partial_section=partial_section,
-        step_instruction=_STEP_INSTRUCTIONS[step],
-        feedback_section=_feedback_section(feedback),
-    )
-    return PromptText(user_text=body)
+    return _turn_prompt(_step_frame, goal, context, requirements, config, {
+        "partial_section": partial_section,
+        "step_instruction": _STEP_INSTRUCTIONS[step],
+        "feedback_section": "" if feedback is None else _feedback_section(feedback)})
 
 
 def verifier_prompt(goal: UserGoal, context: DialogueContext,
                     requirements: RequirementSet, draft_acts,
                     config: PromptConfig = PromptConfig()) -> PromptText:
     """Prompt asking the verifier to audit draft acts against requirements."""
-    body = load_template("verifier").format(
-        goal_section=_goal_section(goal, config),
-        context=_context_body(context, config),
-        requirements=requirements.render(),
-        draft_acts=render_act_list(list(draft_acts)),
-    )
-    return PromptText(user_text=body)
+    return _turn_prompt(_verifier_frame, goal, context, requirements, config, {
+        "draft_acts": render_act_list(list(draft_acts))})
 
 
 def act_to_utterance_prompt(acts) -> PromptText:
     """First NLG step: translate an act list into a plain sentence."""
     if not acts:
         raise EmptyActList("no acts to translate")
-    body = load_template("act_to_utterance").format(acts=render_act_list(list(acts)))
-    return PromptText(user_text=body)
+    return PromptText(user_text=_fill(template_frame("act_to_utterance"), {
+        "acts": render_act_list(list(acts))}))
 
 
 def enhance_utterance_prompt(conversation: str, utterance: str) -> PromptText:
     """Second NLG step: rewrite the plain sentence in conversational form."""
     if not utterance:
         raise EmptyUtterance("utterance must be non-empty")
-    body = load_template("enhance_utterance").format(
-        conversation=conversation, utterance=utterance)
-    return PromptText(user_text=body)
+    return PromptText(user_text=_fill(template_frame("enhance_utterance"), {
+        "conversation": conversation, "utterance": utterance}))

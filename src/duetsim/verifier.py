@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .acts import DialogueContext
 from .backend import CompletionRequest
@@ -36,6 +37,14 @@ _REJECTING_RE = re.compile(
 _ACCEPT_RE = re.compile(r"\baccept(?:s|ed|ing|able)?\b", re.IGNORECASE)
 
 
+@lru_cache(maxsize=32)
+def _id_pattern(known_ids: frozenset[str]) -> re.Pattern:
+    """The first of ``known_ids`` as a whole word, then the reason after its
+    optional colon."""
+    ids = "|".join(map(re.escape, sorted(known_ids)))
+    return re.compile(rf"\b({ids})\b\s*:?\s*(.*)", re.DOTALL)
+
+
 @dataclass(frozen=True)
 class Verdict:
     decision: str  # "accept" | "reject"
@@ -47,7 +56,7 @@ class Verdict:
         return self.decision == "accept"
 
 
-def parse_verdict(text: str, known_ids: set[str]) -> Verdict | None:
+def parse_verdict(text: str, known_ids: frozenset[str] | set[str]) -> Verdict | None:
     """Extract a verdict from the raw reply; None when neither keyword appears.
 
     Keywords count as whole words. A reply holding a reject word, or an
@@ -63,8 +72,7 @@ def parse_verdict(text: str, known_ids: set[str]) -> Verdict | None:
         match = _REJECT_RE.search(text)
         named = None
         if match and known_ids:
-            ids = "|".join(map(re.escape, sorted(known_ids)))
-            named = re.search(rf"\b({ids})\b\s*:?\s*(.*)", match["tail"], re.DOTALL)
+            named = _id_pattern(frozenset(known_ids)).search(match["tail"])
         if named:
             feedback = Feedback(named[1], named[2].strip() or "draft rejected")
         else:

@@ -39,14 +39,19 @@ class DomainSchema:
 class Ontology:
     domains: dict[str, DomainSchema]
 
+    def __post_init__(self):
+        # frozen, so each domain's slot set is built once, here
+        object.__setattr__(self, "_slots", {
+            name: frozenset(schema.informable).union(schema.requestable,
+                                                     schema.bookable)
+            for name, schema in self.domains.items()})
+
     def has_domain(self, domain: str) -> bool:
         return domain in self.domains
 
-    def slots(self, domain: str) -> set[str]:
+    def slots(self, domain: str) -> frozenset[str]:
         """All known slots of a domain (informable, requestable, bookable)."""
-        schema = self.domains[domain]
-        return (set(schema.informable) | set(schema.requestable)
-                | set(schema.bookable))
+        return self._slots[domain]
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,28 @@ class TestContext:
     def test_memo_is_not_part_of_equality(self):
         rendered = DialogueContext(turns=make_turns(("user", [], "Hi.")))
         rendered.render()
+        rendered.memo(str, "key", "text")
         assert rendered == DialogueContext(turns=make_turns(("user", [], "Hi.")))
+
+    def test_memo_builds_once_per_key_and_turn_count(self):
+        """One value per builder, kept while the turn count and the key
+        (compared by value) stay the same."""
+        ctx, built = DialogueContext(), []
+
+        def build(tag):
+            built.append((tag, len(ctx.turns)))
+            return f"{tag}@{len(ctx.turns)}"
+
+        assert ctx.memo(build, ("k", 1), "a") == "a@0"
+        assert ctx.memo(build, ("k", 1), "b") == "a@0"  # an equal key: kept
+        assert ctx.memo(build, ("k", 2), "c") == "c@0"
+        assert ctx.memo(str.upper, ("k", 2), "x") == "X"  # another builder
+        assert ctx.memo(build, ("k", 2), "d") == "c@0"
+        ctx.append("user", [], "Hi.")
+        assert ctx.memo(build, ("k", 2), "e") == "e@1"
+        ctx.turns.extend(make_turns(("system", [], "Hello.")))
+        assert ctx.memo(build, ("k", 2), "f") == "f@2"
+        assert built == [("a", 0), ("c", 0), ("e", 1), ("f", 2)]
 
 
 class TestLogReplay:

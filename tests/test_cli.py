@@ -149,6 +149,17 @@ class TestConfig:
             **{"generator_backend": {"kind": "http"}, **fields})
         assert config.workers() == 1
 
+    def test_unused_scripted_verifier_sets_no_worker_count(self, tmp_path):
+        """duet-no-verifier builds and calls only the generator's backend."""
+        config = ExperimentConfig(
+            simulator="duet-no-verifier", parallelism=4, dialogues=8,
+            generator_backend={"kind": "http", "base_url": "http://127.0.0.1:9"},
+            verifier_backend={"kind": "scripted",
+                              "script_file": str(tmp_path / "absent.jsonl")})
+        assert config.workers() == 4
+        backends = _DialogueRunner(config).backends
+        assert [type(b).__name__ for b in backends] == ["HTTPBackend"]
+
     @pytest.mark.parametrize("mode", ["record", "replay"])
     def test_cassette_runs_use_parallelism(self, mode):
         """A cassette keys each reply by dialogue, so it sets no worker count."""

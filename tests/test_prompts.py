@@ -1,17 +1,23 @@
+import itertools
+
 import pytest
 
-from duetsim.acts import DialogueAct, DialogueContext
-from duetsim.errors import EmptyActList, EmptyUtterance, MissingPriorStep
+from duetsim.acts import DialogueAct, DialogueContext, render_act_list
+from duetsim.errors import EmptyActList, EmptyUtterance, MissingPriorStep, TemplateError
 from duetsim.prompts import (
     DEFAULT_GENERATOR_REQUIREMENTS,
     DEFAULT_VERIFIER_REQUIREMENTS,
     Feedback,
     NO_PRIOR_TURNS,
     PromptConfig,
+    STEP_ORDER,
+    _STEP_INSTRUCTIONS,
     act_to_utterance_prompt,
     enhance_utterance_prompt,
     generator_step_prompt,
     lint_all_templates,
+    load_template,
+    template_frame,
     verifier_prompt,
 )
 
@@ -138,3 +144,101 @@ class TestNLGPrompts:
 
 def test_template_lint_passes():
     lint_all_templates()
+
+
+# --- the builders against a one-shot str.format of the whole template ---
+
+def reference_step_prompt(goal, context, requirements, step, partial,
+                          feedback, config):
+    """Every section rendered and the whole template formatted, per call."""
+    history = context.render(config.render_mode) or NO_PRIOR_TURNS
+    if partial:
+        lines = "\n".join(f"{s}: {partial[s]}" for s in STEP_ORDER if s in partial)
+        partial_section = f"CHOSEN SO FAR:\n{lines}\n\n"
+    else:
+        partial_section = ""
+    return load_template("generator_step").format(
+        goal_section="" if config.omit_goal else f"GOAL:\n{goal.description}\n\n",
+        context_section=("" if config.omit_history
+                         else f"CONVERSATION SO FAR:\n{history}\n\n"),
+        requirements=requirements.render(),
+        partial_section=partial_section,
+        step_instruction=_STEP_INSTRUCTIONS[step],
+        feedback_section="" if feedback is None else (
+            "\nFEEDBACK on your previous draft (requirement "
+            f"{feedback.requirement_id} was violated): {feedback.text}"))
+
+
+def reference_verifier_prompt(goal, context, requirements, draft_acts, config):
+    return load_template("verifier").format(
+        goal_section="" if config.omit_goal else f"GOAL:\n{goal.description}\n\n",
+        context=context.render(config.render_mode) or NO_PRIOR_TURNS,
+        requirements=requirements.render(),
+        draft_acts=render_act_list(list(draft_acts)))
+
+
+# Model output that a second str.format pass would break or rewrite.
+BRACED_HISTORY = (
+    ("user", [act("inform", "restaurant", "food", "{chinese}")],
+     "I want {partial_section} food, {0} and }{ braces."),
+    ("system", [act("inform", "restaurant", "name", "ugly {duckling")],
+     "Try {goal_section}, it is }} good {{."),
+    ("user", [act("request", "restaurant", "phone")], "Its phone? {feedback_section}"),
+)
+BRACED_STEPS = {"intent": "inform, {request}", "domain": "restaurant}",
+                "slot": "{food}", "value": "{step_instruction}"}
+BRACED_FEEDBACK = Feedback("V3", "said {food} twice: {context_section}")
+MERGED_REQUIREMENTS = DEFAULT_GENERATOR_REQUIREMENTS.merged(DEFAULT_VERIFIER_REQUIREMENTS)
+
+
+@pytest.mark.parametrize("omit_goal,omit_history,render_mode",
+                         itertools.product((False, True), (False, True),
+                                           ("utterances", "acts")))
+def test_builders_match_one_shot_format(omit_goal, omit_history, render_mode):
+    """Byte for byte, on one context as it grows, for every step with and
+    without feedback, and for two requirement sets and configs in turn, so a
+    frame kept from an earlier turn or for other inputs would show."""
+    config = PromptConfig(omit_goal=omit_goal, omit_history=omit_history,
+                          render_mode=render_mode)
+    other = PromptConfig(omit_goal=not omit_goal, render_mode=render_mode)
+    context = DialogueContext()
+    for turn in (*BRACED_HISTORY, None):
+        for cfg, reqs, feedback in itertools.product(
+                (config, other), (DEFAULT_GENERATOR_REQUIREMENTS, MERGED_REQUIREMENTS),
+                (None, BRACED_FEEDBACK)):
+            partial = {}
+            for step in STEP_ORDER:
+                built = generator_step_prompt(GOAL, context, reqs, step, dict(partial),
+                                              feedback=feedback, config=cfg)
+                assert built.user_text == reference_step_prompt(
+                    GOAL, context, reqs, step, partial, feedback, cfg)
+                partial[step] = BRACED_STEPS[step]
+            draft = [act("inform", "restaurant", "food", "{x}")]
+            built = verifier_prompt(GOAL, context, DEFAULT_VERIFIER_REQUIREMENTS,
+                                    draft, cfg)
+            assert built.user_text == reference_verifier_prompt(
+                GOAL, context, DEFAULT_VERIFIER_REQUIREMENTS, draft, cfg)
+        if turn is not None:
+            context.append(*turn)
+
+
+def test_nlg_builders_match_one_shot_format():
+    acts = [act("inform", "restaurant", "food", "{acts}")]
+    assert act_to_utterance_prompt(acts).user_text == \
+        load_template("act_to_utterance").format(acts=render_act_list(acts))
+    conversation, utterance = "USER: {utterance} }{", "I want {conversation}."
+    assert enhance_utterance_prompt(conversation, utterance).user_text == \
+        load_template("enhance_utterance").format(conversation=conversation,
+                                                  utterance=utterance)
+
+
+@pytest.mark.parametrize("body", ["{}", "{acts!r}", "{acts:>9}"])
+def test_template_field_must_be_a_plain_name(monkeypatch, body):
+    """Filling segments matches str.format only for plain-name fields."""
+    monkeypatch.setattr("duetsim.prompts.load_template", lambda name: f"x {body} y")
+    template_frame.cache_clear()
+    try:
+        with pytest.raises(TemplateError):
+            template_frame("act_to_utterance")
+    finally:
+        template_frame.cache_clear()

@@ -6,7 +6,7 @@ from duetsim.backend import ScriptedBackend
 from duetsim.errors import UnparseableVerdict
 from duetsim.generator import DraftActs
 from duetsim.prompts import DEFAULT_VERIFIER_REQUIREMENTS
-from duetsim.verifier import UNSPECIFIED_ID, parse_verdict, verify
+from duetsim.verifier import UNSPECIFIED_ID, _id_pattern, parse_verdict, verify
 
 from conftest import act, simple_goal
 
@@ -76,6 +76,15 @@ class TestGrammar:
         verdict, backend = run(["no idea", "ACCEPT"])
         assert verdict.accepted
         assert backend.calls == 2
+
+
+def test_id_pattern_compiled_once_per_id_set():
+    assert DEFAULT_VERIFIER_REQUIREMENTS.ids() is IDS
+    _id_pattern.cache_clear()
+    for reply in ("REJECT V3: a", "REJECT: V1 b", "ACCEPT"):
+        run([reply])
+    assert parse_verdict("REJECT V2: c", set(IDS)).feedback.requirement_id == "V2"
+    assert _id_pattern.cache_info().misses == 1
 
 
 def test_parse_verdict_none_without_keywords():

@@ -67,6 +67,12 @@ class TestLoadWorld:
     def test_returns_index(self, entities):
         assert isinstance(entities, EntityIndex)
 
+    def test_slots_built_once_per_domain(self, ontology):
+        for name, schema in ontology.domains.items():
+            slots = ontology.slots(name)
+            assert isinstance(slots, frozenset) and slots is ontology.slots(name)
+            assert slots == {*schema.informable, *schema.requestable, *schema.bookable}
+
 
 class TestQuery:
     def test_empty_constraints_return_all(self, ontology, entities):

@@ -11,8 +11,10 @@ run starts from a checkout without ``src/**/__pycache__`` and runs with
 ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile their sources alike
 and ``setup_s`` compares fairly. The output holds every run's last line, the
 median, interquartile range and count of each end-to-end metric per side,
-and, for ``--claim``, the number of pairs the change won. Standard library
-only. Exits 1 when a run fails or reports ``correct: false``.
+and, for ``--claim``, the number of pairs the change won, the median
+difference, the parent's interquartile range and whether the claim is
+``met``. Standard library only. Exits 1 when a run fails or reports
+``correct: false``.
 """
 
 from __future__ import annotations
@@ -100,6 +102,24 @@ def claim_wins(runs: list[dict], metric: str, workload: str, better: str) -> dic
             "change_wins": wins}
 
 
+def judge(claim: dict, table: dict, better: str) -> dict:
+    """``claim`` with the median difference (change minus parent), the
+    parent's IQR and ``met``: the change won at least 9 in 10 of all pairs
+    run, a tie winning for neither side, and its median beats the parent's
+    by more than the parent's IQR."""
+    parent, change = table["parent"], table["change"]
+    if parent["median"] is None or change["median"] is None:
+        return {**claim, "met": False}
+    difference = change["median"] - parent["median"]
+    gain = difference if better == "higher" else -difference
+    out = {**claim, "parent_iqr": parent["iqr"],
+           "median_difference": round(difference, 4)}
+    if parent["median"]:
+        out["median_change_pct"] = round(100 * difference / parent["median"], 1)
+    out["met"] = 10 * claim["change_wins"] >= 9 * claim["pairs"] and gain > parent["iqr"]
+    return out
+
+
 def hardware() -> str:
     model = platform.processor() or platform.machine()
     try:
@@ -153,10 +173,8 @@ def main() -> int:
     if args.claim:
         metric, workload = args.claim.split("@")
         better = next(m["better"] for m in contract["end_to_end"] if m["name"] == metric)
-        out["claim"] = claim_wins(runs, metric, workload, better)
-        parent, change = (summary[workload][metric][side]["median"] for side in SIDES)
-        if parent and change is not None:
-            out["claim"]["median_change_pct"] = round(100 * (change / parent - 1), 1)
+        out["claim"] = judge(claim_wins(runs, metric, workload, better),
+                             summary[workload][metric], better)
     out["summary"] = summary
     out["runs"] = runs
     args.out.write_text(json.dumps(out, indent=1) + "\n")
