@@ -194,12 +194,18 @@ class DialogueTurn:
         """``acts`` shares equal acts between the turns read with it."""
         if acts is None:
             acts = ActTable()
-        speaker, utterance = d["speaker"], d["utterance"]
+        speaker, utterance, turn_acts = d["speaker"], d["utterance"], d["acts"]
         require_strings("speaker", (speaker,))
         require_strings("utterance", (utterance,))
+        if speaker not in ("user", "system"):
+            raise ValueError(f"speaker: got {speaker!r}, expected user or system")
+        # a string act would otherwise be read as one act field per letter
+        if not isinstance(turn_acts, list) or not all(
+                isinstance(a, list) for a in turn_acts):
+            raise TypeError(f"acts: expected a list of lists, got {turn_acts!r}")
         return cls(
             speaker=speaker,
-            acts=tuple(map(acts.__getitem__, map(tuple, d["acts"]))),
+            acts=tuple(map(acts.__getitem__, map(tuple, turn_acts))),
             utterance=utterance,
             turn_index=require_int("turn_index", d["turn_index"]),
         )
@@ -243,8 +249,8 @@ class DialogueContext:
     lists. The dialogue loop owns it; simulators only read it.
 
     ``render`` memoises its text per mode, keyed by the number of turns, and
-    extends it with only the turns added since; ``memo`` keeps text derived
-    from the history until the next turn. Turns are only ever added: a turn
+    extends it with only the turns added since; each prompt builder fills
+    its template from it once per call. Turns are only ever added: a turn
     edited or removed in place inside ``turns`` is not seen.
     """
 
@@ -252,8 +258,6 @@ class DialogueContext:
     # mode -> (number of turns rendered, their text)
     _rendered: dict[str, tuple[int, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # build -> (number of turns when built, key, value)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def append(self, speaker: str, acts, utterance: str) -> None:
         """Add the next turn, indexed by its position in the history."""
@@ -268,16 +272,6 @@ class DialogueContext:
             text = "\n".join([text, *lines] if count else lines)
             self._rendered[mode] = (total, text)
         return text
-
-    def memo(self, build, key, *args):
-        """``build(*args)``, kept, one value per ``build``, until the history
-        grows or ``key`` changes. ``key`` must hold, by value, every input of
-        ``build`` but this history."""
-        total = len(self.turns)
-        hit = self._memo.get(build)
-        if hit is None or hit[0] != total or hit[1] != key:
-            hit = self._memo[build] = (total, key, build(*args))
-        return hit[2]
 
 
 @dataclass(frozen=True)
@@ -308,9 +302,6 @@ class BookingRecord:
 class LogAnnotations:
     provided: tuple[tuple[str, str, str], ...]  # (domain, slot, value)
     bookings: tuple[BookingRecord, ...]
-
-    def provided_map(self) -> dict[tuple[str, str], str]:
-        return {(d, s): v for d, s, v in self.provided}
 
     def to_dict(self) -> dict:
         return {
@@ -347,8 +338,6 @@ def derive_annotations(turns) -> LogAnnotations:
             for act in turn.acts:
                 if act.intent == "book" and act.slot:
                     pending_book.setdefault(act.domain, {})[act.slot] = act.value
-                elif act.intent == "book":
-                    pending_book.setdefault(act.domain, {})
         else:
             booked: dict[str, dict[str, str]] = {}
             for act in turn.acts:

@@ -26,6 +26,7 @@ from .errors import (
     DuetSimError,
     EmptyLogSet,
     LogParseError,
+    LogReadError,
     WorkerFailed,
     WorldError,
 )
@@ -390,12 +391,16 @@ def read_logs(paths, ontology=None) -> list[DialogueLog]:
     logs = []
     acts = ActTable()  # equal acts of this call share one DialogueAct
     for path in paths:
-        with open(path, encoding="utf-8") as f:
+        try:
+            f = open(path, "rb")  # each line is decoded where its errors are caught
+        except OSError as e:
+            raise LogReadError(f"cannot read log {path}: {e}") from e
+        with f:
             for i, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
                 try:
+                    line = line.decode("utf-8").strip()
+                    if not line:
+                        continue
                     record = json.loads(line)
                     if require_int("v", record["v"]) != LOG_SCHEMA_VERSION:
                         raise ValueError(f"v: got {record['v']}, "
@@ -452,7 +457,7 @@ def simulate(config_path, **overrides):
 
 
 @main.command()
-@click.argument("log_paths", nargs=-1, required=True, type=click.Path(exists=True))
+@click.argument("log_paths", nargs=-1, required=True, type=click.Path())
 @click.option("--world", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table")
@@ -465,7 +470,7 @@ def evaluate(log_paths, world, fmt):
             raise EmptyLogSet("no log records found")
         f_report = fulfillment(logs, ontology, entities)
         d_report = diversity(user_utterances(logs))
-    except (LogParseError, EmptyLogSet, WorldError) as e:
+    except (LogParseError, LogReadError, EmptyLogSet, WorldError) as e:
         _fail(e, 2)
     if fmt == "json":
         click.echo(json.dumps({"fulfillment": f_report.to_dict(),

@@ -175,3 +175,7 @@ class LogParseError(DuetSimError):
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
+
+
+class LogReadError(DuetSimError):
+    """A log file could not be opened, e.g. a directory."""

@@ -94,15 +94,12 @@ def _assemble(columns: dict[str, list[str]]) -> list[DialogueAct]:
             slot, value = "", ""
         elif intent == "request":
             value = ""
+        # split_candidates stripped each part and _valid_step lowercased the
+        # intent, domain and slot, so the act is already normalized
         acts.append(DialogueAct(intent=intent, domain=parts["domain"],
-                                slot=slot, value=value).normalized())
+                                slot=slot, value=value))
     # drop exact duplicates produced by column broadcasting
-    seen, unique = set(), []
-    for a in acts:
-        if a not in seen:
-            seen.add(a)
-            unique.append(a)
-    return unique
+    return list(dict.fromkeys(acts))
 
 
 def generate_acts_cot(backend, goal: UserGoal, context: DialogueContext,

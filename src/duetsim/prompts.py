@@ -128,25 +128,9 @@ def template_frame(name: str) -> Frame:
     return tuple(frame)
 
 
-def _bind(frame: Frame, values: dict[str, str]) -> Frame:
-    """Fill the fields named in ``values``; the others stay open. Values are
-    copied, never parsed, so they may hold braces."""
-    out, parts = [], []
-    for literal, field in frame:
-        parts.append(literal)
-        if field is None:
-            continue
-        if field in values:
-            parts.append(values[field])
-        else:
-            out.append(("".join(parts), field))
-            parts = []
-    out.append(("".join(parts), None))
-    return tuple(out)
-
-
 def _fill(frame: Frame, values: dict[str, str]) -> str:
-    """The text of ``frame`` with every open field taken from ``values``."""
+    """The text of ``frame`` with every field taken from ``values``. Values
+    are copied, never parsed, so they may hold braces."""
     parts = []
     for literal, field in frame:
         parts.append(literal)
@@ -228,32 +212,6 @@ def _feedback_section(feedback: Feedback) -> str:
             f"{feedback.requirement_id} was violated): {feedback.text}")
 
 
-def _step_frame(goal, context, requirements, config) -> Frame:
-    return _bind(template_frame("generator_step"), {
-        "goal_section": _goal_section(goal, config),
-        "context_section": _context_section(context, config),
-        "requirements": requirements.render()})
-
-
-def _verifier_frame(goal, context, requirements, config) -> Frame:
-    return _bind(template_frame("verifier"), {
-        "goal_section": _goal_section(goal, config),
-        "context": _context_body(context, config),
-        "requirements": requirements.render()})
-
-
-def _turn_prompt(build, goal: UserGoal, context: DialogueContext,
-                 requirements: RequirementSet, config: PromptConfig,
-                 values: dict[str, str]) -> PromptText:
-    """``build``'s template with its goal, history and requirement fields,
-    which every prompt of a turn shares, and then ``values`` filled in. The
-    shared text is joined into the template once per turn: ``context`` keeps
-    it while the goal text, the requirements and the config are equal."""
-    frame = context.memo(build, (goal.description, requirements.render(), config),
-                         goal, context, requirements, config)
-    return PromptText(user_text=_fill(frame, values))
-
-
 _PRIOR_STEPS = {step: STEP_ORDER[:i] for i, step in enumerate(STEP_ORDER)}
 
 
@@ -277,18 +235,24 @@ def generator_step_prompt(goal: UserGoal, context: DialogueContext,
         partial_section = f"CHOSEN SO FAR:\n{lines}\n\n"
     else:
         partial_section = ""
-    return _turn_prompt(_step_frame, goal, context, requirements, config, {
+    return PromptText(user_text=_fill(template_frame("generator_step"), {
+        "goal_section": _goal_section(goal, config),
+        "context_section": _context_section(context, config),
+        "requirements": requirements.render(),
         "partial_section": partial_section,
         "step_instruction": _STEP_INSTRUCTIONS[step],
-        "feedback_section": "" if feedback is None else _feedback_section(feedback)})
+        "feedback_section": "" if feedback is None else _feedback_section(feedback)}))
 
 
 def verifier_prompt(goal: UserGoal, context: DialogueContext,
                     requirements: RequirementSet, draft_acts,
                     config: PromptConfig = PromptConfig()) -> PromptText:
     """Prompt asking the verifier to audit draft acts against requirements."""
-    return _turn_prompt(_verifier_frame, goal, context, requirements, config, {
-        "draft_acts": render_act_list(list(draft_acts))})
+    return PromptText(user_text=_fill(template_frame("verifier"), {
+        "goal_section": _goal_section(goal, config),
+        "context": _context_body(context, config),
+        "requirements": requirements.render(),
+        "draft_acts": render_act_list(list(draft_acts))}))
 
 
 def act_to_utterance_prompt(acts) -> PromptText:

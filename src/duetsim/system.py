@@ -33,17 +33,15 @@ def _requery(state: SystemState, domain: str, ontology: Ontology, entities) -> l
 def system_turn(state: SystemState, user_acts, ontology: Ontology,
                 entities) -> tuple[list[DialogueAct], str]:
     """One policy step: updates ``state`` in place and returns the system
-    acts and their utterance."""
+    acts and their utterance. A user bye ends the dialogue before the system
+    is asked (``run_dialogue``), so it has no rule here."""
     acts: list[DialogueAct] = []
     informs: dict[str, dict[str, str]] = {}
     requests: dict[str, list[str]] = {}
     books: dict[str, dict[str, str]] = {}
-    saw_bye = False
     for act in user_acts:
         a = act.normalized()
-        if a.intent == "bye":
-            saw_bye = True
-        elif a.intent == "inform" and a.domain != GENERAL_DOMAIN and a.slot:
+        if a.intent == "inform" and a.domain != GENERAL_DOMAIN and a.slot:
             informs.setdefault(a.domain, {})[a.slot] = a.value
         elif a.intent == "request" and a.domain != GENERAL_DOMAIN and a.slot:
             requests.setdefault(a.domain, []).append(a.slot)
@@ -51,10 +49,6 @@ def system_turn(state: SystemState, user_acts, ontology: Ontology,
             books.setdefault(a.domain, {})
             if a.slot:
                 books[a.domain][a.slot] = a.value
-
-    if saw_bye:
-        return [DialogueAct("bye", GENERAL_DOMAIN)], template_nlg(
-            [DialogueAct("bye", GENERAL_DOMAIN)], side="system")
 
     domains = sorted(set(informs) | set(requests) | set(books))
     for domain in domains:

@@ -192,32 +192,6 @@ class TestContext:
         ctx.turns.extend(make_turns(("user", [act("bye", "general")], "Bye.")))
         assert ctx.render() == "USER: Bye."
 
-    def test_memo_is_not_part_of_equality(self):
-        rendered = DialogueContext(turns=make_turns(("user", [], "Hi.")))
-        rendered.render()
-        rendered.memo(str, "key", "text")
-        assert rendered == DialogueContext(turns=make_turns(("user", [], "Hi.")))
-
-    def test_memo_builds_once_per_key_and_turn_count(self):
-        """One value per builder, kept while the turn count and the key
-        (compared by value) stay the same."""
-        ctx, built = DialogueContext(), []
-
-        def build(tag):
-            built.append((tag, len(ctx.turns)))
-            return f"{tag}@{len(ctx.turns)}"
-
-        assert ctx.memo(build, ("k", 1), "a") == "a@0"
-        assert ctx.memo(build, ("k", 1), "b") == "a@0"  # an equal key: kept
-        assert ctx.memo(build, ("k", 2), "c") == "c@0"
-        assert ctx.memo(str.upper, ("k", 2), "x") == "X"  # another builder
-        assert ctx.memo(build, ("k", 2), "d") == "c@0"
-        ctx.append("user", [], "Hi.")
-        assert ctx.memo(build, ("k", 2), "e") == "e@1"
-        ctx.turns.extend(make_turns(("system", [], "Hello.")))
-        assert ctx.memo(build, ("k", 2), "f") == "f@2"
-        assert built == [("a", 0), ("c", 0), ("e", 1), ("f", 2)]
-
 
 class TestLogReplay:
     def test_annotations_rederivable(self):
@@ -235,8 +209,8 @@ class TestLogReplay:
         )
         log = make_log(goal, turns)
         assert derive_annotations(log.turns) == log.annotations
-        assert log.annotations.provided_map() == {
-            ("restaurant", "phone"): "01223111222"}
+        assert log.annotations.provided == (
+            ("restaurant", "phone", "01223111222"),)
         booking = log.annotations.bookings[0]
         assert booking.ref == "ABCD1234"
         assert booking.entity_name == "golden wok"
@@ -270,6 +244,8 @@ class TestLogReplay:
         [["a", "b", "c", "d", "e"]], [5], None,
         [["inform", ["food"], "", ""]],   # unhashable component
         [["inform", "restaurant", "food", 5]],
+        ["book"], "book",                 # not one field per letter
+        [("inform", "restaurant")],
     ])
     def test_bad_acts_raise_type_error(self, acts):
         d = {"speaker": "user", "acts": acts, "utterance": "u", "turn_index": 0}
@@ -281,6 +257,12 @@ class TestLogReplay:
         d = {"speaker": "user", "acts": [], "utterance": "u", "turn_index": 0}
         d[field] = None
         with pytest.raises(TypeError, match=field):
+            DialogueTurn.from_dict(d)
+
+    @pytest.mark.parametrize("speaker", ["robot", "USER", ""])
+    def test_unknown_speaker_raises_value_error(self, speaker):
+        d = {"speaker": speaker, "acts": [], "utterance": "u", "turn_index": 0}
+        with pytest.raises(ValueError, match="speaker"):
             DialogueTurn.from_dict(d)
 
     @pytest.mark.parametrize("provided", [

@@ -279,11 +279,15 @@ class TestCommands:
         ("seed", lambda log: log.update(seed=True)),
         ("turn_index", lambda log: log["turns"][0].update(turn_index="0")),
         ("turn_index", lambda log: log["turns"][0].update(turn_index=False)),
+        ("acts", lambda log: log["turns"][0].update(acts=["book"])),
+        ("acts", lambda log: log["turns"][0].update(acts="book")),
+        ("speaker", lambda log: log["turns"][0].update(speaker="robot")),
     ], ids=["utterance_null", "provided_value_int", "goal_info_int",
             "booking_constraint_int", "goal_section_int", "goal_info_list",
             "goal_info_pair_list", "goal_reqt_str", "goal_book_list",
             "termination_reason_int", "termination_reason_unknown",
-            "seed_str", "seed_bool", "turn_index_str", "turn_index_bool"])
+            "seed_str", "seed_bool", "turn_index_str", "turn_index_bool",
+            "act_str", "acts_str", "speaker_unknown"])
     def test_non_string_log_field_exit_2(self, tmp_path, field, corrupt):
         bad = self.corrupt_second_record(tmp_path, corrupt)
         result = self.invoke("evaluate", str(bad))
@@ -301,6 +305,25 @@ class TestCommands:
         result = self.invoke("evaluate", str(bad))
         assert result.exit_code == 2, result.output
         assert result.output == f"error: line 2: {bad}: {message}\n"
+
+    def test_non_utf8_log_exit_2(self, tmp_path):
+        marked = self.corrupt_second_record(
+            tmp_path, lambda log: log["turns"][0].update(utterance="@"))
+        bad = tmp_path / "latin1.jsonl"  # the utterance holds a Latin-1 e-acute
+        bad.write_bytes(marked.read_bytes().replace(b'"@"', b'"\xe9"'))
+        result = self.invoke("evaluate", str(bad))
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(
+            f"error: line 2: {bad}: 'utf-8' codec can't decode byte 0xe9")
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("name", ["", "missing.jsonl"], ids=["directory", "missing"])
+    def test_unopenable_log_exit_2(self, tmp_path, name):
+        path = tmp_path / name
+        result = self.invoke("evaluate", str(path))
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: cannot read log {path}: ")
+        assert "Traceback" not in result.output
 
     def test_unknown_booking_domain_exit_2(self, tmp_path):
         def book_spaceport(log):

@@ -4,7 +4,6 @@ import itertools
 import pytest
 
 import duetsim.acts
-import duetsim.prompts
 import duetsim.world
 
 from duetsim.acts import DialogueContext
@@ -208,35 +207,6 @@ class TestRunDialogue:
         for request in second_turn_steps + verifier.requests[1:]:
             assert f"USER: {user_utterance}" in request.user_text
             assert f"SYSTEM: {system_utterance}" in request.user_text
-
-    def test_shared_prompt_text_joined_once_per_turn(self, ontology, entities,
-                                                     monkeypatch):
-        """A turn joins its goal, history and requirement text into the
-        step template once and into the verifier template once, however
-        many drafts and steps use them."""
-        goal = simple_goal(info={"food": "chinese"}, reqt=("phone",))
-        draft = ["inform", "restaurant", "food", "chinese"]
-        generator = ScriptedBackend(draft + draft + [
-            "I want chinese food.", "Hi, chinese food please.",
-            "bye", "general", "", "", "Goodbye.", "Thanks, bye!"])
-        verifier = ScriptedBackend(["REJECT V3: too soon", "ACCEPT", "ACCEPT"])
-        session = DuetSession(goal=goal, ontology=ontology,
-                              generator_backend=generator, verifier_backend=verifier)
-        joined = []
-        bind = duetsim.prompts._bind
-
-        def recording_bind(frame, values):
-            joined.append(sorted(values))
-            return bind(frame, values)
-
-        monkeypatch.setattr(duetsim.prompts, "_bind", recording_bind)
-        log = run_dialogue(goal, DuetUserSimulator(session),
-                           SystemAgent(ontology, entities))
-        assert log.termination_reason == "user_bye"
-        assert (len(generator.requests), len(verifier.requests)) == (16, 3)
-        step = ["context_section", "goal_section", "requirements"]
-        audit = ["context", "goal_section", "requirements"]
-        assert joined == [step, audit] * 2
 
     @pytest.mark.parametrize("render_mode", ["utterances", "acts"])
     def test_prompt_sections_rendered_once(self, ontology, entities,

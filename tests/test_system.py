@@ -56,11 +56,6 @@ class TestPolicy:
                               ontology, entities)
         assert acts == [DialogueAct("nobook", "restaurant")]
 
-    def test_bye_answered_with_bye(self, ontology, entities):
-        acts, _ = system_turn(SystemState(), [act("bye", "general")],
-                              ontology, entities)
-        assert acts == [DialogueAct("bye", "general")]
-
     def test_unknown_domain_noffer(self, ontology, entities):
         acts, _ = system_turn(SystemState(),
                               [act("inform", "attraction", "area", "centre")],
