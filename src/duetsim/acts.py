@@ -192,23 +192,30 @@ class DialogueTurn:
     @classmethod
     def from_dict(cls, d: dict, acts: ActTable | None = None) -> "DialogueTurn":
         """``acts`` shares equal acts between the turns read with it."""
-        if acts is None:
-            acts = ActTable()
+        acts = ActTable() if acts is None else acts
         speaker, utterance, turn_acts = d["speaker"], d["utterance"], d["acts"]
-        require_strings("speaker", (speaker,))
-        require_strings("utterance", (utterance,))
-        if speaker not in ("user", "system"):
+        if speaker not in ("user", "system"):  # a wrong type is reported first
+            require_string("speaker", speaker)
+            require_string("utterance", utterance)
             raise ValueError(f"speaker: got {speaker!r}, expected user or system")
+        require_string("utterance", utterance)
         # a string act would otherwise be read as one act field per letter
-        if not isinstance(turn_acts, list) or not all(
-                isinstance(a, list) for a in turn_acts):
+        if not isinstance(turn_acts, list):
             raise TypeError(f"acts: expected a list of lists, got {turn_acts!r}")
-        return cls(
-            speaker=speaker,
-            acts=tuple(map(acts.__getitem__, map(tuple, turn_acts))),
-            utterance=utterance,
-            turn_index=require_int("turn_index", d["turn_index"]),
-        )
+        read = []
+        for fields in turn_acts:
+            if not isinstance(fields, list):
+                raise TypeError(f"acts: expected a list of lists, got {turn_acts!r}")
+            read.append(acts[tuple(fields)])
+        return cls(speaker, tuple(read), utterance,
+                   require_int("turn_index", d["turn_index"]))
+
+
+def require_string(name: str, value):
+    """``value``, or TypeError unless it is a str."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name}: expected a string, got {value!r}")
+    return value
 
 
 def require_strings(name: str, values) -> None:
@@ -220,7 +227,7 @@ def require_strings(name: str, values) -> None:
 
 def require_int(name: str, value):
     """``value``, or TypeError unless it is an int; a bool is not."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:  # one test: JSON gives no other int subclass
         raise TypeError(f"{name}: expected an integer, got {value!r}")
     return value
 
@@ -291,11 +298,11 @@ class BookingRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BookingRecord":
-        record = cls(d["domain"], d["ref"], d["entity_name"],
-                     tuple(sorted(d["constraints"].items())))
-        require_strings("booking", (record.domain, record.ref, record.entity_name,
-                                     *(v for _, v in record.constraints)))
-        return record
+        domain, ref, name, constraints = d["domain"], d["ref"], d["entity_name"], d["constraints"]
+        if not isinstance(constraints, dict):
+            raise TypeError(f"booking constraints: expected an object, got {constraints!r}")
+        require_strings("booking", (domain, ref, name, *constraints.values()))
+        return cls(domain, ref, name, tuple(sorted(constraints.items())))
 
 
 @dataclass(frozen=True)
@@ -311,15 +318,17 @@ class LogAnnotations:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LogAnnotations":
-        provided = tuple(map(tuple, d["provided"]))
-        for triple in provided:
+        provided = []
+        for triple in d["provided"]:
+            # a string would otherwise be read as one field per letter
+            if not isinstance(triple, list):
+                raise TypeError(f"provided: expected a list of 3 strings, got {triple!r}")
+            triple = tuple(triple)
             if len(triple) != 3:
                 raise TypeError(f"provided: expected 3 fields, got {triple!r}")
             require_strings("provided", triple)
-        return cls(
-            provided=provided,
-            bookings=tuple(BookingRecord.from_dict(b) for b in d["bookings"]),
-        )
+            provided.append(triple)
+        return cls(tuple(provided), tuple(map(BookingRecord.from_dict, d["bookings"])))
 
 
 def derive_annotations(turns) -> LogAnnotations:
@@ -384,16 +393,12 @@ class DialogueLog:
     def from_dict(cls, d: dict, acts: ActTable | None = None) -> "DialogueLog":
         """``acts`` shares equal acts between the logs read with it."""
         from .world import UserGoal
-        if acts is None:
-            acts = ActTable()
+        acts = ActTable() if acts is None else acts
         reason, seed = d["termination_reason"], d.get("seed")
         if reason not in TERMINATION_REASONS:
             raise ValueError(f"termination_reason: got {reason!r}, expected one "
                              f"of {', '.join(TERMINATION_REASONS)}")
-        return cls(
-            goal=UserGoal.from_dict(d["goal"]),
-            turns=[DialogueTurn.from_dict(t, acts) for t in d["turns"]],
-            annotations=LogAnnotations.from_dict(d["annotations"]),
-            termination_reason=reason,
-            seed=seed if seed is None else require_int("seed", seed),
-        )
+        return cls(UserGoal.from_dict(d["goal"]),
+                   [DialogueTurn.from_dict(t, acts) for t in d["turns"]],
+                   LogAnnotations.from_dict(d["annotations"]), reason,
+                   seed if seed is None else require_int("seed", seed))

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .acts import ActTable, DialogueLog, require_int, require_strings
+from .acts import ActTable, DialogueLog, require_int, require_string
 from .agenda import AgendaUserSimulator
 from .backend import (BackendConfig, CassetteBackend, HTTPBackend, ScriptedBackend,
                       load_cassette)
@@ -210,8 +210,7 @@ def _build_backend(spec: dict, role: str):
             with open(path, "rb") as f:
                 for number, line in enumerate(f, start=1):
                     if line.strip():
-                        responses.append(json.loads(line.decode("utf-8")))
-                        require_strings("response", responses[-1:])
+                        responses.append(require_string("response", json.loads(line.decode())))
         except OSError as e:
             raise ConfigError(f"{role}.script_file", str(e)) from e
         except (TypeError, ValueError) as e:  # not UTF-8, not JSON, not a string
@@ -402,9 +401,8 @@ def read_logs(paths, ontology=None) -> list[DialogueLog]:
                     if not line:
                         continue
                     record = json.loads(line)
-                    if require_int("v", record["v"]) != LOG_SCHEMA_VERSION:
-                        raise ValueError(f"v: got {record['v']}, "
-                                         f"expected {LOG_SCHEMA_VERSION}")
+                    if (v := require_int("v", record["v"])) != LOG_SCHEMA_VERSION:
+                        raise ValueError(f"v: got {v}, expected {LOG_SCHEMA_VERSION}")
                     log = DialogueLog.from_dict(record["log"], acts)
                 except (ValueError, KeyError, TypeError) as e:
                     raise LogParseError(i, f"{path}: {e}") from e

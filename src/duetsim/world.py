@@ -152,12 +152,9 @@ class UserGoal:
             _require_type(info, dict)
             _require_type(reqt, list)
             _require_type(book, dict)
-            g = domains[name] = DomainGoal(
-                info=dict(info), reqt=tuple(reqt),
-                book=dict(book) if "book" in section else None,
-            )
-            require_strings("goal", (*g.info.values(), *g.reqt,
-                                     *(g.book or {}).values()))
+            require_strings("goal", (*info.values(), *reqt, *book.values()))
+            domains[name] = DomainGoal(dict(info), tuple(reqt),
+                                       dict(book) if "book" in section else None)
         return cls(domains)
 
 

@@ -266,7 +266,15 @@ class TestLogReplay:
             DialogueTurn.from_dict(d)
 
     @pytest.mark.parametrize("provided", [
-        [["restaurant", "phone", 5]], [["restaurant", "phone"]], [5]])
+        [["restaurant", "phone", 5]], [["restaurant", "phone"]], [5],
+        ["abc"], {"abc": 1}])          # not one field per letter
     def test_bad_provided_raises_type_error(self, provided):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="provided"):
             LogAnnotations.from_dict({"provided": provided, "bookings": []})
+
+    @pytest.mark.parametrize("constraints", [None, [], ["book day"], "tuesday", 5])
+    def test_booking_constraints_not_an_object_raise_type_error(self, constraints):
+        booking = {"domain": "restaurant", "ref": "ABCD1234", "entity_name": "x",
+                   "constraints": constraints}
+        with pytest.raises(TypeError, match="^booking constraints: expected an object"):
+            LogAnnotations.from_dict({"provided": [], "bookings": [booking]})

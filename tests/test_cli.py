@@ -198,6 +198,13 @@ class TestReadLogs:
         assert len(read_logs([log_path])) == 1
 
 
+def booked(log, constraints):
+    """Append a restaurant booking with ``constraints`` to ``log``."""
+    log["annotations"]["bookings"].append(
+        {"domain": "restaurant", "ref": "ABCD1234", "entity_name": "x",
+         "constraints": constraints})
+
+
 class TestCommands:
     def invoke(self, *args):
         return CliRunner().invoke(main, list(args))
@@ -282,12 +289,17 @@ class TestCommands:
         ("acts", lambda log: log["turns"][0].update(acts=["book"])),
         ("acts", lambda log: log["turns"][0].update(acts="book")),
         ("speaker", lambda log: log["turns"][0].update(speaker="robot")),
+        ("booking constraints", lambda log: booked(log, None)),
+        ("booking constraints", lambda log: booked(log, ["book day"])),
+        ("booking constraints", lambda log: booked(log, "tuesday")),
+        ("provided", lambda log: log["annotations"]["provided"].append("abc")),
     ], ids=["utterance_null", "provided_value_int", "goal_info_int",
             "booking_constraint_int", "goal_section_int", "goal_info_list",
             "goal_info_pair_list", "goal_reqt_str", "goal_book_list",
             "termination_reason_int", "termination_reason_unknown",
             "seed_str", "seed_bool", "turn_index_str", "turn_index_bool",
-            "act_str", "acts_str", "speaker_unknown"])
+            "act_str", "acts_str", "speaker_unknown", "booking_constraints_null",
+            "booking_constraints_list", "booking_constraints_str", "provided_str"])
     def test_non_string_log_field_exit_2(self, tmp_path, field, corrupt):
         bad = self.corrupt_second_record(tmp_path, corrupt)
         result = self.invoke("evaluate", str(bad))
