@@ -27,6 +27,9 @@ SOCIAL_INTENTS = frozenset({"greet", "bye", "thank"})
 
 @dataclass(frozen=True)
 class DialogueAct:
+    """An act. Every act the package makes is normal, as ``parse_act_list``
+    returns it (``normalized()`` is itself), so no consumer normalizes."""
+
     intent: str
     domain: str = ""
     slot: str = ""

@@ -72,8 +72,7 @@ def _give_up(agenda: Agenda) -> None:
 
 def _apply_system_acts(agenda: Agenda, system_acts) -> None:
     goal = agenda.goal
-    for act in system_acts:
-        a = act.normalized()
+    for a in system_acts:
         g = goal.domains.get(a.domain)
         if a.intent == "request":
             if g and a.slot in g.info:
@@ -165,8 +164,7 @@ def template_nlg(acts, side: str = "user") -> str:
     """Deterministic fill-in NLG; one template per act, joined with " "."""
     table = _nlg_tables()[side]
     pieces = []
-    for act in acts:
-        a = act.normalized()
+    for a in acts:
         intent = a.intent
         if intent == "inform" and a.value == DONTCARE:
             intent = "dontcare"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .acts import DialogueAct, DialogueContext, INTENTS, SOCIAL_INTENTS, validate_acts
+from .acts import DialogueAct, DialogueContext, INTENTS, SOCIAL_INTENTS
 from .backend import CompletionRequest
 from .errors import EmptyTranslation, StepParseFailure
 from .prompts import (
@@ -58,20 +58,13 @@ def split_candidates(text: str) -> list[str]:
 def _valid_step(step: str, candidates: list[str], domains: list[str],
                 ontology: Ontology) -> list[str] | None:
     """Normalize candidates for a step; None when the output is unusable."""
-    if step == "intent":
+    if step in ("intent", "domain"):
         out = [c.lower() for c in candidates if c]
-        if not out or any(c not in INTENTS for c in out):
-            return None
-        return out
-    if step == "domain":
-        out = [c.lower() for c in candidates if c]
-        if not out or any(not ontology.has_domain(c) and c != "general" for c in out):
-            return None
-        return out
+        known = INTENTS if step == "intent" else {*ontology.domains, "general"}
+        return out if out and all(c in known for c in out) else None
     if step == "slot":
         out = ["" if c.lower() in _EMPTY_MARKERS else c.lower() for c in candidates]
-        for i, slot in enumerate(out):
-            domain = domains[min(i, len(domains) - 1)] if domains else "general"
+        for domain, slot in _broadcast(domains, out):  # each pair _assemble builds
             if slot and domain != "general" and slot not in ontology.slots(domain):
                 return None
         return out
@@ -79,25 +72,22 @@ def _valid_step(step: str, candidates: list[str], domains: list[str],
     return ["" if c.lower() in _EMPTY_MARKERS else c for c in candidates]
 
 
+def _broadcast(*columns: list[str]) -> list[tuple[str, ...]]:
+    """The rows of the columns, each shorter column repeating its last entry."""
+    return [tuple(col[min(i, len(col) - 1)] for col in columns)
+            for i in range(max(map(len, columns)))]
+
+
 def _assemble(columns: dict[str, list[str]]) -> list[DialogueAct]:
-    n = max(len(v) for v in columns.values())
     acts = []
-    for i in range(n):
-        parts = {}
-        for step in STEP_ORDER:
-            col = columns[step]
-            parts[step] = col[min(i, len(col) - 1)]
-        intent = parts["intent"]
-        slot, value = parts["slot"], parts["value"]
+    for intent, domain, slot, value in _broadcast(*map(columns.get, STEP_ORDER)):
         # normalize per the act invariants instead of failing the draft
         if intent in SOCIAL_INTENTS:
             slot, value = "", ""
         elif intent == "request":
             value = ""
-        # split_candidates stripped each part and _valid_step lowercased the
-        # intent, domain and slot, so the act is already normalized
-        acts.append(DialogueAct(intent=intent, domain=parts["domain"],
-                                slot=slot, value=value))
+        # normal: split_candidates trimmed each part, _valid_step lowercased
+        acts.append(DialogueAct(intent=intent, domain=domain, slot=slot, value=value))
     # drop exact duplicates produced by column broadcasting
     return list(dict.fromkeys(acts))
 
@@ -109,8 +99,10 @@ def generate_acts_cot(backend, goal: UserGoal, context: DialogueContext,
     """Draft dialogue acts via the four-step chain of thought.
 
     Exactly one completion per step on the happy path (4 total); each step
-    gets one retry on unparseable output before StepParseFailure. Feedback,
-    when present, is threaded into every step prompt.
+    gets one retry on unparseable output before StepParseFailure. The slot
+    step checks every (domain, slot) pair the draft will hold, so a returned
+    draft passes ``validate_acts``. Feedback, when present, is threaded into
+    every step prompt.
     """
     columns: dict[str, list[str]] = {}
     transcript: dict[str, str] = {}
@@ -135,11 +127,7 @@ def generate_acts_cot(backend, goal: UserGoal, context: DialogueContext,
         columns[step] = parsed
         transcript[step] = raw.strip()
 
-    acts = _assemble(columns)
-    report = validate_acts(acts, ontology)
-    if not report.ok:
-        raise StepParseFailure("value", "; ".join(v.message for v in report.violations))
-    return DraftActs(acts=acts, step_transcript=transcript)
+    return DraftActs(acts=_assemble(columns), step_transcript=transcript)
 
 
 def realize_utterance(backend, acts, context: DialogueContext) -> Utterance:

@@ -39,8 +39,7 @@ def system_turn(state: SystemState, user_acts, ontology: Ontology,
     informs: dict[str, dict[str, str]] = {}
     requests: dict[str, list[str]] = {}
     books: dict[str, dict[str, str]] = {}
-    for act in user_acts:
-        a = act.normalized()
+    for a in user_acts:
         if a.intent == "inform" and a.domain != GENERAL_DOMAIN and a.slot:
             informs.setdefault(a.domain, {})[a.slot] = a.value
         elif a.intent == "request" and a.domain != GENERAL_DOMAIN and a.slot:

@@ -147,7 +147,7 @@ class UserGoal:
         domains = {}
         for name, section in d.items():
             _require_type(section, dict)
-            info, reqt = section.get("info", {}), section.get("reqt", [])
+            info, reqt = section.get("info"), section.get("reqt")
             book = section.get("book", {})
             _require_type(info, dict)
             _require_type(reqt, list)
@@ -206,6 +206,15 @@ def _check(cond: bool, location: str, message: str) -> None:
         raise SchemaViolation(location, message)
 
 
+def _check_normal(location: str, items, lower: bool = True) -> None:
+    """Each item is a string in act form: trimmed, and lowercase if ``lower``."""
+    for item in items:
+        if not isinstance(item, str) or item != (
+                item.strip().lower() if lower else item.strip()):
+            form = "a lowercase, trimmed" if lower else "a trimmed"
+            raise SchemaViolation(location, f"{item!r} must be {form} string")
+
+
 def _parse_world(doc: dict, source: str) -> tuple[Ontology, EntityIndex]:
     _check(isinstance(doc, dict), source, "top level must be an object")
     _check("ontology" in doc, source, "missing 'ontology' section")
@@ -216,20 +225,20 @@ def _parse_world(doc: dict, source: str) -> tuple[Ontology, EntityIndex]:
     domains = {}
     for name, spec in raw_domains.items():
         loc = f"ontology.{name}"
+        _check_normal(loc, [name])
         _check(isinstance(spec, dict), loc, "must be an object")
         informable = {k: tuple(v) for k, v in spec.get("informable", {}).items()}
-        for slot, values in informable.items():
-            _check(len(values) > 0, f"{loc}.informable.{slot}",
-                   "candidate value list must be non-empty")
         bookable = {k: tuple(v) for k, v in spec.get("bookable", {}).items()}
-        for slot, values in bookable.items():
-            _check(len(values) > 0, f"{loc}.bookable.{slot}",
-                   "candidate value list must be non-empty")
-        domains[name] = DomainSchema(
-            informable=informable,
-            requestable=tuple(spec.get("requestable", ())),
-            bookable=bookable,
-        )
+        requestable = tuple(spec.get("requestable", ()))
+        _check_normal(f"{loc}.requestable", requestable)
+        for part, slots in (("informable", informable), ("bookable", bookable)):
+            _check_normal(f"{loc}.{part}", slots)
+            for slot, values in slots.items():
+                _check(len(values) > 0, f"{loc}.{part}.{slot}",
+                       "candidate value list must be non-empty")
+                _check_normal(f"{loc}.{part}.{slot}", values, lower=False)
+        domains[name] = DomainSchema(informable=informable,
+                                     requestable=requestable, bookable=bookable)
     ontology = Ontology(domains)
 
     entities = []
@@ -243,9 +252,10 @@ def _parse_world(doc: dict, source: str) -> tuple[Ontology, EntityIndex]:
         schema = domains[domain]
         attrs = {k: str(v) for k, v in raw["attributes"].items()}
         known = set(schema.informable) | set(schema.requestable)
-        for slot in attrs:
+        for slot, value in attrs.items():
             _check(slot in known, f"{loc}.attributes",
                    f"slot {slot!r} not in ontology for {domain!r}")
+            _check_normal(f"{loc}.attributes.{slot}", [value], lower=False)
         for slot in set(schema.requestable) | set(schema.informable):
             _check(slot in attrs, f"{loc}.attributes",
                    f"entity missing value for slot {slot!r}")

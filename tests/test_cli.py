@@ -272,6 +272,7 @@ class TestCommands:
             {"domain": "restaurant", "ref": "ABCD1234", "entity_name": "x",
              "constraints": {"book people": 5}})),
         ("goal", lambda log: log["goal"].update(dict.fromkeys(log["goal"], 5))),
+        ("goal", lambda log: log["goal"].update(dict.fromkeys(log["goal"], {}))),
         ("goal", lambda log: [section.update(info=["abc"])
                               for section in log["goal"].values()]),
         ("goal", lambda log: [section.update(info=["ab"])
@@ -294,8 +295,8 @@ class TestCommands:
         ("booking constraints", lambda log: booked(log, "tuesday")),
         ("provided", lambda log: log["annotations"]["provided"].append("abc")),
     ], ids=["utterance_null", "provided_value_int", "goal_info_int",
-            "booking_constraint_int", "goal_section_int", "goal_info_list",
-            "goal_info_pair_list", "goal_reqt_str", "goal_book_list",
+            "booking_constraint_int", "goal_section_int", "goal_section_empty",
+            "goal_info_list", "goal_info_pair_list", "goal_reqt_str", "goal_book_list",
             "termination_reason_int", "termination_reason_unknown",
             "seed_str", "seed_bool", "turn_index_str", "turn_index_bool",
             "act_str", "acts_str", "speaker_unknown", "booking_constraints_null",

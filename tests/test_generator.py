@@ -1,14 +1,15 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from duetsim.acts import DialogueAct, DialogueContext, validate_acts
-from duetsim.backend import ScriptedBackend
+from duetsim.backend import CompletionResult, ScriptedBackend
 from duetsim.errors import EmptyTranslation, StepParseFailure
 from duetsim.generator import (
     generate_acts_cot,
     realize_utterance,
     split_candidates,
 )
-from duetsim.prompts import DEFAULT_GENERATOR_REQUIREMENTS, Feedback
+from duetsim.prompts import DEFAULT_GENERATOR_REQUIREMENTS, STEP_ORDER, Feedback
 
 from conftest import make_turns, act, simple_goal
 
@@ -68,6 +69,68 @@ class TestCoT:
         backend = ScriptedBackend(["request", "restaurant", "phone", "555-1234"])
         draft = gen(backend, ontology)
         assert draft.acts[0].value == ""
+
+    def test_slot_checked_against_every_domain_it_repeats_for(self, ontology):
+        """One slot for two domains makes the pair (hotel, food); the slot
+        step is retried, and its retry makes a valid draft."""
+        backend = ScriptedBackend(["inform, inform", "restaurant, hotel",
+                                   "food", "food, area", "thai"])
+        draft = gen(backend, ontology)
+        assert draft.acts == [DialogueAct("inform", "restaurant", "food", "thai"),
+                              DialogueAct("inform", "hotel", "area", "thai")]
+        assert validate_acts(draft.acts, ontology).ok
+        assert backend.calls == 5
+
+
+class StepBackend:
+    """Answers each chain-of-thought step with its drawn output, the retry
+    too, and records the steps asked in order."""
+
+    def __init__(self, outputs):
+        self.outputs = dict(zip(STEP_ORDER, outputs))
+        self.asked = []
+
+    def complete(self, request):
+        # the step instruction reads "Decide the intent ...", "Decide which slot ..."
+        step = request.user_text.rsplit("Decide ", 1)[1].split()[1]
+        self.asked.append(step)
+        return CompletionResult(text=self.outputs[step])
+
+
+_STEP_TOKENS = {
+    "intent": ["inform", "request", "book", "bye", "thank", "greet", "Inform"],
+    "domain": ["restaurant", "hotel", "general", "Hotel"],
+    "slot": ["food", "stars", "type", "book time", "book stay", "area", "Name"],
+    "value": ["thai", "cheap", "2", "Tuesday"],
+}
+_OTHER_TOKENS = ["", "none", "-", "n/a", "spaceport", "wingspan", "??"]
+_ANY_TOKEN = st.sampled_from(sorted({t for ts in _STEP_TOKENS.values() for t in ts}
+                                    | set(_OTHER_TOKENS)))
+
+
+def _step_output(step):
+    valid = st.sampled_from(_STEP_TOKENS[step])
+    token = st.one_of(valid, valid, _ANY_TOKEN)
+    return st.lists(token, min_size=1, max_size=3).map(", ".join)
+
+
+@settings(max_examples=300)
+@example(["inform, inform", "restaurant, hotel", "food", "thai"])
+@given(st.tuples(*map(_step_output, STEP_ORDER)).map(list))
+def test_every_returned_draft_is_valid(ontology, outputs):
+    """The steps check every act the draft will hold, so no check is needed
+    after assembly: a draft comes back valid and normal, or the step whose
+    retry failed raises."""
+    backend = StepBackend(outputs)
+    try:
+        draft = gen(backend, ontology)
+    except StepParseFailure as e:
+        assert backend.asked == list(STEP_ORDER[:STEP_ORDER.index(e.step)]) + [e.step] * 2
+        assert e.raw == outputs[STEP_ORDER.index(e.step)]
+    else:
+        assert validate_acts(draft.acts, ontology).ok
+        assert all(a.normalized() is a for a in draft.acts)
+        assert backend.asked == list(STEP_ORDER)
 
 
 class TestSplitCandidates:

@@ -56,6 +56,14 @@ def test_equal_acts_are_one_object_across_files(pinned_runs):
     assert len({id(a) for a in agenda + duet}) == len(set(agenda + duet))
 
 
+def test_logged_acts_are_normal(pinned_runs):
+    """The agenda, the system and template NLG take the package's own acts
+    as they are, so every act both simulators log must already be normal."""
+    logs = read_logs(pinned_runs)
+    acts = {a for log in logs for turn in log.turns for a in turn.acts}
+    assert [a for a in acts if a.normalized() is not a] == []
+
+
 def kind(value) -> str:
     """The JSON type of a decoded value."""
     if value is None or isinstance(value, (bool, str, list, dict)):

@@ -1,8 +1,11 @@
 import json
+from importlib import resources
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from duetsim.cli import main
 from duetsim.errors import (
     InvalidBookingSlot,
     ParseError,
@@ -20,6 +23,23 @@ from duetsim.world import (
     load_world,
     query_entities,
 )
+
+
+def rename(mapping: dict, old: str, new: str) -> None:
+    mapping[new] = mapping.pop(old)
+
+
+def capitalize_restaurant(doc: dict) -> None:
+    rename(doc["ontology"], "restaurant", "Restaurant")
+    for entity in doc["entities"]:
+        if entity["domain"] == "restaurant":
+            entity["domain"] = "Restaurant"
+
+
+def edited_bundled_world(edit) -> dict:
+    doc = json.loads(resources.files("duetsim.data").joinpath("world.json").read_text())
+    edit(doc)
+    return doc
 
 
 class TestLoadWorld:
@@ -63,6 +83,30 @@ class TestLoadWorld:
         path.write_bytes(b"\xff\xfe\x00{")
         with pytest.raises(ParseError):
             load_world(str(path))
+
+    @pytest.mark.parametrize("edit,location", [
+        (capitalize_restaurant, "ontology.Restaurant"),
+        (lambda doc: rename(doc["ontology"]["restaurant"]["informable"], "food", " food"),
+         "ontology.restaurant.informable"),
+        (lambda doc: doc["ontology"]["hotel"]["requestable"].append("Phone"),
+         "ontology.hotel.requestable"),
+        (lambda doc: doc["ontology"]["hotel"]["bookable"]["book day"].append("friday "),
+         "ontology.hotel.bookable.book day"),
+        (lambda doc: doc["entities"][0]["attributes"].update(food="thai "),
+         "entities[0].attributes.food"),
+    ], ids=["domain_case", "slot_padded", "requestable_case", "candidate_padded",
+            "entity_value_padded"])
+    def test_names_and_values_must_be_normal(self, tmp_path, edit, location):
+        """Acts carry world names and values as they are, so a world must
+        give them in act form: names lowercase and trimmed, values trimmed."""
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edited_bundled_world(edit)))
+        with pytest.raises(SchemaViolation) as e:
+            load_world(str(path))
+        assert e.value.location == location
+        result = CliRunner().invoke(main, ["goals", "--world", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {location}: ")
 
     def test_returns_index(self, entities):
         assert isinstance(entities, EntityIndex)
