@@ -4,15 +4,19 @@ A dialogue act is a four-tuple (intent, domain, slot, value). Acts travel
 between the user simulator and the dialogue system as bracketed quadruple
 lists like ``[['inform', 'restaurant', 'book day', 'Tuesday']]``, which is
 also the wire form that language models are asked to emit.
+
+A dialogue log is stored as one JSON record per line, ``{"v": 1, "log":
+...}``; ``encode_record`` writes such a line and ``read_logs`` reads them.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import EmptyActList, MalformedAct, NoActFound
+from .errors import EmptyActList, LogParseError, LogReadError, MalformedAct, NoActFound
 
 INTENTS = frozenset({
     "inform", "request", "book", "offer_book", "offer_booked", "nooffer",
@@ -405,3 +409,44 @@ class DialogueLog:
                    [DialogueTurn.from_dict(t, acts) for t in d["turns"]],
                    LogAnnotations.from_dict(d["annotations"]), reason,
                    seed if seed is None else require_int("seed", seed))
+
+
+# --- log records ---
+
+LOG_SCHEMA_VERSION = 1
+
+
+def encode_record(log: DialogueLog) -> str:
+    """One log record line: the versioned envelope, keys sorted, newline-ended."""
+    record = {"v": LOG_SCHEMA_VERSION, "log": log.to_dict()}
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def read_logs(paths, ontology=None) -> list[DialogueLog]:
+    """The log records of ``paths``, in order. Given an ontology, a booking
+    in a domain it does not know is an error that names the record."""
+    logs = []
+    acts = ActTable()  # equal acts of this call share one DialogueAct
+    for path in paths:
+        try:
+            f = open(path, "rb")  # each line is decoded where its errors are caught
+        except OSError as e:
+            raise LogReadError(f"cannot read log {path}: {e}") from e
+        with f:
+            for i, line in enumerate(f, start=1):
+                try:
+                    line = line.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    record = json.loads(line)
+                    if (v := require_int("v", record["v"])) != LOG_SCHEMA_VERSION:
+                        raise ValueError(f"v: got {v}, expected {LOG_SCHEMA_VERSION}")
+                    log = DialogueLog.from_dict(record["log"], acts)
+                except (ValueError, KeyError, TypeError) as e:
+                    raise LogParseError(i, f"{path}: {e}") from e
+                for booking in log.annotations.bookings if ontology else ():
+                    if not ontology.has_domain(booking.domain):
+                        raise LogParseError(i, f"{path}: seed {log.seed}: "
+                                            f"unknown domain {booking.domain!r}")
+                logs.append(log)
+    return logs

@@ -111,7 +111,6 @@ def generate_acts_cot(backend, goal: UserGoal, context: DialogueContext,
                                        partial=dict(transcript),
                                        feedback=feedback, config=config)
         request = CompletionRequest(user_text=prompt.user_text,
-                                    system_text=prompt.system_text,
                                     temperature=GENERATION_TEMPERATURE,
                                     max_tokens=64)
         parsed = None

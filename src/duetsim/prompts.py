@@ -79,11 +79,10 @@ DEFAULT_VERIFIER_REQUIREMENTS = RequirementSet("verifier", (
 @dataclass(frozen=True)
 class PromptText:
     user_text: str
-    system_text: str = ""
 
     @property
     def length(self) -> int:
-        return len(self.system_text) + len(self.user_text)
+        return len(self.user_text)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,6 @@ def verify(backend, goal: UserGoal, context: DialogueContext,
     """One completion plus, on an unparseable reply, a single re-ask."""
     prompt = verifier_prompt(goal, context, requirements, draft.acts, config)
     request = CompletionRequest(user_text=prompt.user_text,
-                                system_text=prompt.system_text,
                                 temperature=VERIFICATION_TEMPERATURE,
                                 max_tokens=128)
     raw = ""

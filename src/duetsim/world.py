@@ -227,20 +227,24 @@ def _parse_world(doc: dict, source: str) -> tuple[Ontology, EntityIndex]:
         loc = f"ontology.{name}"
         _check_normal(loc, [name])
         _check(isinstance(spec, dict), loc, "must be an object")
-        informable = {k: tuple(v) for k, v in spec.get("informable", {}).items()}
-        bookable = {k: tuple(v) for k, v in spec.get("bookable", {}).items()}
-        requestable = tuple(spec.get("requestable", ()))
+        requestable = spec.get("requestable", [])
+        # a string would otherwise be read as one name or value per letter
+        _check(isinstance(requestable, list), f"{loc}.requestable", "must be a list")
         _check_normal(f"{loc}.requestable", requestable)
-        for part, slots in (("informable", informable), ("bookable", bookable)):
+        parts = {}
+        for part in ("informable", "bookable"):
+            slots = spec.get(part, {})
+            _check(isinstance(slots, dict), f"{loc}.{part}", "must be an object")
             _check_normal(f"{loc}.{part}", slots)
             for slot, values in slots.items():
-                _check(len(values) > 0, f"{loc}.{part}.{slot}",
-                       "candidate value list must be non-empty")
+                _check(isinstance(values, list) and values, f"{loc}.{part}.{slot}",
+                       "candidate values must be a non-empty list")
                 _check_normal(f"{loc}.{part}.{slot}", values, lower=False)
-        domains[name] = DomainSchema(informable=informable,
-                                     requestable=requestable, bookable=bookable)
+            parts[part] = {k: tuple(v) for k, v in slots.items()}
+        domains[name] = DomainSchema(requestable=tuple(requestable), **parts)
     ontology = Ontology(domains)
 
+    _check(isinstance(doc["entities"], list), "entities", "must be a list")
     entities = []
     for i, raw in enumerate(doc["entities"]):
         loc = f"entities[{i}]"
@@ -248,8 +252,10 @@ def _parse_world(doc: dict, source: str) -> tuple[Ontology, EntityIndex]:
         for key in ("domain", "id", "attributes"):
             _check(key in raw, loc, f"missing '{key}'")
         domain = raw["domain"]
-        _check(domain in domains, loc, f"unknown domain {domain!r}")
+        _check(isinstance(domain, str) and domain in domains, loc,
+               f"unknown domain {domain!r}")
         schema = domains[domain]
+        _check(isinstance(raw["attributes"], dict), f"{loc}.attributes", "must be an object")
         attrs = {k: str(v) for k, v in raw["attributes"].items()}
         known = set(schema.informable) | set(schema.requestable)
         for slot, value in attrs.items():

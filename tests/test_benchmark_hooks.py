@@ -6,6 +6,7 @@ import sys
 
 import duetsim
 import duetsim.cli
+import duetsim.experiment
 
 from conftest import load_perfbench
 
@@ -42,3 +43,14 @@ def test_tracer_hooks_install_and_trace(tmp_path, monkeypatch, ontology, entitie
         assert spans.get(name), name
     assert (duetsim.agenda.agenda_step, duetsim.system.system_turn,
             duetsim.loop.next_user_turn, duetsim.loop.run_dialogue) == originals
+
+
+def test_cli_names_are_their_homes_objects():
+    """The harness reads and patches these names on ``duetsim.cli``; each
+    must be the object its home module defines, so that the harness runs
+    and times the code a library caller runs."""
+    homes = {"run_experiment": duetsim.experiment, "ExperimentConfig": duetsim.experiment,
+             "load_config": duetsim.experiment, "LOG_SCHEMA_VERSION": duetsim.acts,
+             "read_logs": duetsim.acts, "generate_goal": duetsim.world}
+    for name, home in homes.items():
+        assert getattr(duetsim.cli, name) is getattr(home, name), name

@@ -16,13 +16,13 @@ from duetsim.acts import DialogueLog
 from duetsim.backend import CompletionResult
 from duetsim.cli import (
     ExperimentConfig,
-    _DialogueRunner,
     load_config,
     main,
     read_logs,
     run_experiment,
 )
 from duetsim.errors import ConfigError, LogParseError
+from duetsim.experiment import _DialogueRunner
 
 from conftest import PERFBENCH, load_perfbench, src_env
 
@@ -31,17 +31,17 @@ from conftest import PERFBENCH, load_perfbench, src_env
 def no_goal_for_seed_3(monkeypatch):
     """``generate_goal`` raises EmptyWorld for seed 3, as for a world
     without hotels."""
-    import duetsim.cli
+    import duetsim.experiment
     from duetsim.errors import EmptyWorld
 
-    generate_goal = duetsim.cli.generate_goal
+    generate_goal = duetsim.experiment.generate_goal
 
     def failing_generate_goal(seed, *args):
         if seed == 3:
             raise EmptyWorld("no entities for domain 'hotel'")
         return generate_goal(seed, *args)
 
-    monkeypatch.setattr(duetsim.cli, "generate_goal", failing_generate_goal)
+    monkeypatch.setattr(duetsim.experiment, "generate_goal", failing_generate_goal)
 
 
 @pytest.fixture
@@ -613,7 +613,7 @@ class TestCommands:
     def test_worker_failure_exit_2(self, tmp_path, monkeypatch, fault):
         """A dead worker process, or a result it cannot send back, is one
         error line and exit 2. Forked workers inherit the patches below."""
-        import duetsim.cli
+        import duetsim.experiment
         import duetsim.loop
 
         if fault == "dies":
@@ -627,13 +627,13 @@ class TestCommands:
 
             monkeypatch.setattr(duetsim.loop, "run_dialogue", dying_run_dialogue)
         else:
-            run_one = duetsim.cli._DialogueRunner.__call__
+            run_one = duetsim.experiment._DialogueRunner.__call__
 
             def unpicklable_run_one(self, seed):
                 line, *rest = run_one(self, seed)
                 return (threading.Lock() if seed == 7 else line), *rest
 
-            monkeypatch.setattr(duetsim.cli._DialogueRunner, "__call__",
+            monkeypatch.setattr(duetsim.experiment._DialogueRunner, "__call__",
                                 unpicklable_run_one)
         result = self.invoke("simulate", "-n", "20", "--parallelism", "2",
                              "-o", str(tmp_path / "run"))
@@ -725,9 +725,9 @@ def test_failed_dialogue_same_at_any_parallelism(tmp_path, monkeypatch):
     """A dialogue whose system raises gives the same error log, in seed
     order, and the same failure entry on one worker and on worker
     processes. Forked workers inherit the patch below."""
-    import duetsim.cli
+    import duetsim.experiment
 
-    system_agent = duetsim.cli.SystemAgent
+    system_agent = duetsim.experiment.SystemAgent
 
     def failing_system_agent(ontology, entities, seed):
         agent = system_agent(ontology, entities, seed=seed)
@@ -737,7 +737,7 @@ def test_failed_dialogue_same_at_any_parallelism(tmp_path, monkeypatch):
             agent.respond = respond
         return agent
 
-    monkeypatch.setattr(duetsim.cli, "SystemAgent", failing_system_agent)
+    monkeypatch.setattr(duetsim.experiment, "SystemAgent", failing_system_agent)
     runs = []
     for parallelism in (1, 2):
         out = run_experiment(ExperimentConfig(
@@ -808,7 +808,7 @@ def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
     """A cassette run uses the workers ``parallelism`` asks for, in worker
     processes, and replies that vary per call replay exactly at any
     parallelism. Forked workers inherit the patches below."""
-    import duetsim.cli
+    import duetsim.experiment
     import duetsim.loop
 
     ran = tmp_path / "ran.txt"
@@ -823,7 +823,7 @@ def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
     dialogues = 12
     cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
     with monkeypatch.context() as patch:
-        patch.setattr(duetsim.cli, "_build_backend",
+        patch.setattr(duetsim.experiment, "_build_backend",
                       lambda spec, role: VaryingResponder())
         recorded = run_experiment(ExperimentConfig(
             simulator="duet", dialogues=dialogues, output_dir=str(tmp_path / "record"),
@@ -850,11 +850,11 @@ def test_each_seed_replays_alone(tmp_path, monkeypatch):
     """Replaying one seed of a cassette gives that seed's recorded log line,
     even when the model's replies vary per call and another dialogue sent
     the same request first."""
-    import duetsim.cli
+    import duetsim.experiment
 
     cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
     with monkeypatch.context() as patch:
-        patch.setattr(duetsim.cli, "_build_backend",
+        patch.setattr(duetsim.experiment, "_build_backend",
                       lambda spec, role: VaryingResponder())
         recorded = run_experiment(ExperimentConfig(
             simulator="duet", dialogues=6, parallelism=1,
@@ -872,13 +872,13 @@ def test_each_seed_replays_alone(tmp_path, monkeypatch):
 def test_recording_again_replaces_the_cassette(tmp_path, monkeypatch):
     """A second recording to a path replaces the first, so its replay gives
     the second run's logs."""
-    import duetsim.cli
+    import duetsim.experiment
 
     cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
     for name, backend in (("first", RecordingResponder),
                           ("second", VaryingResponder)):
         with monkeypatch.context() as patch:
-            patch.setattr(duetsim.cli, "_build_backend",
+            patch.setattr(duetsim.experiment, "_build_backend",
                           lambda spec, role: backend())
             recorded = run_experiment(ExperimentConfig(
                 simulator="duet", dialogues=3, parallelism=1,
@@ -959,12 +959,12 @@ def test_scripted_recording_replays_without_its_script(tmp_path, monkeypatch):
     recorded logs after the scripts are gone. The generator and the
     verifier were recorded apart, and one replay answers both. Forked
     workers inherit the patch below."""
-    import duetsim.cli
+    import duetsim.experiment
     import duetsim.loop
 
     backend = RecordingResponder()
     with monkeypatch.context() as patch:
-        patch.setattr(duetsim.cli, "_build_backend", lambda spec, role: backend)
+        patch.setattr(duetsim.experiment, "_build_backend", lambda spec, role: backend)
         reference = run_experiment(ExperimentConfig(
             simulator="duet", dialogues=4, parallelism=1,
             output_dir=str(tmp_path / "reference"), generator_backend=CLOSED_PORT))
@@ -1009,14 +1009,14 @@ def test_parallel_run_is_built_once(tmp_path, monkeypatch, simulator):
     """A parallel run loads its world and its cassette once, in the calling
     process; forked workers inherit what it built and run every dialogue.
     They inherit the patches below too, so a load there would be seen."""
-    import duetsim.cli
+    import duetsim.experiment
     import duetsim.loop
 
     cassette = {"mode": "record", "path": str(tmp_path / "cassette.jsonl")}
     fields = {"simulator": "agenda"}
     if simulator == "duet-replay":
         with monkeypatch.context() as patch:
-            patch.setattr(duetsim.cli, "_build_backend",
+            patch.setattr(duetsim.experiment, "_build_backend",
                           lambda spec, role: VaryingResponder())
             run_experiment(ExperimentConfig(
                 simulator="duet", dialogues=8, parallelism=1, cassette=cassette,
@@ -1033,7 +1033,8 @@ def test_parallel_run_is_built_once(tmp_path, monkeypatch, simulator):
             return function(*args, **kwargs)
         return call
 
-    for owner, name in ((duetsim.cli, "load_world"), (duetsim.cli, "load_cassette"),
+    for owner, name in ((duetsim.experiment, "load_world"),
+                        (duetsim.experiment, "load_cassette"),
                         (duetsim.loop, "run_dialogue")):
         monkeypatch.setattr(owner, name, logged(name, getattr(owner, name)))
     out = run_experiment(ExperimentConfig(
@@ -1274,10 +1275,10 @@ def test_parallel_http_cassette_pinned(tmp_path, monkeypatch, fake_server_url,
 @pytest.mark.parametrize("context_mode", ["utterances", "acts"])
 @pytest.mark.parametrize("simulator", ["duet", "duet-no-verifier"])
 def test_duet_logs_pinned(tmp_path, monkeypatch, context_mode, simulator):
-    import duetsim.cli
+    import duetsim.experiment
 
     backend = RecordingResponder()
-    monkeypatch.setattr(duetsim.cli, "_build_backend", lambda spec, role: backend)
+    monkeypatch.setattr(duetsim.experiment, "_build_backend", lambda spec, role: backend)
     config = ExperimentConfig(simulator=simulator, dialogues=10, seed=0,
                               turn_cap=20, parallelism=1,
                               context_mode=context_mode,

@@ -4,6 +4,8 @@ LogParseError, never another exception."""
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from duetsim.cli import LOG_SCHEMA_VERSION, ExperimentConfig, read_logs, run_experiment
 from duetsim.errors import LogParseError
 
+from conftest import src_env
 from test_cli import (AGENDA_SEEDS_0_199_SHA256, CLOSED_PORT, DUET_SEEDS_0_9_SHA256,
                       RecordingResponder)
 
@@ -19,7 +22,7 @@ from test_cli import (AGENDA_SEEDS_0_199_SHA256, CLOSED_PORT, DUET_SEEDS_0_9_SHA
 def pinned_runs(tmp_path_factory):
     """logs.jsonl of the pinned agenda run and of the pinned duet run, whose
     replies come from the benchmark's fake model in this process."""
-    import duetsim.cli
+    import duetsim.experiment
 
     out = tmp_path_factory.mktemp("pinned")
     agenda = run_experiment(ExperimentConfig(
@@ -27,7 +30,7 @@ def pinned_runs(tmp_path_factory):
         output_dir=str(out / "agenda"))) / "logs.jsonl"
     with pytest.MonkeyPatch.context() as patch:
         backend = RecordingResponder()
-        patch.setattr(duetsim.cli, "_build_backend", lambda spec, role: backend)
+        patch.setattr(duetsim.experiment, "_build_backend", lambda spec, role: backend)
         duet = run_experiment(ExperimentConfig(
             simulator="duet", dialogues=10, seed=0, turn_cap=20, parallelism=1,
             generator_backend=CLOSED_PORT, output_dir=str(out / "duet"))) / "logs.jsonl"
@@ -62,6 +65,35 @@ def test_logged_acts_are_normal(pinned_runs):
     logs = read_logs(pinned_runs)
     acts = {a for log in logs for turn in log.turns for a in turn.acts}
     assert [a for a in acts if a.normalized() is not a] == []
+
+
+# Run in a fresh interpreter: a library user runs an experiment and reads
+# logs without the CLI.
+LIBRARY_PATH = """
+import sys
+from duetsim.acts import read_logs
+from duetsim.experiment import load_config, run_experiment
+
+pinned, config_path = sys.argv[1:]
+assert [log.seed for log in read_logs([pinned])] == list(range(200))
+assert load_config(None, {}).simulator == "agenda"
+assert "yaml" not in sys.modules
+out = run_experiment(load_config(config_path, {}))
+assert "yaml" in sys.modules
+assert [log.seed for log in read_logs([out / "logs.jsonl"])] == [5, 6]
+assert "click" not in sys.modules
+"""
+
+
+def test_library_path_loads_no_click(pinned_runs, tmp_path):
+    """``duetsim.experiment`` and ``duetsim.acts`` run and read without
+    click, and without PyYAML until a config file is read."""
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"dialogues: 2\nseed: 5\noutput_dir: {tmp_path / 'run'}\n")
+    out = subprocess.run([sys.executable, "-c", LIBRARY_PATH, str(pinned_runs[0]),
+                          str(config)], capture_output=True, text=True, env=src_env(),
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def kind(value) -> str:

@@ -94,11 +94,29 @@ class TestLoadWorld:
          "ontology.hotel.bookable.book day"),
         (lambda doc: doc["entities"][0]["attributes"].update(food="thai "),
          "entities[0].attributes.food"),
+        (lambda doc: doc["ontology"]["restaurant"]["informable"].update(food=5),
+         "ontology.restaurant.informable.food"),
+        (lambda doc: doc["ontology"]["restaurant"].update(informable=[]),
+         "ontology.restaurant.informable"),
+        (lambda doc: doc["entities"][0].update(attributes=[]), "entities[0].attributes"),
+        (lambda doc: doc["ontology"]["restaurant"]["informable"].update(area="centre"),
+         "ontology.restaurant.informable.area"),
+        (lambda doc: doc["ontology"]["hotel"]["bookable"].update({"book day": "monday"}),
+         "ontology.hotel.bookable.book day"),
+        (lambda doc: doc["ontology"]["hotel"].update(requestable="phone"),
+         "ontology.hotel.requestable"),
+        (lambda doc: doc.update(entities={e["id"]: e for e in doc["entities"]}),
+         "entities"),
+        (lambda doc: doc["entities"][0].update(domain=["restaurant"]), "entities[0]"),
     ], ids=["domain_case", "slot_padded", "requestable_case", "candidate_padded",
-            "entity_value_padded"])
+            "entity_value_padded", "candidates_number", "informable_list",
+            "attributes_list", "candidates_string", "bookable_string",
+            "requestable_string", "entities_object", "entity_domain_list"])
     def test_names_and_values_must_be_normal(self, tmp_path, edit, location):
         """Acts carry world names and values as they are, so a world must
-        give them in act form: names lowercase and trimmed, values trimmed."""
+        give them in act form: names lowercase and trimmed, values trimmed.
+        A section of the wrong JSON type is named too, never a traceback,
+        and a string is not read as a list of its letters."""
         path = tmp_path / "w.json"
         path.write_text(json.dumps(edited_bundled_world(edit)))
         with pytest.raises(SchemaViolation) as e:
