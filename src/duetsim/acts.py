@@ -374,6 +374,7 @@ def derive_annotations(turns) -> LogAnnotations:
 
 
 TERMINATION_REASONS = ("user_bye", "turn_cap", "error")
+DEFAULT_TURN_CAP = 20  # user turns before a dialogue ends with "turn_cap"
 
 
 @dataclass
@@ -423,8 +424,9 @@ def encode_record(log: DialogueLog) -> str:
 
 
 def read_logs(paths, ontology=None) -> list[DialogueLog]:
-    """The log records of ``paths``, in order. Given an ontology, a booking
-    in a domain it does not know is an error that names the record."""
+    """The log records of ``paths``, in order. Given an ontology, a goal
+    section or a booking in a domain it does not know is an error that
+    names the record."""
     logs = []
     acts = ActTable()  # equal acts of this call share one DialogueAct
     for path in paths:
@@ -444,9 +446,11 @@ def read_logs(paths, ontology=None) -> list[DialogueLog]:
                     log = DialogueLog.from_dict(record["log"], acts)
                 except (ValueError, KeyError, TypeError) as e:
                     raise LogParseError(i, f"{path}: {e}") from e
-                for booking in log.annotations.bookings if ontology else ():
-                    if not ontology.has_domain(booking.domain):
-                        raise LogParseError(i, f"{path}: seed {log.seed}: "
-                                            f"unknown domain {booking.domain!r}")
+                if ontology:
+                    for domain in (*log.goal.domains,
+                                   *(b.domain for b in log.annotations.bookings)):
+                        if not ontology.has_domain(domain):
+                            raise LogParseError(i, f"{path}: seed {log.seed}: "
+                                                f"unknown domain {domain!r}")
                 logs.append(log)
     return logs

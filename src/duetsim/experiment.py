@@ -4,6 +4,8 @@
 ``run_experiment`` simulates its dialogues, in worker processes when
 ``workers()`` > 1, writing ``logs.jsonl``, ``manifest.json`` and, if
 recording, the cassette. It imports no click; ``duetsim.cli`` calls it.
+The loop, the backends and the prompts load only when a config or a run is
+built, so importing this module (and the CLI) loads none of them.
 """
 
 from __future__ import annotations
@@ -15,17 +17,17 @@ import time
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .acts import encode_record, require_string
+from .acts import DEFAULT_TURN_CAP, encode_record, require_string
 from .agenda import AgendaUserSimulator
-from .backend import (BackendConfig, CassetteBackend, HTTPBackend, ScriptedBackend,
-                      load_cassette)
 from .errors import CassetteIOError, ConfigError, DuetSimError, WorkerFailed
-from .loop import DEFAULT_TURN_CAP, DuetSession, DuetUserSimulator, LoopConfig
-from .prompts import PromptConfig, lint_all_templates, templates_digest
 from .system import SystemAgent
 from .world import generate_goal, load_world
+
+if TYPE_CHECKING:
+    from .loop import LoopConfig
 
 SIMULATOR_KINDS = ("duet", "duet-no-verifier", "agenda")
 
@@ -67,6 +69,14 @@ def _check_block(block: dict, types: dict, prefix: str) -> None:
         _check_type(prefix + key, value, types[key])
 
 
+def _loop_config(**fields) -> LoopConfig:
+    # the first config loads the loop, and with it the generator, the
+    # verifier, the prompts and the backends
+    from .loop import LoopConfig
+
+    return LoopConfig(**fields)
+
+
 @dataclass
 class ExperimentConfig:
     simulator: str = "agenda"
@@ -79,7 +89,7 @@ class ExperimentConfig:
     context_mode: str = "utterances"
     omit_goal: bool = False
     omit_history: bool = False
-    loop: LoopConfig = field(default_factory=LoopConfig)
+    loop: LoopConfig = field(default_factory=_loop_config)
     generator_backend: dict = field(default_factory=dict)
     verifier_backend: dict = field(default_factory=dict)
     cassette: dict = field(default_factory=dict)
@@ -181,7 +191,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     loop_doc = doc.pop("loop", {}) or {}
     config = ExperimentConfig(**doc)
     try:
-        config.loop = LoopConfig(**loop_doc)
+        config.loop = _loop_config(**loop_doc)
     except (TypeError, ValueError) as e:
         raise ConfigError("loop", str(e)) from e
     config.validate()
@@ -190,6 +200,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 def _build_backend(spec: dict, role: str):
     """The backend a spec that ``ExperimentConfig.validate`` accepted names."""
+    from .backend import BackendConfig, HTTPBackend, ScriptedBackend
+
     if spec.get("kind", "http") == "scripted":
         path = spec.get("script_file")
         if not path:
@@ -227,6 +239,9 @@ class _DialogueRunner:
         self.replies = None
         if config.simulator == "agenda":
             return
+        from .backend import load_cassette
+        from .prompts import PromptConfig
+
         if config.cassette.get("mode") == "replay":  # calls no backend
             self.replies = load_cassette(config.cassette["path"])
         self.prompt_config = PromptConfig(omit_goal=config.omit_goal,
@@ -239,7 +254,8 @@ class _DialogueRunner:
 
     def __call__(self, seed: int) -> tuple[str, dict | None, str]:
         """(record line, failure entry or None, cassette lines recorded)."""
-        from .loop import run_dialogue
+        from .backend import CassetteBackend
+        from .loop import DuetSession, DuetUserSimulator, run_dialogue
 
         config = self.config
         goal = generate_goal(seed, self.ontology, self.entities)
@@ -323,6 +339,9 @@ def _open_cassette(cassette: dict):
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run the configured dialogues; write logs, manifest and, if recording, the cassette."""
+    from .backend import HTTPBackend
+    from .prompts import lint_all_templates, templates_digest
+
     config.validate()
     runner = _DialogueRunner(config)
     lint_all_templates()

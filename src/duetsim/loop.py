@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .acts import DialogueAct, DialogueContext, DialogueLog, derive_annotations
+from .acts import (DEFAULT_TURN_CAP, DialogueAct, DialogueContext, DialogueLog,
+                   derive_annotations)
 from .errors import TurnAborted
 from .generator import DraftActs, Utterance, generate_acts_cot, realize_utterance
 from .prompts import (
@@ -24,8 +25,6 @@ from .world import Ontology, UserGoal
 
 USE_LAST_DRAFT = "use_last_draft"
 ABORT_TURN = "abort_turn"
-
-DEFAULT_TURN_CAP = 20
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,14 @@ def _check_normal(location: str, items, lower: bool = True) -> None:
             raise SchemaViolation(location, f"{item!r} must be {form} string")
 
 
+def _scalar(location: str, value) -> str:
+    """An entity id or attribute value as a string; a number is stringified.
+    Null, true/false, a list or an object is a SchemaViolation."""
+    _check(isinstance(value, (str, int, float)) and not isinstance(value, bool),
+           location, f"{json.dumps(value)} must be a string or a number")
+    return str(value)
+
+
 def _parse_world(doc: dict, source: str) -> tuple[Ontology, EntityIndex]:
     _check(isinstance(doc, dict), source, "top level must be an object")
     _check("ontology" in doc, source, "missing 'ontology' section")
@@ -256,16 +264,18 @@ def _parse_world(doc: dict, source: str) -> tuple[Ontology, EntityIndex]:
                f"unknown domain {domain!r}")
         schema = domains[domain]
         _check(isinstance(raw["attributes"], dict), f"{loc}.attributes", "must be an object")
-        attrs = {k: str(v) for k, v in raw["attributes"].items()}
+        attrs = {}
         known = set(schema.informable) | set(schema.requestable)
-        for slot, value in attrs.items():
+        for slot, value in raw["attributes"].items():
             _check(slot in known, f"{loc}.attributes",
                    f"slot {slot!r} not in ontology for {domain!r}")
-            _check_normal(f"{loc}.attributes.{slot}", [value], lower=False)
+            attrs[slot] = _scalar(f"{loc}.attributes.{slot}", value)
+            _check_normal(f"{loc}.attributes.{slot}", [attrs[slot]], lower=False)
         for slot in set(schema.requestable) | set(schema.informable):
             _check(slot in attrs, f"{loc}.attributes",
                    f"entity missing value for slot {slot!r}")
-        entities.append(Entity(domain=domain, id=str(raw["id"]), attributes=attrs))
+        entities.append(Entity(domain=domain, id=_scalar(f"{loc}.id", raw["id"]),
+                               attributes=attrs))
     return ontology, EntityIndex(entities)
 
 

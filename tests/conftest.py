@@ -64,18 +64,25 @@ def simple_goal(info=None, reqt=(), book=None, domain="restaurant"):
                                         reqt=tuple(reqt), book=book)})
 
 
+def run_fresh(code):
+    """(What ``code`` prints, the modules it loads) in a fresh interpreter.
+    Modules are by dotted name; a loaded submodule's packages are listed
+    too, and those the interpreter holds before ``code`` runs (site,
+    ``.pth`` files) are left out. ``code`` must exit 0."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\nbefore = set(sys.modules)\n{code}\n"
+         "print(' '.join(sorted(set(sys.modules) - before)))"],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    printed, _, loaded = done.stdout[:-1].rpartition("\n")
+    return printed, set(loaded.split())
+
+
 @pytest.fixture(scope="session")
 def imported_modules():
-    """Modules, by dotted name, that importing the CLI loads in a fresh
-    interpreter; a loaded submodule's packages are listed too. Modules the
-    interpreter holds before that import (site, ``.pth`` files) are left
-    out."""
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; before = set(sys.modules); import duetsim.cli; "
-         "print(' '.join(sorted(set(sys.modules) - before)))"],
-        capture_output=True, text=True, env=src_env(), check=True)
-    return set(out.stdout.split())
+    """Modules that importing the CLI loads in a fresh interpreter."""
+    return run_fresh("import duetsim.cli")[1]
 
 
 def src_env():

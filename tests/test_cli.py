@@ -1009,6 +1009,7 @@ def test_parallel_run_is_built_once(tmp_path, monkeypatch, simulator):
     """A parallel run loads its world and its cassette once, in the calling
     process; forked workers inherit what it built and run every dialogue.
     They inherit the patches below too, so a load there would be seen."""
+    import duetsim.backend
     import duetsim.experiment
     import duetsim.loop
 
@@ -1034,7 +1035,7 @@ def test_parallel_run_is_built_once(tmp_path, monkeypatch, simulator):
         return call
 
     for owner, name in ((duetsim.experiment, "load_world"),
-                        (duetsim.experiment, "load_cassette"),
+                        (duetsim.backend, "load_cassette"),
                         (duetsim.loop, "run_dialogue")):
         monkeypatch.setattr(owner, name, logged(name, getattr(owner, name)))
     out = run_experiment(ExperimentConfig(
@@ -1053,6 +1054,13 @@ def test_import_does_not_load_process_pool(imported_modules):
     uses a thread pool."""
     assert not {"multiprocessing", "concurrent.futures.process",
                 "concurrent.futures.thread"} & imported_modules
+
+
+def test_import_does_not_load_the_loop_or_the_backends(imported_modules):
+    """``evaluate`` and ``goals`` need no simulator loop, prompt or backend;
+    ``simulate`` loads them when it builds its config."""
+    assert not {"duetsim.loop", "duetsim.generator", "duetsim.verifier",
+                "duetsim.prompts", "duetsim.backend"} & imported_modules
 
 
 def test_import_does_not_load_http_hashing_or_yaml(imported_modules):

@@ -1,11 +1,16 @@
 """`evaluate` output pinned byte for byte on fixed log sets."""
 
+import copy
 import hashlib
 import json
+import re
 
+import pytest
 from click.testing import CliRunner
 
+from duetsim.acts import read_logs
 from duetsim.cli import ExperimentConfig, main, run_experiment
+from duetsim.errors import LogParseError
 
 # sha256 of `evaluate --format json` on the agenda logs of seeds 0-199
 # (turn_cap 20, bundled world), recorded before the evaluate path was
@@ -82,9 +87,9 @@ HAND_BUILT_LOGS = [
                                    "constraints": {"book day": "saturday",
                                                    "book stay": "3"}}]},
      "termination_reason": "user_bye", "seed": 2},
-    # a domain the world does not know; a goal no entity satisfies
-    {"goal": {"restaurant": {"info": {"food": "martian"}, "reqt": ["phone"]},
-              "spaceport": {"info": {"gate": "9"}, "reqt": ["phone"]}},
+    # a provided value in a domain the world does not know; a goal no entity
+    # satisfies, with a requested slot never provided
+    {"goal": {"restaurant": {"info": {"food": "martian"}, "reqt": ["phone", "address"]}},
      "turns": [
          _turn(0, "user", [["inform", "spaceport", "gate", "9"]],
                "Martian cuisine near gate nine."),
@@ -123,8 +128,27 @@ HAND_BUILT_EVALUATE_JSON = """\
 """
 
 
-def test_hand_built_evaluate_pinned(tmp_path):
-    path = tmp_path / "logs.jsonl"
+def write_logs(path, logs):
     path.write_text("".join(json.dumps({"v": 1, "log": log}, sort_keys=True) + "\n"
-                            for log in HAND_BUILT_LOGS))
+                            for log in logs))
+    return path
+
+
+def test_hand_built_evaluate_pinned(tmp_path):
+    path = write_logs(tmp_path / "logs.jsonl", HAND_BUILT_LOGS)
     assert evaluate_json(path) == HAND_BUILT_EVALUATE_JSON
+
+
+def test_goal_in_unknown_domain_is_rejected(tmp_path, ontology):
+    """A goal section in a domain the world does not know cannot be scored:
+    given the world, it is an error naming its record, as a booking there
+    is; without one, the record reads."""
+    logs = copy.deepcopy(HAND_BUILT_LOGS)
+    logs[2]["goal"]["spaceport"] = {"info": {"gate": "9"}, "reqt": ["phone"]}
+    path = write_logs(tmp_path / "logs.jsonl", logs)
+    message = f"line 3: {path}: seed 3: unknown domain 'spaceport'"
+    with pytest.raises(LogParseError, match=f"^{re.escape(message)}$"):
+        read_logs([path], ontology)
+    assert "spaceport" in read_logs([path])[2].goal.domains
+    result = CliRunner().invoke(main, ["evaluate", str(path)])
+    assert (result.exit_code, result.output) == (2, f"error: {message}\n")

@@ -108,10 +108,24 @@ class TestLoadWorld:
         (lambda doc: doc.update(entities={e["id"]: e for e in doc["entities"]}),
          "entities"),
         (lambda doc: doc["entities"][0].update(domain=["restaurant"]), "entities[0]"),
+        (lambda doc: doc["entities"][0]["attributes"].update(food=None),
+         "entities[0].attributes.food"),
+        (lambda doc: doc["entities"][0]["attributes"].update(food=True),
+         "entities[0].attributes.food"),
+        (lambda doc: doc["entities"][0]["attributes"].update(food=["chinese"]),
+         "entities[0].attributes.food"),
+        (lambda doc: doc["entities"][0]["attributes"].update(food={"name": "chinese"}),
+         "entities[0].attributes.food"),
+        (lambda doc: doc["entities"][0].update(id=None), "entities[0].id"),
+        (lambda doc: doc["entities"][0].update(id=False), "entities[0].id"),
+        (lambda doc: doc["entities"][0].update(id=["r000"]), "entities[0].id"),
     ], ids=["domain_case", "slot_padded", "requestable_case", "candidate_padded",
             "entity_value_padded", "candidates_number", "informable_list",
             "attributes_list", "candidates_string", "bookable_string",
-            "requestable_string", "entities_object", "entity_domain_list"])
+            "requestable_string", "entities_object", "entity_domain_list",
+            "entity_value_null", "entity_value_bool", "entity_value_list",
+            "entity_value_object", "entity_id_null", "entity_id_bool",
+            "entity_id_list"])
     def test_names_and_values_must_be_normal(self, tmp_path, edit, location):
         """Acts carry world names and values as they are, so a world must
         give them in act form: names lowercase and trimmed, values trimmed.
@@ -125,6 +139,18 @@ class TestLoadWorld:
         result = CliRunner().invoke(main, ["goals", "--world", str(path)])
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: {location}: ")
+
+    def test_number_values_are_stringified(self, tmp_path):
+        """A number is the one non-string an entity id or attribute value
+        may be; it loads as its string."""
+        def edit(doc):
+            doc["entities"][0].update(id=7)
+            doc["entities"][0]["attributes"].update(phone=1223176749)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edited_bundled_world(edit)))
+        _, entities = load_world(str(path))
+        entity = next(e for e in entities if e.id == "7")
+        assert entity.get("phone") == "1223176749"
 
     def test_returns_index(self, entities):
         assert isinstance(entities, EntityIndex)
