@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it is the home of
 _EXPORTS = {
     "acts": ("DialogueAct", "DialogueContext", "DialogueLog", "DialogueTurn",
-             "parse_act_list", "render_act_list", "validate_acts"),
-    "agenda": ("AgendaUserSimulator", "agenda_step", "init_agenda", "template_nlg"),
+             "parse_act_list", "render_act_list", "template_nlg", "validate_acts"),
+    "agenda": ("AgendaUserSimulator", "agenda_step", "init_agenda"),
     "backend": ("BackendConfig", "CassetteBackend", "CompletionRequest",
                 "CompletionResult", "HTTPBackend", "ScriptedBackend", "load_cassette"),
     "generator": ("DraftActs", "Utterance", "generate_acts_cot", "realize_utterance"),

@@ -3,7 +3,9 @@
 A dialogue act is a four-tuple (intent, domain, slot, value). Acts travel
 between the user simulator and the dialogue system as bracketed quadruple
 lists like ``[['inform', 'restaurant', 'book day', 'Tuesday']]``, which is
-also the wire form that language models are asked to emit.
+also the wire form that language models are asked to emit. ``template_nlg``
+renders acts as text from ``data/templates/nlg.json``, for the agenda user
+and the rule-based system alike.
 
 A dialogue log is stored as one JSON record per line, ``{"v": 1, "log":
 ...}``; ``encode_record`` writes such a line and ``read_logs`` reads them.
@@ -15,8 +17,12 @@ import ast
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+from importlib import resources
 
-from .errors import EmptyActList, LogParseError, LogReadError, MalformedAct, NoActFound
+from .errors import (EmptyActList, LogParseError, LogReadError, MalformedAct, MissingTemplate,
+                     NoActFound, require_int, require_string, require_strings, require_type)
+from .world import DomainGoal, UserGoal
 
 INTENTS = frozenset({
     "inform", "request", "book", "offer_book", "offer_booked", "nooffer",
@@ -175,6 +181,39 @@ def validate_acts(acts, ontology) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+# --- template NLG ---
+
+DONTCARE = "dontcare"
+
+
+@lru_cache(maxsize=None)
+def _nlg_tables() -> dict:
+    text = resources.files("duetsim.data.templates").joinpath("nlg.json").read_text()
+    return json.loads(text)
+
+
+def template_nlg(acts, side: str = "user") -> str:
+    """Deterministic fill-in NLG; one template per act, joined with " "."""
+    table = _nlg_tables()[side]
+    pieces = []
+    for a in acts:
+        intent = a.intent
+        if intent == "inform" and a.value == DONTCARE:
+            intent = "dontcare"
+        template = None
+        for key in (f"{intent}|{a.domain}|{a.slot}",
+                    f"{intent}|*|{a.slot}",
+                    f"{intent}|{a.domain}|*",
+                    f"{intent}|*|*"):
+            if key in table:
+                template = table[key]
+                break
+        if template is None:
+            raise MissingTemplate(f"{side}:{intent}|{a.domain}|{a.slot}")
+        pieces.append(template.format(value=a.value, slot=a.slot, domain=a.domain))
+    return " ".join(pieces)
+
+
 # --- dialogue structure ---
 
 UTTERANCES = "utterances"
@@ -218,31 +257,12 @@ class DialogueTurn:
                    require_int("turn_index", d["turn_index"]))
 
 
-def require_string(name: str, value):
-    """``value``, or TypeError unless it is a str."""
-    if not isinstance(value, str):
-        raise TypeError(f"{name}: expected a string, got {value!r}")
-    return value
-
-
-def require_strings(name: str, values) -> None:
-    """TypeError unless every value is a str; a log reader reports it."""
-    for value in values:
-        if not isinstance(value, str):
-            raise TypeError(f"{name}: expected a string, got {value!r}")
-
-
-def require_int(name: str, value):
-    """``value``, or TypeError unless it is an int; a bool is not."""
-    if type(value) is not int:  # one test: JSON gives no other int subclass
-        raise TypeError(f"{name}: expected an integer, got {value!r}")
-    return value
-
-
 class ActTable(dict):
     """Act quadruple -> DialogueAct, building each missing act once."""
 
     def __missing__(self, fields: tuple) -> DialogueAct:
+        if len(fields) != 4:
+            raise TypeError(f"act: expected 4 components, got {list(fields)!r}")
         require_strings("act component", fields)
         act = self[fields] = DialogueAct(*fields)
         return act
@@ -306,8 +326,7 @@ class BookingRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "BookingRecord":
         domain, ref, name, constraints = d["domain"], d["ref"], d["entity_name"], d["constraints"]
-        if not isinstance(constraints, dict):
-            raise TypeError(f"booking constraints: expected an object, got {constraints!r}")
+        require_type("booking constraints", constraints, dict)
         require_strings("booking", (domain, ref, name, *constraints.values()))
         return cls(domain, ref, name, tuple(sorted(constraints.items())))
 
@@ -381,7 +400,7 @@ DEFAULT_TURN_CAP = 20  # user turns before a dialogue ends with "turn_cap"
 class DialogueLog:
     """Complete session record from which every metric is computed."""
 
-    goal: "UserGoal"
+    goal: UserGoal
     turns: list[DialogueTurn]
     annotations: LogAnnotations
     termination_reason: str
@@ -390,7 +409,7 @@ class DialogueLog:
 
     def to_dict(self) -> dict:
         return {
-            "goal": self.goal.to_dict(),
+            "goal": goal_to_dict(self.goal),
             "turns": [t.to_dict() for t in self.turns],
             "annotations": self.annotations.to_dict(),
             "termination_reason": self.termination_reason,
@@ -400,13 +419,12 @@ class DialogueLog:
     @classmethod
     def from_dict(cls, d: dict, acts: ActTable | None = None) -> "DialogueLog":
         """``acts`` shares equal acts between the logs read with it."""
-        from .world import UserGoal
         acts = ActTable() if acts is None else acts
         reason, seed = d["termination_reason"], d.get("seed")
         if reason not in TERMINATION_REASONS:
             raise ValueError(f"termination_reason: got {reason!r}, expected one "
                              f"of {', '.join(TERMINATION_REASONS)}")
-        return cls(UserGoal.from_dict(d["goal"]),
+        return cls(goal_from_dict(d["goal"]),
                    [DialogueTurn.from_dict(t, acts) for t in d["turns"]],
                    LogAnnotations.from_dict(d["annotations"]), reason,
                    seed if seed is None else require_int("seed", seed))
@@ -415,6 +433,35 @@ class DialogueLog:
 # --- log records ---
 
 LOG_SCHEMA_VERSION = 1
+
+
+def goal_to_dict(goal: UserGoal) -> dict:
+    out = {}
+    for name, g in goal.domains.items():
+        section = {"info": dict(g.info), "reqt": list(g.reqt)}
+        if g.book is not None:
+            section["book"] = dict(g.book)
+        out[name] = section
+    return out
+
+
+def goal_from_dict(d: dict) -> UserGoal:
+    """TypeError unless the goal and each of its sections is an object,
+    a section's ``info`` and ``book`` are objects and its ``reqt`` is a
+    list, and every goal value and requested slot is a string."""
+    require_type("goal", d, dict)
+    domains = {}
+    for name, section in d.items():
+        require_type("goal", section, dict)
+        info, reqt = section.get("info"), section.get("reqt")
+        book = section.get("book", {})
+        require_type("goal", info, dict)
+        require_type("goal", reqt, list)
+        require_type("goal", book, dict)
+        require_strings("goal", (*info.values(), *reqt, *book.values()))
+        domains[name] = DomainGoal(dict(info), tuple(reqt),
+                                   dict(book) if "book" in section else None)
+    return UserGoal(domains)
 
 
 def encode_record(log: DialogueLog) -> str:

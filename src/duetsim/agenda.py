@@ -7,19 +7,13 @@ the user pops its next acts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import lru_cache
-from importlib import resources
 
-from .acts import DialogueAct, DialogueContext
-from .errors import MissingTemplate
+from .acts import DONTCARE, DialogueAct, DialogueContext, template_nlg
 from .world import UserGoal
 
 POP_BUDGET = 2
 MAX_ASKS = 3  # total times the user will ask the same request slot
-
-DONTCARE = "dontcare"
 
 
 @dataclass
@@ -150,36 +144,6 @@ def agenda_step(agenda: Agenda, system_acts) -> list[DialogueAct]:
     turn. The agenda is updated in place."""
     _apply_system_acts(agenda, system_acts)
     return _pop_turn(agenda)
-
-
-# --- template NLG ---
-
-@lru_cache(maxsize=None)
-def _nlg_tables() -> dict:
-    text = resources.files("duetsim.data.templates").joinpath("nlg.json").read_text()
-    return json.loads(text)
-
-
-def template_nlg(acts, side: str = "user") -> str:
-    """Deterministic fill-in NLG; one template per act, joined with " "."""
-    table = _nlg_tables()[side]
-    pieces = []
-    for a in acts:
-        intent = a.intent
-        if intent == "inform" and a.value == DONTCARE:
-            intent = "dontcare"
-        template = None
-        for key in (f"{intent}|{a.domain}|{a.slot}",
-                    f"{intent}|*|{a.slot}",
-                    f"{intent}|{a.domain}|*",
-                    f"{intent}|*|*"):
-            if key in table:
-                template = table[key]
-                break
-        if template is None:
-            raise MissingTemplate(f"{side}:{intent}|{a.domain}|{a.slot}")
-        pieces.append(template.format(value=a.value, slot=a.slot, domain=a.domain))
-    return " ".join(pieces)
 
 
 class AgendaUserSimulator:

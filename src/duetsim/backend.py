@@ -11,12 +11,12 @@ so a run without an http backend or a cassette does not load them.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import urllib.parse
 from dataclasses import dataclass
 
-from .acts import require_int, require_strings
 from .errors import (
     CassetteIOError,
     CassetteMiss,
@@ -25,6 +25,8 @@ from .errors import (
     RetriesExhausted,
     ScriptExhausted,
     Timeout,
+    require_int,
+    require_strings,
 )
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -61,8 +63,11 @@ class BackendConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:  # also false for NaN
+            raise ValueError(f"timeout must be a finite number above 0, got {self.timeout}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError("backoff_base must be a finite number of 0 or more, "
+                             f"got {self.backoff_base}")
         if not 0 <= self.retries <= 5:
             raise ValueError("retries must be between 0 and 5")
         url = urllib.parse.urlsplit(self.base_url)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and value-kind checks shared across the package."""
 
 import copyreg
 
@@ -179,3 +179,33 @@ class LogParseError(DuetSimError):
 
 class LogReadError(DuetSimError):
     """A log file could not be opened, e.g. a directory."""
+
+
+# --- value kinds: a log or cassette reader reports each TypeError ---
+
+def require_string(name: str, value):
+    """``value``, or TypeError unless it is a str."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name}: expected a string, got {value!r}")
+    return value
+
+
+def require_strings(name: str, values) -> None:
+    """TypeError unless every value is a str; a log reader reports it."""
+    for value in values:
+        if not isinstance(value, str):
+            raise TypeError(f"{name}: expected a string, got {value!r}")
+
+
+def require_int(name: str, value):
+    """``value``, or TypeError unless it is an int; a bool is not."""
+    if type(value) is not int:  # one test: JSON gives no other int subclass
+        raise TypeError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
+def require_type(name: str, value, kind: type) -> None:
+    """TypeError unless ``value`` is a ``kind``, a dict or a list."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise TypeError(f"{name}: expected {expected}, got {value!r}")

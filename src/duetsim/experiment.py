@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .acts import DEFAULT_TURN_CAP, encode_record, require_string
+from .acts import DEFAULT_TURN_CAP, encode_record
 from .agenda import AgendaUserSimulator
-from .errors import CassetteIOError, ConfigError, DuetSimError, WorkerFailed
+from .errors import CassetteIOError, ConfigError, DuetSimError, WorkerFailed, require_string
 from .system import SystemAgent
 from .world import generate_goal, load_world
 
@@ -188,7 +188,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     for key in doc:
         if key not in ExperimentConfig.__dataclass_fields__:
             raise ConfigError(key, "unknown field")
-    loop_doc = doc.pop("loop", {}) or {}
+    loop_doc = doc.pop("loop", {})
+    _check_type("loop", loop_doc, dict)
     config = ExperimentConfig(**doc)
     try:
         config.loop = _loop_config(**loop_doc)

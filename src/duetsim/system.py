@@ -10,8 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .acts import DialogueAct, GENERAL_DOMAIN
-from .agenda import DONTCARE, template_nlg
+from .acts import DONTCARE, GENERAL_DOMAIN, DialogueAct, template_nlg
 from .errors import InvalidBookingSlot, UnbookableDomain
 from .world import BookingLedger, Ontology, query_entities
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
-from .acts import require_strings
 from .errors import (
     EmptyWorld,
     InvalidBookingSlot,
@@ -128,41 +127,6 @@ class UserGoal:
     def description(self) -> str:
         """``describe_goal(self)``, computed on first use."""
         return describe_goal(self)
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name, g in self.domains.items():
-            section = {"info": dict(g.info), "reqt": list(g.reqt)}
-            if g.book is not None:
-                section["book"] = dict(g.book)
-            out[name] = section
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UserGoal":
-        """TypeError unless the goal and each of its sections is an object,
-        a section's ``info`` and ``book`` are objects and its ``reqt`` is a
-        list, and every goal value and requested slot is a string."""
-        _require_type(d, dict)
-        domains = {}
-        for name, section in d.items():
-            _require_type(section, dict)
-            info, reqt = section.get("info"), section.get("reqt")
-            book = section.get("book", {})
-            _require_type(info, dict)
-            _require_type(reqt, list)
-            _require_type(book, dict)
-            require_strings("goal", (*info.values(), *reqt, *book.values()))
-            domains[name] = DomainGoal(dict(info), tuple(reqt),
-                                       dict(book) if "book" in section else None)
-        return cls(domains)
-
-
-def _require_type(value, kind: type) -> None:
-    """TypeError unless ``value`` is a ``kind``; a log reader reports it."""
-    if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
-        raise TypeError(f"goal: expected {expected}, got {value!r}")
 
 
 _REQT_PHRASES = {

@@ -234,18 +234,13 @@ class TestLogReplay:
         assert DialogueLog.from_dict(d).turns[0].acts[0] is not shared
         assert list(table) == [("bye", "general", "", "")]
 
-    def test_short_act_filled_with_defaults(self):
-        acts = [["inform", "restaurant"]]
-        d = {"speaker": "user", "acts": acts, "utterance": "u", "turn_index": 0}
-        assert DialogueTurn.from_dict(d, ActTable()) == DialogueTurn.from_dict(d)
-        assert DialogueTurn.from_dict(d).acts == (DialogueAct("inform", "restaurant"),)
-
     @pytest.mark.parametrize("acts", [
         [["a", "b", "c", "d", "e"]], [5], None,
         [["inform", ["food"], "", ""]],   # unhashable component
         [["inform", "restaurant", "food", 5]],
         ["book"], "book",                 # not one field per letter
         [("inform", "restaurant")],
+        [["inform", "restaurant"]], [[]],  # not padded to four components
     ])
     def test_bad_acts_raise_type_error(self, acts):
         d = {"speaker": "user", "acts": acts, "utterance": "u", "turn_index": 0}

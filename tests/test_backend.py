@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -57,6 +58,14 @@ class TestRequestValidation:
     def test_retry_bound(self):
         with pytest.raises(ValueError):
             BackendConfig(base_url="http://x", model="m", retries=6)
+
+    @pytest.mark.parametrize("field,value", [
+        ("timeout", 0), ("timeout", math.nan), ("timeout", math.inf),
+        ("backoff_base", -1.0), ("backoff_base", math.nan), ("backoff_base", math.inf),
+    ])
+    def test_timing_values_must_be_finite_and_in_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BackendConfig(base_url="http://x", model="m", **{field: value})
 
     @pytest.mark.parametrize("url", ["example.com/v1", "ftp://x", "http://"])
     def test_base_url_must_be_http(self, url):

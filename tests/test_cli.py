@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -294,13 +295,17 @@ class TestCommands:
         ("booking constraints", lambda log: booked(log, ["book day"])),
         ("booking constraints", lambda log: booked(log, "tuesday")),
         ("provided", lambda log: log["annotations"]["provided"].append("abc")),
+        ("act", lambda log: log["turns"][0].update(acts=[["inform", "restaurant"]])),
+        ("act", lambda log: log["turns"][0].update(acts=[["inform", "restaurant", "food",
+                                                         "thai", "x"]])),
     ], ids=["utterance_null", "provided_value_int", "goal_info_int",
             "booking_constraint_int", "goal_section_int", "goal_section_empty",
             "goal_info_list", "goal_info_pair_list", "goal_reqt_str", "goal_book_list",
             "termination_reason_int", "termination_reason_unknown",
             "seed_str", "seed_bool", "turn_index_str", "turn_index_bool",
             "act_str", "acts_str", "speaker_unknown", "booking_constraints_null",
-            "booking_constraints_list", "booking_constraints_str", "provided_str"])
+            "booking_constraints_list", "booking_constraints_str", "provided_str",
+            "act_two_components", "act_five_components"])
     def test_non_string_log_field_exit_2(self, tmp_path, field, corrupt):
         bad = self.corrupt_second_record(tmp_path, corrupt)
         result = self.invoke("evaluate", str(bad))
@@ -411,6 +416,10 @@ class TestCommands:
         ("output_dir", 7),
         ("verifier_backend", ["http"]),
         ("loop", {"max_iterations": 2.5}),
+        ("loop", False),  # the cases from here on were read as the default loop
+        ("loop", []),
+        ("loop", None),
+        ("loop", [1]),
     ])
     def test_mistyped_config_field_exit_1(self, tmp_path, field, value):
         """A config value of the wrong type is a configuration error that
@@ -427,16 +436,26 @@ class TestCommands:
         assert f"error: config field '{field}'" in result.output
         assert not (tmp_path / "run").exists()
 
-    def test_bad_http_backend_config_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("spec", [
+        {"base_url": "localhost:8000", "timeout": 0},
+        {"base_url": "http://127.0.0.1:9", "timeout": math.nan},
+        {"base_url": "http://127.0.0.1:9", "timeout": math.inf},
+        {"base_url": "http://127.0.0.1:9", "backoff_base": -1.0},
+        {"base_url": "http://127.0.0.1:9", "backoff_base": math.nan},
+    ], ids=["no_scheme_zero_timeout", "timeout_nan", "timeout_inf", "backoff_negative",
+            "backoff_nan"])
+    def test_bad_http_backend_config_exit_1(self, tmp_path, spec):
+        """An http backend value out of range fails the run before any
+        dialogue, rather than every dialogue failing in it."""
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump({
             "simulator": "duet", "dialogues": 1,
             "output_dir": str(tmp_path / "run"),
-            "generator_backend": {"kind": "http", "base_url": "localhost:8000",
-                                  "timeout": 0}}))
+            "generator_backend": {"kind": "http", **spec}}))
         result = self.invoke("simulate", "-c", str(path))
         assert result.exit_code == 1, result.output
         assert "generator_backend" in result.output
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field,doc", [
         ("generator_backend.api_key",

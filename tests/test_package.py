@@ -1,15 +1,20 @@
 """The ``duetsim`` package loads its submodules on first use: each test runs
-in a fresh interpreter, so what it loads is what the code under test loaded."""
+in a fresh interpreter, so what it loads is what the code under test loaded.
+Its modules import one another in layers, with no cycle."""
 
+import ast
+import graphlib
 import json
+from pathlib import Path
 
+import duetsim
 from conftest import run_fresh
 
 # every public name of the package, by the submodule that defines it
 PUBLIC = {
     "acts": ("DialogueAct", "DialogueContext", "DialogueLog", "DialogueTurn",
-             "parse_act_list", "render_act_list", "validate_acts"),
-    "agenda": ("AgendaUserSimulator", "agenda_step", "init_agenda", "template_nlg"),
+             "parse_act_list", "render_act_list", "template_nlg", "validate_acts"),
+    "agenda": ("AgendaUserSimulator", "agenda_step", "init_agenda"),
     "backend": ("BackendConfig", "CassetteBackend", "CompletionRequest",
                 "CompletionResult", "HTTPBackend", "ScriptedBackend", "load_cassette"),
     "generator": ("DraftActs", "Utterance", "generate_acts_cot", "realize_utterance"),
@@ -91,3 +96,50 @@ def test_dir_and_unknown_names():
     assert set(NAMES) | set(PUBLIC) | {"cli", "data", "errors", "experiment",
                                         "__version__", "__all__"} <= set(listed)
     assert unknown is False and unexported is False
+
+
+def package_imports():
+    """{module: {(imported module, at module level)}} for every module of
+    the package, from each relative import anywhere in its source, also
+    inside a function or an ``if``. ``from . import x`` names submodule
+    ``x`` if there is one, else the package's ``__init__``."""
+    package = Path(duetsim.__file__).parent
+    names = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = set(tree.body)
+        edges = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            if node.module:
+                targets = [node.module.split(".")[0]]
+            else:
+                targets = [a.name if a.name in names else "__init__" for a in node.names]
+            edges.update((t, node in top) for t in targets if t in names)
+        graph[path.stem] = edges
+    return graph
+
+
+def test_modules_import_in_layers():
+    """No import cycle; the world and the backends sit on ``errors`` alone,
+    the rule-based system needs no user simulator or loop, and ``acts``
+    imports everything it uses up front."""
+    graph = package_imports()
+    targets = {name: {t for t, _ in edges} for name, edges in graph.items()}
+    try:
+        list(graphlib.TopologicalSorter(targets).static_order())
+    except graphlib.CycleError as e:
+        raise AssertionError(f"import cycle: {e.args[1]}") from None
+    assert targets["world"] == targets["backend"] == {"errors"}
+    assert not {"agenda", "loop"} & targets["system"]
+    assert all(top for _, top in graph["acts"])
+
+
+def test_template_nlg_is_one_function_under_each_name():
+    """The benchmark harness patches ``template_nlg`` where ``agenda`` and
+    ``system`` bind it; both bind the function ``acts`` defines."""
+    from duetsim import acts, agenda, system
+
+    assert agenda.template_nlg is system.template_nlg is acts.template_nlg

@@ -1,5 +1,6 @@
 """tools/reach.py, the unreached-statement report, at a tiny size."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -41,5 +42,14 @@ def test_tiny_run_reports_every_module(tmp_path):
     assert 0 < summary["unreached"] < summary["reached"]
     assert [line.split(":")[0] for line in listed] == \
         [name for name, count in by_module.items() if count]
-    # module bodies ran under the trace, the package's __init__ included
-    assert by_module["duetsim/__init__.py"] == 0
+    # module bodies ran under the trace, the package's __init__ included:
+    # each line it leaves unreached lies inside one of its functions
+    tree = ast.parse((PERFBENCH.parent / "src" / "duetsim" / "__init__.py").read_text())
+    bodies = [range(f.lineno, f.end_lineno + 1) for f in tree.body
+              if isinstance(f, ast.FunctionDef)]
+    for line in listed:
+        if line.startswith("duetsim/__init__.py:"):
+            for part in line.rpartition(": ")[2].split(", "):
+                first, _, last = part.partition("-")
+                assert all(any(n in body for body in bodies)
+                           for n in range(int(first), int(last or first) + 1)), line
