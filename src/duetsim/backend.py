@@ -11,7 +11,6 @@ so a run without an http backend or a cassette does not load them.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 import urllib.parse
@@ -30,6 +29,9 @@ from .errors import (
 )
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+# The longest timeout or backoff base, a day: far beyond any useful wait,
+# and well inside what a socket timeout and time.sleep accept.
+MAX_WAIT_S = 86400
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,11 @@ class BackendConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.timeout < math.inf:  # also false for NaN
-            raise ValueError(f"timeout must be a finite number above 0, got {self.timeout}")
-        if not 0 <= self.backoff_base < math.inf:
-            raise ValueError("backoff_base must be a finite number of 0 or more, "
+        if not 0 < self.timeout <= MAX_WAIT_S:  # also false for NaN
+            raise ValueError(f"timeout must be above 0 and at most {MAX_WAIT_S} s, "
+                             f"got {self.timeout}")
+        if not 0 <= self.backoff_base <= MAX_WAIT_S:
+            raise ValueError(f"backoff_base must be 0 to {MAX_WAIT_S} s, "
                              f"got {self.backoff_base}")
         if not 0 <= self.retries <= 5:
             raise ValueError("retries must be between 0 and 5")

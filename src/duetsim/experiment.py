@@ -3,7 +3,9 @@
 ``load_config`` reads a YAML config (PyYAML is imported only then) and
 ``run_experiment`` simulates its dialogues, in worker processes when
 ``workers()`` > 1, writing ``logs.jsonl``, ``manifest.json`` and, if
-recording, the cassette. It imports no click; ``duetsim.cli`` calls it.
+recording, the cassette. Worker processes claim chunks of seeds from a
+shared counter and send their records back on their own pipes; this process
+writes them in seed order (see ``_records``). It imports no click; ``duetsim.cli`` calls it.
 The loop, the backends and the prompts load only when a config or a run is
 built, so importing this module (and the CLI) loads none of them.
 """
@@ -31,7 +33,7 @@ if TYPE_CHECKING:
 
 SIMULATOR_KINDS = ("duet", "duet-no-verifier", "agenda")
 
-MAX_CHUNK = 32  # dialogues per hand-off to a worker process
+MAX_CHUNK = 4  # dialogues per hand-off from a worker process
 
 # The type each config field must have; world and parallelism may be null.
 _FIELD_TYPES = {
@@ -52,6 +54,7 @@ _BACKEND_FIELDS = {
     "scripted": {"kind": str, "script_file": str},
 }
 _CASSETTE_FIELDS = {"mode": str, "path": str}
+_LOOP_FIELDS = {"max_iterations": int, "on_exhaustion": str}  # LoopConfig's
 
 
 def _check_type(name: str, value, kind: type) -> None:
@@ -190,10 +193,11 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             raise ConfigError(key, "unknown field")
     loop_doc = doc.pop("loop", {})
     _check_type("loop", loop_doc, dict)
+    _check_block(loop_doc, _LOOP_FIELDS, "loop.")
     config = ExperimentConfig(**doc)
     try:
         config.loop = _loop_config(**loop_doc)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError("loop", str(e)) from e
     config.validate()
     return config
@@ -283,49 +287,88 @@ class _DialogueRunner:
                 "".join(line for cassette in cassettes for line in cassette.lines))
 
 
-_worker_runner: _DialogueRunner | None = None  # set in each worker process
-
-
-def _init_worker(runner: _DialogueRunner) -> None:
-    global _worker_runner
-    _worker_runner = runner
-
-
-def _run_in_worker(seed: int) -> tuple[str, dict | None, str]:
-    return _worker_runner(seed)
+def _work(runner: _DialogueRunner, chunks: list[range], counter, sender) -> None:
+    """A worker process: claim the next chunk from ``counter`` until none is
+    left, and send ``(index, records)`` for each, or ``(index, error)`` for
+    the first that raises, which ends the worker."""
+    with sender:
+        while True:
+            with counter.get_lock():
+                index = counter.value
+                counter.value += 1
+            if index >= len(chunks):
+                return
+            try:
+                sender.send((index, [runner(seed) for seed in chunks[index]]))
+            except Exception as e:
+                # A package error reads as at one worker, e.g. a goal not
+                # drawn; another, e.g. a record that cannot be pickled, is
+                # the worker's failure.
+                if not isinstance(e, DuetSimError):
+                    e = WorkerFailed(f"a worker failed: {type(e).__name__}: {e}")
+                sender.send((index, e))
+                return
 
 
 def _records(runner: _DialogueRunner, seeds: range, workers: int):
     """What ``runner`` returns for each seed, in seed order. More than one
     worker means worker processes, which inherit ``runner`` when forked and
-    rebuild it from its config when spawned."""
+    rebuild it from its config when spawned. The seeds are cut into chunks
+    of at most ``MAX_CHUNK``; each worker claims the next chunk from a
+    shared counter, so a slow dialogue holds up one worker only, and sends
+    the chunk's records back on its own pipe. This process holds only the
+    chunks that arrive before an earlier one, and yields each record once
+    every earlier one has been yielded."""
     if workers == 1:
         yield from map(runner, seeds)
         return
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.connection import wait
 
-    # A forked worker starts from this interpreter; spawn and forkserver
-    # import duetsim again in each worker, about 0.1 s per pool.
+    # A forked worker starts from this interpreter; a spawned one imports
+    # duetsim again, about 0.1 s per worker.
     fork = "fork" in multiprocessing.get_all_start_methods()
-    # Contiguous chunks spread the hand-off cost over many dialogues and keep
-    # few futures pending; several chunks per worker even out the finish.
-    chunk = max(1, min(MAX_CHUNK, len(seeds) // (4 * workers)))
-    pool = ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork" if fork else "spawn"),
-        initializer=_init_worker, initargs=(runner,))
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    # Several chunks per worker even out the finish.
+    size = max(1, min(MAX_CHUNK, len(seeds) // (4 * workers)))
+    chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    counter = context.Value("i", 0)  # the next chunk to claim
+    pipes = {}  # receiving end -> the worker that sends on it
     try:
-        yield from pool.map(_run_in_worker, seeds, chunksize=chunk)
-    except BrokenProcessPool as e:
-        raise WorkerFailed(f"a worker process died: {e}") from e
-    except DuetSimError:  # reported as at one worker, e.g. a goal not drawn
-        raise
-    except Exception as e:  # raised by a worker, e.g. pickling its result
-        raise WorkerFailed(f"a worker failed: {type(e).__name__}: {e}") from e
+        for _ in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_work, daemon=True,
+                                     args=(runner, chunks, counter, sender))
+            worker.start()
+            sender.close()  # so the pipe closes when the worker ends
+            pipes[receiver] = worker
+        arrived = {}  # chunk index -> its records or error, until yielded
+        for index in range(len(chunks)):
+            while index not in arrived:
+                if not pipes:
+                    raise WorkerFailed("every worker process ended before the run did")
+                for receiver in wait(list(pipes)):
+                    try:
+                        got, outcome = receiver.recv()
+                    except EOFError:  # the worker ended
+                        worker = pipes.pop(receiver)
+                        receiver.close()
+                        worker.join()
+                        if worker.exitcode:
+                            raise WorkerFailed("a worker process died with exit code "
+                                               f"{worker.exitcode}") from None
+                    else:
+                        arrived[got] = outcome
+            outcome = arrived.pop(index)
+            if isinstance(outcome, DuetSimError):
+                raise outcome
+            yield from outcome
     finally:
-        pool.shutdown(cancel_futures=True)
+        for receiver, worker in pipes.items():
+            worker.terminate()
+            receiver.close()
+        for worker in pipes.values():
+            worker.join()
 
 
 def _open_cassette(cassette: dict):

@@ -62,10 +62,15 @@ class TestRequestValidation:
     @pytest.mark.parametrize("field,value", [
         ("timeout", 0), ("timeout", math.nan), ("timeout", math.inf),
         ("backoff_base", -1.0), ("backoff_base", math.nan), ("backoff_base", math.inf),
+        ("timeout", 86400.5), ("backoff_base", 1e12),
     ])
     def test_timing_values_must_be_finite_and_in_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             BackendConfig(base_url="http://x", model="m", **{field: value})
+
+    def test_timing_values_up_to_a_day(self):
+        config = BackendConfig(base_url="http://x", timeout=86400, backoff_base=86400)
+        assert (config.timeout, config.backoff_base) == (86400, 86400)
 
     @pytest.mark.parametrize("url", ["example.com/v1", "ftp://x", "http://"])
     def test_base_url_must_be_http(self, url):

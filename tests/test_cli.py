@@ -22,7 +22,7 @@ from duetsim.cli import (
     read_logs,
     run_experiment,
 )
-from duetsim.errors import ConfigError, LogParseError
+from duetsim.errors import ConfigError, EmptyWorld, LogParseError, WorkerFailed
 from duetsim.experiment import _DialogueRunner
 
 from conftest import PERFBENCH, load_perfbench, src_env
@@ -398,10 +398,11 @@ class TestCommands:
         path.write_text(yaml.safe_dump({"loop": {"verifier_enabled": False}}))
         with pytest.raises(ConfigError) as e:
             load_config(str(path), {})
-        assert e.value.field == "loop"
+        assert e.value.field == "loop.verifier_enabled"
         result = self.invoke("simulate", "-c", str(path))
         assert result.exit_code == 1, result.output
-        assert "verifier_enabled" in result.output
+        assert result.output == \
+            "error: config field 'loop.verifier_enabled': unknown field\n"
 
     @pytest.mark.parametrize("field,value", [
         ("seed", "abc"),
@@ -420,10 +421,11 @@ class TestCommands:
         ("loop", []),
         ("loop", None),
         ("loop", [1]),
+        ("loop", {"max_iterations": "3"}),
     ])
     def test_mistyped_config_field_exit_1(self, tmp_path, field, value):
         """A config value of the wrong type is a configuration error that
-        names the field, before anything runs."""
+        names the field, or the key of a block, before anything runs."""
         doc = {"simulator": "duet", "dialogues": 1,
                "output_dir": str(tmp_path / "run"),
                "generator_backend": {"kind": "http", "retries": 0,
@@ -433,7 +435,9 @@ class TestCommands:
         path.write_text(yaml.safe_dump(doc))
         result = self.invoke("simulate", "-c", str(path))
         assert result.exit_code == 1, result.output
-        assert f"error: config field '{field}'" in result.output
+        if isinstance(value, dict):
+            field += "." + next(iter(value))
+        assert f"error: config field '{field}': must be " in result.output
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("spec", [
@@ -442,8 +446,12 @@ class TestCommands:
         {"base_url": "http://127.0.0.1:9", "timeout": math.inf},
         {"base_url": "http://127.0.0.1:9", "backoff_base": -1.0},
         {"base_url": "http://127.0.0.1:9", "backoff_base": math.nan},
+        # beyond what a socket timeout takes: every dialogue failed with
+        # OverflowError, and the run exited 0
+        {"base_url": "http://127.0.0.1:9", "timeout": 1e12, "retries": 0},
+        {"base_url": "http://127.0.0.1:9", "backoff_base": 86401},
     ], ids=["no_scheme_zero_timeout", "timeout_nan", "timeout_inf", "backoff_negative",
-            "backoff_nan"])
+            "backoff_nan", "timeout_beyond_a_day", "backoff_beyond_a_day"])
     def test_bad_http_backend_config_exit_1(self, tmp_path, spec):
         """An http backend value out of range fails the run before any
         dialogue, rather than every dialogue failing in it."""
@@ -816,6 +824,95 @@ def test_written_logs_are_released(tmp_path, monkeypatch, parallelism):
         entries = [line.split() for line in ran.read_text().splitlines()]
         assert sorted(int(seed) for seed, _ in entries) == list(range(30))
         assert all(int(pid) != os.getpid() for _, pid in entries)
+
+
+@pytest.mark.usefixtures("no_handler_threads")
+@pytest.mark.parametrize("ending", ["completes", "raises", "dies", "exits_0", "write_fails"])
+def test_no_worker_outlives_the_run(tmp_path, monkeypatch, request, ending):
+    """Every worker process is gone when ``run_experiment`` returns or
+    raises, and records stream without a helper thread in this process. A
+    worker that exits with status 0 before it sends its chunk fails the
+    run too, rather than leaving it waiting. Forked workers inherit the
+    patches below."""
+    import multiprocessing
+
+    import duetsim.experiment
+    import duetsim.loop
+
+    out = tmp_path / "run"
+    expected = None
+    if ending == "raises":
+        request.getfixturevalue("no_goal_for_seed_3")
+        expected = EmptyWorld
+    elif ending in ("dies", "exits_0"):
+        run_dialogue = duetsim.loop.run_dialogue
+        test_pid = os.getpid()
+
+        def dying_run_dialogue(*args, **kwargs):
+            if kwargs["seed"] == 7 and os.getpid() != test_pid:
+                os._exit(1 if ending == "dies" else 0)
+            return run_dialogue(*args, **kwargs)
+
+        monkeypatch.setattr(duetsim.loop, "run_dialogue", dying_run_dialogue)
+        expected = WorkerFailed
+    elif ending == "write_fails":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        out.mkdir()
+        (out / "logs.jsonl").symlink_to("/dev/full")  # the first flush fails
+        expected = OSError
+    threads = threading.active_count()
+    streamed = []
+    records = duetsim.experiment._records
+
+    def counted_records(*args):
+        for record in records(*args):
+            streamed.append(threading.active_count())
+            yield record
+
+    monkeypatch.setattr(duetsim.experiment, "_records", counted_records)
+    config = ExperimentConfig(simulator="agenda", dialogues=40, parallelism=2,
+                              output_dir=str(out))
+    if expected is None:
+        run_experiment(config)
+        assert len(streamed) == 40
+    else:
+        with pytest.raises(expected):
+            run_experiment(config)
+    assert streamed == [threads] * len(streamed)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.usefixtures("no_handler_threads")
+def test_workers_claim_chunks_as_they_free_up(tmp_path, monkeypatch):
+    """A slow dialogue holds up only the worker that runs it: the other
+    worker claims the chunks that follow, and the logs are those of one
+    worker. Forked workers inherit the patch below."""
+    import time
+
+    import duetsim.loop
+
+    config = dict(simulator="agenda", dialogues=40)
+    alone = run_experiment(ExperimentConfig(parallelism=1, output_dir=str(tmp_path / "1"),
+                                            **config))
+    run_dialogue = duetsim.loop.run_dialogue
+    ran = tmp_path / "ran.txt"
+
+    def slow_run_dialogue(*args, **kwargs):
+        if kwargs["seed"] == 0:
+            time.sleep(0.3)
+        with open(ran, "a", encoding="utf-8") as f:
+            f.write(f"{kwargs['seed']} {os.getpid()}\n")
+        return run_dialogue(*args, **kwargs)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", slow_run_dialogue)
+    out = run_experiment(ExperimentConfig(parallelism=2, output_dir=str(tmp_path / "2"),
+                                          **config))
+    assert (out / "logs.jsonl").read_bytes() == (alone / "logs.jsonl").read_bytes()
+    pids = dict(line.split() for line in ran.read_text().splitlines())
+    assert sorted(map(int, pids)) == list(range(40))
+    slow = list(pids.values()).count(pids["0"])
+    assert slow < 20, f"the worker that ran seed 0 ran {slow} of 40 dialogues"
 
 
 # A backend spec that validates; no test below sends a request to it.
