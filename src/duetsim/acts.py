@@ -13,12 +13,11 @@ A dialogue log is stored as one JSON record per line, ``{"v": 1, "log":
 
 from __future__ import annotations
 
-import ast
 import json
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import (EmptyActList, LogParseError, LogReadError, MalformedAct, MissingTemplate,
                      NoActFound, require_int, require_string, require_strings, require_type)
@@ -35,8 +34,7 @@ GENERAL_DOMAIN = "general"
 SOCIAL_INTENTS = frozenset({"greet", "bye", "thank"})
 
 
-@dataclass(frozen=True)
-class DialogueAct:
+class DialogueAct(NamedTuple):
     """An act. Every act the package makes is normal, as ``parse_act_list``
     returns it (``normalized()`` is itself), so no consumer normalizes."""
 
@@ -46,7 +44,7 @@ class DialogueAct:
     value: str = ""
 
     def as_list(self) -> list[str]:
-        return [self.intent, self.domain, self.slot, self.value]
+        return list(self)
 
     def normalized(self) -> "DialogueAct":
         """Lowercase/trim intent, domain and slot; trim the value only.
@@ -107,6 +105,8 @@ def parse_act_list(text: str) -> list[DialogueAct]:
     accepted. Raises NoActFound when no candidate list exists, MalformedAct
     when a list element does not have exactly four string components.
     """
+    import ast  # here, so that loading the package does not load it
+
     for region in _balanced_regions(text):
         try:
             with warnings.catch_warnings():
@@ -140,14 +140,12 @@ def render_act_list(acts: list[DialogueAct]) -> str:
     return str([a.as_list() for a in acts])
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -220,8 +218,7 @@ UTTERANCES = "utterances"
 ACTS = "acts"
 
 
-@dataclass(frozen=True)
-class DialogueTurn:
+class DialogueTurn(NamedTuple):
     speaker: str  # "user" | "system"
     acts: tuple[DialogueAct, ...]
     utterance: str
@@ -277,7 +274,6 @@ def _turn_line(turn: DialogueTurn, mode: str) -> str:
     return f"{turn.speaker.upper()}: {body}"
 
 
-@dataclass
 class DialogueContext:
     """The turn history of one dialogue, renderable as utterances or as act
     lists. The dialogue loop owns it; simulators only read it.
@@ -288,10 +284,17 @@ class DialogueContext:
     edited or removed in place inside ``turns`` is not seen.
     """
 
-    turns: list[DialogueTurn] = field(default_factory=list)
-    # mode -> (number of turns rendered, their text)
-    _rendered: dict[str, tuple[int, str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("turns", "_rendered")
+
+    def __init__(self, turns: list[DialogueTurn] | None = None):
+        self.turns = [] if turns is None else turns
+        # mode -> (number of turns rendered, their text)
+        self._rendered: dict[str, tuple[int, str]] = {}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.turns == other.turns
 
     def append(self, speaker: str, acts, utterance: str) -> None:
         """Add the next turn, indexed by its position in the history."""
@@ -308,8 +311,7 @@ class DialogueContext:
         return text
 
 
-@dataclass(frozen=True)
-class BookingRecord:
+class BookingRecord(NamedTuple):
     domain: str
     ref: str
     entity_name: str
@@ -331,8 +333,7 @@ class BookingRecord:
         return cls(domain, ref, name, tuple(sorted(constraints.items())))
 
 
-@dataclass(frozen=True)
-class LogAnnotations:
+class LogAnnotations(NamedTuple):
     provided: tuple[tuple[str, str, str], ...]  # (domain, slot, value)
     bookings: tuple[BookingRecord, ...]
 
@@ -396,16 +397,29 @@ TERMINATION_REASONS = ("user_bye", "turn_cap", "error")
 DEFAULT_TURN_CAP = 20  # user turns before a dialogue ends with "turn_cap"
 
 
-@dataclass
 class DialogueLog:
     """Complete session record from which every metric is computed."""
 
-    goal: UserGoal
-    turns: list[DialogueTurn]
-    annotations: LogAnnotations
-    termination_reason: str
-    seed: int | None = None
-    error: str | None = None  # "Class: message"; log schema v1 has no field for it
+    __slots__ = ("goal", "turns", "annotations", "termination_reason", "seed", "error",
+                 "__weakref__")
+
+    def __init__(self, goal: UserGoal, turns: list[DialogueTurn],
+                 annotations: LogAnnotations, termination_reason: str,
+                 seed: int | None = None, error: str | None = None):
+        self.goal = goal
+        self.turns = turns
+        self.annotations = annotations
+        self.termination_reason = termination_reason
+        self.seed = seed
+        self.error = error  # "Class: message"; log schema v1 has no field for it
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.goal, self.turns, self.annotations, self.termination_reason,
+                 self.seed, self.error)
+                == (other.goal, other.turns, other.annotations, other.termination_reason,
+                    other.seed, other.error))
 
     def to_dict(self) -> dict:
         return {

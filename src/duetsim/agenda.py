@@ -7,8 +7,6 @@ the user pops its next acts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .acts import DONTCARE, DialogueAct, DialogueContext, template_nlg
 from .world import UserGoal
 
@@ -16,17 +14,31 @@ POP_BUDGET = 2
 MAX_ASKS = 3  # total times the user will ask the same request slot
 
 
-@dataclass
 class Agenda:
-    goal: UserGoal
-    stack: list[DialogueAct] = field(default_factory=list)
-    # (domain, slot) -> obtained value, or None while pending
-    request_status: dict = field(default_factory=dict)
-    ask_counts: dict = field(default_factory=dict)
-    informed: list = field(default_factory=list)  # (domain, slot) in emit order
-    booking_done: dict = field(default_factory=dict)  # domain -> bool
-    relaxed: bool = False
-    failed: bool = False
+    __slots__ = ("goal", "stack", "request_status", "ask_counts", "informed",
+                 "booking_done", "relaxed", "failed")
+
+    def __init__(self, goal: UserGoal, stack: list[DialogueAct] | None = None,
+                 request_status: dict | None = None, ask_counts: dict | None = None,
+                 informed: list | None = None, booking_done: dict | None = None,
+                 relaxed: bool = False, failed: bool = False):
+        self.goal = goal
+        self.stack = [] if stack is None else stack
+        # (domain, slot) -> obtained value, or None while pending
+        self.request_status = {} if request_status is None else request_status
+        self.ask_counts = {} if ask_counts is None else ask_counts
+        self.informed = [] if informed is None else informed  # (domain, slot) in emit order
+        self.booking_done = {} if booking_done is None else booking_done  # domain -> bool
+        self.relaxed = relaxed
+        self.failed = failed
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.goal, self.stack, self.request_status, self.ask_counts, self.informed,
+                 self.booking_done, self.relaxed, self.failed)
+                == (other.goal, other.stack, other.request_status, other.ask_counts,
+                    other.informed, other.booking_done, other.relaxed, other.failed))
 
 
 def init_agenda(goal: UserGoal) -> Agenda:

@@ -14,7 +14,6 @@ import json
 import os
 import time
 import urllib.parse
-from dataclasses import dataclass
 
 from .errors import (
     CassetteIOError,
@@ -34,48 +33,82 @@ RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 MAX_WAIT_S = 86400
 
 
-@dataclass(frozen=True)
 class CompletionRequest:
-    user_text: str
-    system_text: str = ""
-    temperature: float = 0.7
-    max_tokens: int = 256
-    stop_sequences: tuple[str, ...] = ()
+    """One prompt for a backend. Treated as immutable once built."""
 
-    def __post_init__(self):
-        if not self.user_text:
+    __slots__ = ("user_text", "system_text", "temperature", "max_tokens", "stop_sequences")
+
+    def __init__(self, user_text: str, system_text: str = "", temperature: float = 0.7,
+                 max_tokens: int = 256, stop_sequences: tuple[str, ...] = ()):
+        if not user_text:
             raise ValueError("user_text must be non-empty")
+        self.user_text = user_text
+        self.system_text = system_text
+        self.temperature = temperature
+        self.max_tokens = max_tokens
+        self.stop_sequences = stop_sequences
+
+    def _key(self) -> tuple:
+        return (self.user_text, self.system_text, self.temperature, self.max_tokens,
+                self.stop_sequences)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass
 class CompletionResult:
-    text: str
-    prompt_tokens: int | None = None
-    completion_tokens: int | None = None
-    latency: float = 0.0
+    __slots__ = ("text", "prompt_tokens", "completion_tokens", "latency")
+
+    def __init__(self, text: str, prompt_tokens: int | None = None,
+                 completion_tokens: int | None = None, latency: float = 0.0):
+        self.text = text
+        self.prompt_tokens = prompt_tokens
+        self.completion_tokens = completion_tokens
+        self.latency = latency
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.text, self.prompt_tokens, self.completion_tokens, self.latency)
+                == (other.text, other.prompt_tokens, other.completion_tokens,
+                    other.latency))
 
 
-@dataclass
 class BackendConfig:
-    base_url: str
-    model: str = ""
-    api_key_env: str = ""
-    timeout: float = 30.0
-    retries: int = 2
-    backoff_base: float = 0.5
+    __slots__ = ("base_url", "model", "api_key_env", "timeout", "retries", "backoff_base")
 
-    def __post_init__(self):
-        if not 0 < self.timeout <= MAX_WAIT_S:  # also false for NaN
+    def __init__(self, base_url: str, model: str = "", api_key_env: str = "",
+                 timeout: float = 30.0, retries: int = 2, backoff_base: float = 0.5):
+        if not 0 < timeout <= MAX_WAIT_S:  # also false for NaN
             raise ValueError(f"timeout must be above 0 and at most {MAX_WAIT_S} s, "
-                             f"got {self.timeout}")
-        if not 0 <= self.backoff_base <= MAX_WAIT_S:
+                             f"got {timeout}")
+        if not 0 <= backoff_base <= MAX_WAIT_S:
             raise ValueError(f"backoff_base must be 0 to {MAX_WAIT_S} s, "
-                             f"got {self.backoff_base}")
-        if not 0 <= self.retries <= 5:
+                             f"got {backoff_base}")
+        if not 0 <= retries <= 5:
             raise ValueError("retries must be between 0 and 5")
-        url = urllib.parse.urlsplit(self.base_url)
+        url = urllib.parse.urlsplit(base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(f"base_url {self.base_url!r} is not an http(s) URL")
+            raise ValueError(f"base_url {base_url!r} is not an http(s) URL")
+        self.base_url = base_url
+        self.model = model
+        self.api_key_env = api_key_env
+        self.timeout = timeout
+        self.retries = retries
+        self.backoff_base = backoff_base
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.base_url, self.model, self.api_key_env, self.timeout, self.retries,
+                 self.backoff_base)
+                == (other.base_url, other.model, other.api_key_env, other.timeout,
+                    other.retries, other.backoff_base))
 
 
 def request_digest(request: CompletionRequest) -> str:

@@ -17,7 +17,6 @@ import os
 import re
 import time
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -34,6 +33,7 @@ if TYPE_CHECKING:
 SIMULATOR_KINDS = ("duet", "duet-no-verifier", "agenda")
 
 MAX_CHUNK = 4  # dialogues per hand-off from a worker process
+WINDOW_PER_WORKER = 4  # chunks claimed and not yet written, per worker process
 
 # The type each config field must have; world and parallelism may be null.
 _FIELD_TYPES = {
@@ -80,22 +80,39 @@ def _loop_config(**fields) -> LoopConfig:
     return LoopConfig(**fields)
 
 
-@dataclass
 class ExperimentConfig:
-    simulator: str = "agenda"
-    world: str | None = None
-    dialogues: int = 100
-    seed: int = 0
-    turn_cap: int = DEFAULT_TURN_CAP
-    parallelism: int | None = None  # None: see workers()
-    output_dir: str = "runs/latest"
-    context_mode: str = "utterances"
-    omit_goal: bool = False
-    omit_history: bool = False
-    loop: LoopConfig = field(default_factory=_loop_config)
-    generator_backend: dict = field(default_factory=dict)
-    verifier_backend: dict = field(default_factory=dict)
-    cassette: dict = field(default_factory=dict)
+    # the fields, which are also the keys a config file may hold
+    __slots__ = ("simulator", "world", "dialogues", "seed", "turn_cap", "parallelism",
+                 "output_dir", "context_mode", "omit_goal", "omit_history", "loop",
+                 "generator_backend", "verifier_backend", "cassette")
+
+    def __init__(self, simulator: str = "agenda", world: str | None = None,
+                 dialogues: int = 100, seed: int = 0, turn_cap: int = DEFAULT_TURN_CAP,
+                 parallelism: int | None = None, output_dir: str = "runs/latest",
+                 context_mode: str = "utterances", omit_goal: bool = False,
+                 omit_history: bool = False, loop: LoopConfig | None = None,
+                 generator_backend: dict | None = None, verifier_backend: dict | None = None,
+                 cassette: dict | None = None):
+        self.simulator = simulator
+        self.world = world
+        self.dialogues = dialogues
+        self.seed = seed
+        self.turn_cap = turn_cap
+        self.parallelism = parallelism  # None: see workers()
+        self.output_dir = output_dir
+        self.context_mode = context_mode
+        self.omit_goal = omit_goal
+        self.omit_history = omit_history
+        self.loop = _loop_config() if loop is None else loop
+        self.generator_backend = {} if generator_backend is None else generator_backend
+        self.verifier_backend = {} if verifier_backend is None else verifier_backend
+        self.cassette = {} if cassette is None else cassette
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ([getattr(self, name) for name in self.__slots__]
+                == [getattr(other, name) for name in self.__slots__])
 
     def validate(self) -> None:
         for name, kind in _FIELD_TYPES.items():
@@ -189,7 +206,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     doc = _interpolate_env(doc)
     doc.update({k: v for k, v in overrides.items() if v is not None})
     for key in doc:
-        if key not in ExperimentConfig.__dataclass_fields__:
+        if key not in ExperimentConfig.__slots__:
             raise ConfigError(key, "unknown field")
     loop_doc = doc.pop("loop", {})
     _check_type("loop", loop_doc, dict)
@@ -287,16 +304,19 @@ class _DialogueRunner:
                 "".join(line for cassette in cassettes for line in cassette.lines))
 
 
-def _work(runner: _DialogueRunner, chunks: list[range], counter, sender) -> None:
-    """A worker process: claim the next chunk from ``counter`` until none is
-    left, and send ``(index, records)`` for each, or ``(index, error)`` for
-    the first that raises, which ends the worker."""
+def _work(runner: _DialogueRunner, chunks: list[range], counter, window, sender) -> None:
+    """A worker process: take a place in ``window``, claim the next chunk
+    from ``counter`` and send ``(index, records)`` for it, until no chunk is
+    left; then send None. The first chunk that raises is sent as ``(index,
+    error)`` instead, which ends the worker."""
     with sender:
         while True:
+            window.acquire()
             with counter.get_lock():
                 index = counter.value
                 counter.value += 1
             if index >= len(chunks):
+                sender.send(None)
                 return
             try:
                 sender.send((index, [runner(seed) for seed in chunks[index]]))
@@ -316,9 +336,12 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
     rebuild it from its config when spawned. The seeds are cut into chunks
     of at most ``MAX_CHUNK``; each worker claims the next chunk from a
     shared counter, so a slow dialogue holds up one worker only, and sends
-    the chunk's records back on its own pipe. This process holds only the
-    chunks that arrive before an earlier one, and yields each record once
-    every earlier one has been yielded."""
+    the chunk's records back on its own pipe. This process holds the chunks
+    that arrive before an earlier one, and yields each record once every
+    earlier one has been yielded. A worker claims a chunk only while fewer
+    than ``WINDOW_PER_WORKER`` chunks per worker are claimed and not yet
+    yielded, so what this process holds stays bounded behind a slow
+    dialogue. A worker that ends before its last message fails the run."""
     if workers == 1:
         yield from map(runner, seeds)
         return
@@ -333,36 +356,38 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
     size = max(1, min(MAX_CHUNK, len(seeds) // (4 * workers)))
     chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
     counter = context.Value("i", 0)  # the next chunk to claim
+    window = context.Semaphore(WINDOW_PER_WORKER * workers)
     pipes = {}  # receiving end -> the worker that sends on it
     try:
         for _ in range(workers):
             receiver, sender = context.Pipe(duplex=False)
             worker = context.Process(target=_work, daemon=True,
-                                     args=(runner, chunks, counter, sender))
+                                     args=(runner, chunks, counter, window, sender))
             worker.start()
             sender.close()  # so the pipe closes when the worker ends
             pipes[receiver] = worker
         arrived = {}  # chunk index -> its records or error, until yielded
         for index in range(len(chunks)):
             while index not in arrived:
-                if not pipes:
-                    raise WorkerFailed("every worker process ended before the run did")
                 for receiver in wait(list(pipes)):
                     try:
-                        got, outcome = receiver.recv()
-                    except EOFError:  # the worker ended
+                        message = receiver.recv()
+                    except EOFError:  # the worker ended before its last message
                         worker = pipes.pop(receiver)
                         receiver.close()
                         worker.join()
-                        if worker.exitcode:
-                            raise WorkerFailed("a worker process died with exit code "
-                                               f"{worker.exitcode}") from None
-                    else:
-                        arrived[got] = outcome
+                        raise WorkerFailed("a worker process ended with exit code "
+                                           f"{worker.exitcode} before it was done") from None
+                    if message is None or isinstance(message[1], DuetSimError):
+                        pipes.pop(receiver).join()  # its last message
+                        receiver.close()
+                    if message is not None:
+                        arrived[message[0]] = message[1]
             outcome = arrived.pop(index)
             if isinstance(outcome, DuetSimError):
                 raise outcome
             yield from outcome
+            window.release()
     finally:
         for receiver, worker in pipes.items():
             worker.terminate()

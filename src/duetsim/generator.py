@@ -8,8 +8,6 @@ act list followed by a conversational rewrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .acts import DialogueAct, DialogueContext, INTENTS, SOCIAL_INTENTS
 from .backend import CompletionRequest
 from .errors import EmptyTranslation, StepParseFailure
@@ -30,16 +28,30 @@ NLG_TEMPERATURE = 0.7
 _EMPTY_MARKERS = {"", "none", "-", "n/a", "null", "empty"}
 
 
-@dataclass
 class DraftActs:
-    acts: list[DialogueAct]
-    step_transcript: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("acts", "step_transcript")
+
+    def __init__(self, acts: list[DialogueAct], step_transcript: dict[str, str] | None = None):
+        self.acts = acts
+        self.step_transcript = {} if step_transcript is None else step_transcript
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.acts, self.step_transcript) == (other.acts, other.step_transcript)
 
 
-@dataclass
 class Utterance:
-    plain: str
-    enhanced: str  # the rewrite, or the plain text when it came back blank
+    __slots__ = ("plain", "enhanced")
+
+    def __init__(self, plain: str, enhanced: str):
+        self.plain = plain
+        self.enhanced = enhanced  # the rewrite, or the plain text when it came back blank
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.plain, self.enhanced) == (other.plain, other.enhanced)
 
 
 def split_candidates(text: str) -> list[str]:

@@ -7,8 +7,6 @@ into every step prompt of iteration i. NLG runs only on the final acts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .acts import (DEFAULT_TURN_CAP, DialogueAct, DialogueContext, DialogueLog,
                    derive_annotations)
 from .errors import TurnAborted
@@ -27,26 +25,44 @@ USE_LAST_DRAFT = "use_last_draft"
 ABORT_TURN = "abort_turn"
 
 
-@dataclass(frozen=True)
 class LoopConfig:
-    max_iterations: int = 3
-    on_exhaustion: str = USE_LAST_DRAFT
+    """Treated as immutable once built."""
 
-    def __post_init__(self):
-        if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
+    __slots__ = ("max_iterations", "on_exhaustion")
+
+    def __init__(self, max_iterations: int = 3, on_exhaustion: str = USE_LAST_DRAFT):
+        if not isinstance(max_iterations, int) or isinstance(max_iterations, bool):
             raise TypeError("max_iterations must be an integer")
-        if self.max_iterations < 1:
+        if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.on_exhaustion not in (USE_LAST_DRAFT, ABORT_TURN):
-            raise ValueError(f"unknown on_exhaustion {self.on_exhaustion!r}")
+        if on_exhaustion not in (USE_LAST_DRAFT, ABORT_TURN):
+            raise ValueError(f"unknown on_exhaustion {on_exhaustion!r}")
+        self.max_iterations = max_iterations
+        self.on_exhaustion = on_exhaustion
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.max_iterations, self.on_exhaustion)
+                == (other.max_iterations, other.on_exhaustion))
+
+    def __hash__(self):
+        return hash((self.max_iterations, self.on_exhaustion))
 
 
-@dataclass
 class TurnTrace:
     """The drafts of one user turn, in order, each with its verdict (None
     without a verifier). The last draft is the one the turn uses."""
 
-    attempts: list[tuple[DraftActs, Verdict | None]] = field(default_factory=list)
+    __slots__ = ("attempts",)
+
+    def __init__(self, attempts: list[tuple[DraftActs, Verdict | None]] | None = None):
+        self.attempts = [] if attempts is None else attempts
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.attempts == other.attempts
 
     @property
     def iterations(self) -> int:
@@ -57,7 +73,6 @@ class TurnTrace:
         return self.attempts[-1][0].acts
 
 
-@dataclass
 class DuetSession:
     """One simulated user: goal, backends and config. The dialogue history
     is not kept here; run_dialogue passes it to each turn.
@@ -66,19 +81,34 @@ class DuetSession:
     turn takes its first draft, and the generator sees both requirement sets.
     """
 
-    goal: UserGoal
-    ontology: Ontology
-    generator_backend: object
-    verifier_backend: object | None
-    loop_config: LoopConfig = LoopConfig()
-    prompt_config: PromptConfig = PromptConfig()
-    generator_requirements: RequirementSet = DEFAULT_GENERATOR_REQUIREMENTS
-    verifier_requirements: RequirementSet = DEFAULT_VERIFIER_REQUIREMENTS
+    __slots__ = ("goal", "ontology", "generator_backend", "verifier_backend", "loop_config",
+                 "prompt_config", "generator_requirements", "verifier_requirements")
 
-    def __post_init__(self):
-        if self.verifier_backend is None:
-            self.generator_requirements = self.generator_requirements.merged(
-                self.verifier_requirements)
+    def __init__(self, goal: UserGoal, ontology: Ontology, generator_backend: object,
+                 verifier_backend: object | None, loop_config: LoopConfig = LoopConfig(),
+                 prompt_config: PromptConfig = PromptConfig(),
+                 generator_requirements: RequirementSet = DEFAULT_GENERATOR_REQUIREMENTS,
+                 verifier_requirements: RequirementSet = DEFAULT_VERIFIER_REQUIREMENTS):
+        if verifier_backend is None:
+            generator_requirements = generator_requirements.merged(verifier_requirements)
+        self.goal = goal
+        self.ontology = ontology
+        self.generator_backend = generator_backend
+        self.verifier_backend = verifier_backend
+        self.loop_config = loop_config
+        self.prompt_config = prompt_config
+        self.generator_requirements = generator_requirements
+        self.verifier_requirements = verifier_requirements
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.goal, self.ontology, self.generator_backend, self.verifier_backend,
+                 self.loop_config, self.prompt_config, self.generator_requirements,
+                 self.verifier_requirements)
+                == (other.goal, other.ontology, other.generator_backend,
+                    other.verifier_backend, other.loop_config, other.prompt_config,
+                    other.generator_requirements, other.verifier_requirements))
 
 
 def next_user_turn(session: DuetSession,

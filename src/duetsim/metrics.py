@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from .errors import EmptyLogSet, ShortStream, ZeroFactors
@@ -152,16 +151,26 @@ def mtld(stream, threshold: float = MTLD_THRESHOLD) -> float:
     return (forward + backward) / 2.0
 
 
-@dataclass
 class DiversityReport:
-    unigrams: int
-    bigrams: int
-    trigrams: int
-    entropy: float
-    conditional_entropy: float
-    msttr: float | None
-    hdd: float | None
-    mtld: float | None
+    __slots__ = ("unigrams", "bigrams", "trigrams", "entropy", "conditional_entropy",
+                 "msttr", "hdd", "mtld")
+
+    def __init__(self, unigrams: int, bigrams: int, trigrams: int, entropy: float,
+                 conditional_entropy: float, msttr: float | None, hdd: float | None,
+                 mtld: float | None):
+        self.unigrams = unigrams
+        self.bigrams = bigrams
+        self.trigrams = trigrams
+        self.entropy = entropy
+        self.conditional_entropy = conditional_entropy
+        self.msttr = msttr
+        self.hdd = hdd
+        self.mtld = mtld
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()  # every field
 
     def to_dict(self) -> dict:
         return {
@@ -205,28 +214,51 @@ def diversity(utterances) -> DiversityReport:
 
 # --- goal fulfillment ---
 
-@dataclass
 class DialogueScore:
-    complete: bool
-    success: bool
-    precision: float
-    recall: float
-    f1: float
-    booking_subtasks: int
-    bookings_matched: int
-    turns: int
+    __slots__ = ("complete", "success", "precision", "recall", "f1", "booking_subtasks",
+                 "bookings_matched", "turns")
+
+    def __init__(self, complete: bool, success: bool, precision: float, recall: float,
+                 f1: float, booking_subtasks: int, bookings_matched: int, turns: int):
+        self.complete = complete
+        self.success = success
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+        self.booking_subtasks = booking_subtasks
+        self.bookings_matched = bookings_matched
+        self.turns = turns
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.complete, self.success, self.precision, self.recall, self.f1,
+                 self.booking_subtasks, self.bookings_matched, self.turns)
+                == (other.complete, other.success, other.precision, other.recall, other.f1,
+                    other.booking_subtasks, other.bookings_matched, other.turns))
 
 
-@dataclass
 class FulfillmentReport:
-    complete_rate: float
-    success_rate: float
-    precision: float
-    recall: float
-    f1: float
-    book_rate: float | None  # None when no goal had a booking subtask
-    avg_turns: float
-    dialogues: list[DialogueScore] = field(default_factory=list)
+    __slots__ = ("complete_rate", "success_rate", "precision", "recall", "f1", "book_rate",
+                 "avg_turns", "dialogues")
+
+    def __init__(self, complete_rate: float, success_rate: float, precision: float,
+                 recall: float, f1: float, book_rate: float | None, avg_turns: float,
+                 dialogues: list[DialogueScore] | None = None):
+        self.complete_rate = complete_rate
+        self.success_rate = success_rate
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+        self.book_rate = book_rate  # None when no goal had a booking subtask
+        self.avg_turns = avg_turns
+        self.dialogues = [] if dialogues is None else dialogues
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # to_dict holds every field but the dialogues
+        return (self.to_dict(), self.dialogues) == (other.to_dict(), other.dialogues)
 
     def to_dict(self) -> dict:
         return {

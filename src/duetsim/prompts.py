@@ -8,9 +8,9 @@ always the last section of the prompt.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .acts import DialogueContext, render_act_list
 from .errors import EmptyActList, EmptyUtterance, MissingPriorStep, TemplateError
@@ -21,27 +21,35 @@ STEP_ORDER = ("intent", "domain", "slot", "value")
 NO_PRIOR_TURNS = "(no prior turns)"
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(NamedTuple):
     id: str
     text: str
 
 
-@dataclass(frozen=True)
 class RequirementSet:
-    kind: str  # "generator" | "verifier"
-    items: tuple[Requirement, ...]
+    """Numbered requirements of one kind. Treated as immutable once built:
+    the rendered list and the id set are built once, here."""
 
-    def __post_init__(self):
-        ids = [r.id for r in self.items]
+    __slots__ = ("kind", "items", "_text", "_ids")
+
+    def __init__(self, kind: str, items: tuple[Requirement, ...]):
+        ids = [r.id for r in items]
         if not ids:
             raise ValueError("requirement set must be non-empty")
         if len(set(ids)) != len(ids):
             raise ValueError("requirement ids must be unique")
-        # frozen, so the rendered list and the id set are built once, here
-        object.__setattr__(self, "_text",
-                           "\n".join(f"{r.id}. {r.text}" for r in self.items))
-        object.__setattr__(self, "_ids", frozenset(ids))
+        self.kind = kind  # "generator" | "verifier"
+        self.items = items
+        self._text = "\n".join(f"{r.id}. {r.text}" for r in items)
+        self._ids = frozenset(ids)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.kind, self.items) == (other.kind, other.items)
+
+    def __hash__(self):
+        return hash((self.kind, self.items))
 
     def merged(self, other: "RequirementSet") -> "RequirementSet":
         return RequirementSet(self.kind, self.items + other.items)
@@ -76,8 +84,7 @@ DEFAULT_VERIFIER_REQUIREMENTS = RequirementSet("verifier", (
 ))
 
 
-@dataclass(frozen=True)
-class PromptText:
+class PromptText(NamedTuple):
     user_text: str
 
     @property
@@ -85,14 +92,12 @@ class PromptText:
         return len(self.user_text)
 
 
-@dataclass(frozen=True)
-class Feedback:
+class Feedback(NamedTuple):
     requirement_id: str
     text: str
 
 
-@dataclass(frozen=True)
-class PromptConfig:
+class PromptConfig(NamedTuple):
     """Ablation switches and context rendering mode."""
 
     omit_goal: bool = False

@@ -8,8 +8,8 @@ models reliably embed the keyword but rarely emit only it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .acts import DialogueContext
 from .backend import CompletionRequest
@@ -45,8 +45,7 @@ def _id_pattern(known_ids: frozenset[str]) -> re.Pattern:
     return re.compile(rf"\b({ids})\b\s*:?\s*(.*)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     decision: str  # "accept" | "reject"
     feedback: Feedback | None
     raw_text: str

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import random
 import string
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import (
     EmptyWorld,
@@ -27,23 +27,29 @@ from .errors import (
 BUNDLED_WORLD = "world.json"
 
 
-@dataclass(frozen=True)
-class DomainSchema:
+class DomainSchema(NamedTuple):
     informable: dict[str, tuple[str, ...]]  # slot -> candidate values
     requestable: tuple[str, ...]
     bookable: dict[str, tuple[str, ...]]    # slot -> candidate values
 
 
-@dataclass(frozen=True)
 class Ontology:
-    domains: dict[str, DomainSchema]
+    """The domains of a world by name. Treated as immutable once built: each
+    domain's slot set is built once, here."""
 
-    def __post_init__(self):
-        # frozen, so each domain's slot set is built once, here
-        object.__setattr__(self, "_slots", {
+    __slots__ = ("domains", "_slots")
+
+    def __init__(self, domains: dict[str, DomainSchema]):
+        self.domains = domains
+        self._slots = {
             name: frozenset(schema.informable).union(schema.requestable,
                                                      schema.bookable)
-            for name, schema in self.domains.items()})
+            for name, schema in domains.items()}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.domains == other.domains
 
     def has_domain(self, domain: str) -> bool:
         return domain in self.domains
@@ -53,8 +59,7 @@ class Ontology:
         return self._slots[domain]
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     domain: str
     id: str
     attributes: dict[str, str]
@@ -109,19 +114,23 @@ def _index(entities) -> EntityIndex:
 
 # --- user goals ---
 
-@dataclass(frozen=True)
-class DomainGoal:
+class DomainGoal(NamedTuple):
     info: dict[str, str]
     reqt: tuple[str, ...]
     book: dict[str, str] | None = None
 
 
-@dataclass(frozen=True)
 class UserGoal:
     """A user's goal. Treated as immutable once built: its prompt text is
     rendered once and cached."""
 
-    domains: dict[str, DomainGoal]
+    def __init__(self, domains: dict[str, DomainGoal]):
+        self.domains = domains
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.domains == other.domains
 
     @cached_property
     def description(self) -> str:

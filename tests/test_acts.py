@@ -76,6 +76,21 @@ class TestNormalized:
         assert a.normalized() is a
 
 
+class TestActValue:
+    def test_equal_acts_hash_alike_and_deduplicate(self):
+        a = DialogueAct("inform", "restaurant", "food", "chinese")
+        b = DialogueAct("inform", "restaurant", "food", "chinese")
+        assert a is not b and hash(a) == hash(b)
+        other = DialogueAct("request", "restaurant", "phone")
+        assert list(dict.fromkeys([a, other, b])) == [a, other]
+
+    def test_fields_cannot_be_assigned(self):
+        a = DialogueAct("inform", "restaurant", "food", "chinese")
+        with pytest.raises(AttributeError):
+            a.value = "thai"
+        assert a.value == "chinese"
+
+
 class TestRender:
     def test_table_example(self):
         out = render_act_list([DialogueAct("inform", "restaurant", "book day",

@@ -97,6 +97,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("/no/such/config.yaml", {})
 
+    def test_unknown_field(self, tmp_path):
+        """The config's fields are the keys a file may hold, and the only
+        keywords the constructor takes."""
+        with pytest.raises(TypeError):
+            ExperimentConfig(bogus=1)
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({"seed": 1, "bogus": 1}))
+        with pytest.raises(ConfigError) as e:
+            load_config(str(path), {})
+        assert str(e.value) == "config field 'bogus': unknown field"
+
     def test_bad_yaml(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text("a: [unclosed")
@@ -913,6 +924,49 @@ def test_workers_claim_chunks_as_they_free_up(tmp_path, monkeypatch):
     assert sorted(map(int, pids)) == list(range(40))
     slow = list(pids.values()).count(pids["0"])
     assert slow < 20, f"the worker that ran seed 0 ran {slow} of 40 dialogues"
+
+
+def test_workers_wait_for_a_slow_chunk_to_be_written(tmp_path, monkeypatch):
+    """Behind a slow dialogue the other worker runs only the chunks the
+    window leaves it, so this process holds a bounded number of records;
+    the logs are those of one worker. Forked workers inherit the patch below."""
+    import time
+
+    import duetsim.experiment
+    import duetsim.loop
+
+    config = dict(simulator="agenda", dialogues=80)
+    alone = run_experiment(ExperimentConfig(parallelism=1, output_dir=str(tmp_path / "1"),
+                                            **config))
+    run_dialogue = duetsim.loop.run_dialogue
+    ran = tmp_path / "ran.txt"
+
+    def slow_run_dialogue(*args, **kwargs):
+        if kwargs["seed"] == 0:
+            time.sleep(0.5)
+        with open(ran, "a", encoding="utf-8") as f:
+            f.write(f"{kwargs['seed']} {os.getpid()}\n")
+        return run_dialogue(*args, **kwargs)
+
+    records = duetsim.experiment._records
+    ran_before_first = []
+
+    def watched_records(*args):
+        for record in records(*args):
+            if not ran_before_first:  # seed 0's chunk arrived
+                ran_before_first.extend(ran.read_text().splitlines())
+            yield record
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", slow_run_dialogue)
+    monkeypatch.setattr(duetsim.experiment, "_records", watched_records)
+    out = run_experiment(ExperimentConfig(parallelism=2, output_dir=str(tmp_path / "2"),
+                                          **config))
+    assert (out / "logs.jsonl").read_bytes() == (alone / "logs.jsonl").read_bytes()
+    pids = dict(line.split() for line in ran_before_first)
+    other = [seed for seed, pid in pids.items() if pid != pids["0"]]
+    # chunks of 4 seeds; every other chunk in the window but seed 0's
+    allowed = (duetsim.experiment.WINDOW_PER_WORKER * 2 - 1) * 4
+    assert 0 < len(other) <= allowed, f"{len(other)} dialogues ran ahead of seed 0's chunk"
 
 
 # A backend spec that validates; no test below sends a request to it.

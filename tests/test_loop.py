@@ -42,6 +42,17 @@ def make_session(ontology, verdicts, max_iterations=3,
     return session, gen_backend, ver_backend
 
 
+@pytest.mark.parametrize("fields,error", [
+    ({"max_iterations": 0}, ValueError),
+    ({"max_iterations": True}, TypeError),
+    ({"max_iterations": 2.0}, TypeError),
+    ({"on_exhaustion": "retry"}, ValueError),
+])
+def test_loop_config_rejects_bad_values(fields, error):
+    with pytest.raises(error):
+        LoopConfig(**fields)
+
+
 class TestLoop:
     def test_reject_then_accept(self, ontology):
         session, gen_backend, _ = make_session(

@@ -50,6 +50,25 @@ def test_setup_path_loads_only_what_it_uses():
     assert submodules(loaded) == {"acts", "errors", "world", "prompts", "data"}
 
 
+def test_setup_path_loads_no_dataclasses_or_ast():
+    """The probe's records are NamedTuples and plain classes, and only
+    ``parse_act_list`` needs ``ast``."""
+    _, loaded = run_fresh(
+        "import duetsim\n"
+        "from duetsim.world import load_world\nload_world()\n"
+        "from duetsim.prompts import lint_all_templates\nlint_all_templates()")
+    assert not {"dataclasses", "ast"} & loaded
+
+
+def test_no_module_loads_dataclasses():
+    _, loaded = run_fresh(
+        "import importlib, pkgutil, duetsim\n"
+        "for m in pkgutil.iter_modules(duetsim.__path__):\n"
+        "    importlib.import_module(f'duetsim.{m.name}')")
+    assert {"duetsim.cli", "duetsim.loop", "duetsim.verifier"} <= loaded
+    assert "dataclasses" not in loaded
+
+
 def test_one_name_loads_its_home():
     _, loaded = run_fresh("from duetsim import fulfillment")
     assert "duetsim.metrics" in loaded

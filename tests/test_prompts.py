@@ -10,6 +10,8 @@ from duetsim.prompts import (
     Feedback,
     NO_PRIOR_TURNS,
     PromptConfig,
+    Requirement,
+    RequirementSet,
     STEP_ORDER,
     _STEP_INSTRUCTIONS,
     act_to_utterance_prompt,
@@ -31,6 +33,22 @@ CTX = DialogueContext(turns=make_turns(
     ("system", [act("inform", "restaurant", "food", "chinese")],
      "It serves chinese food."),
 ))
+
+
+class TestRequirementSet:
+    @pytest.mark.parametrize("items,message", [
+        ((), "non-empty"),
+        ((Requirement("G1", "a"), Requirement("G1", "b")), "unique"),
+    ])
+    def test_empty_or_repeated_ids_rejected(self, items, message):
+        with pytest.raises(ValueError, match=message):
+            RequirementSet("generator", items)
+
+    def test_equal_sets_hash_alike(self):
+        merged = DEFAULT_GENERATOR_REQUIREMENTS.merged(DEFAULT_VERIFIER_REQUIREMENTS)
+        same = RequirementSet("generator", merged.items)
+        assert merged == same and hash(merged) == hash(same)
+        assert merged != RequirementSet("verifier", merged.items)
 
 
 class TestGeneratorStep:

@@ -275,6 +275,20 @@ class TestGoals:
         for domain, c in counts.items():
             assert c >= 0.1 * n, (domain, c)
 
+    def test_description_computed_once(self, ontology, entities, monkeypatch):
+        import duetsim.world
+
+        goal = generate_goal(3, ontology, entities)
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return describe_goal(g)
+
+        monkeypatch.setattr(duetsim.world, "describe_goal", counted)
+        assert goal.description == goal.description == describe_goal(goal)
+        assert calls == [goal]
+
     def test_case_study_goal_representable(self, ontology, entities):
         from duetsim.world import DomainGoal, UserGoal
         goal = UserGoal({"restaurant": DomainGoal(
