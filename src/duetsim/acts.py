@@ -20,7 +20,8 @@ from importlib import resources
 from typing import NamedTuple
 
 from .errors import (EmptyActList, LogParseError, LogReadError, MalformedAct, MissingTemplate,
-                     NoActFound, require_int, require_string, require_strings, require_type)
+                     NoActFound, Record, require_int, require_string, require_strings,
+                     require_type)
 from .world import DomainGoal, UserGoal
 
 INTENTS = frozenset({
@@ -274,7 +275,7 @@ def _turn_line(turn: DialogueTurn, mode: str) -> str:
     return f"{turn.speaker.upper()}: {body}"
 
 
-class DialogueContext:
+class DialogueContext(Record):
     """The turn history of one dialogue, renderable as utterances or as act
     lists. The dialogue loop owns it; simulators only read it.
 
@@ -284,17 +285,13 @@ class DialogueContext:
     edited or removed in place inside ``turns`` is not seen.
     """
 
-    __slots__ = ("turns", "_rendered")
+    _fields = ("turns",)
+    __slots__ = (*_fields, "_rendered")
 
     def __init__(self, turns: list[DialogueTurn] | None = None):
         self.turns = [] if turns is None else turns
         # mode -> (number of turns rendered, their text)
         self._rendered: dict[str, tuple[int, str]] = {}
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.turns == other.turns
 
     def append(self, speaker: str, acts, utterance: str) -> None:
         """Add the next turn, indexed by its position in the history."""
@@ -397,11 +394,11 @@ TERMINATION_REASONS = ("user_bye", "turn_cap", "error")
 DEFAULT_TURN_CAP = 20  # user turns before a dialogue ends with "turn_cap"
 
 
-class DialogueLog:
+class DialogueLog(Record):
     """Complete session record from which every metric is computed."""
 
-    __slots__ = ("goal", "turns", "annotations", "termination_reason", "seed", "error",
-                 "__weakref__")
+    _fields = ("goal", "turns", "annotations", "termination_reason", "seed", "error")
+    __slots__ = (*_fields, "__weakref__")
 
     def __init__(self, goal: UserGoal, turns: list[DialogueTurn],
                  annotations: LogAnnotations, termination_reason: str,
@@ -412,14 +409,6 @@ class DialogueLog:
         self.termination_reason = termination_reason
         self.seed = seed
         self.error = error  # "Class: message"; log schema v1 has no field for it
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.goal, self.turns, self.annotations, self.termination_reason,
-                 self.seed, self.error)
-                == (other.goal, other.turns, other.annotations, other.termination_reason,
-                    other.seed, other.error))
 
     def to_dict(self) -> dict:
         return {

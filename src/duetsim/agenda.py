@@ -8,15 +8,16 @@ the user pops its next acts.
 from __future__ import annotations
 
 from .acts import DONTCARE, DialogueAct, DialogueContext, template_nlg
+from .errors import Record
 from .world import UserGoal
 
 POP_BUDGET = 2
 MAX_ASKS = 3  # total times the user will ask the same request slot
 
 
-class Agenda:
-    __slots__ = ("goal", "stack", "request_status", "ask_counts", "informed",
-                 "booking_done", "relaxed", "failed")
+class Agenda(Record):
+    __slots__ = _fields = ("goal", "stack", "request_status", "ask_counts", "informed",
+                           "booking_done", "relaxed", "failed")
 
     def __init__(self, goal: UserGoal, stack: list[DialogueAct] | None = None,
                  request_status: dict | None = None, ask_counts: dict | None = None,
@@ -31,14 +32,6 @@ class Agenda:
         self.booking_done = {} if booking_done is None else booking_done  # domain -> bool
         self.relaxed = relaxed
         self.failed = failed
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.goal, self.stack, self.request_status, self.ask_counts, self.informed,
-                 self.booking_done, self.relaxed, self.failed)
-                == (other.goal, other.stack, other.request_status, other.ask_counts,
-                    other.informed, other.booking_done, other.relaxed, other.failed))
 
 
 def init_agenda(goal: UserGoal) -> Agenda:

@@ -20,6 +20,7 @@ from .errors import (
     CassetteMiss,
     EndpointError,
     MalformedResponse,
+    Record,
     RetriesExhausted,
     ScriptExhausted,
     Timeout,
@@ -33,10 +34,11 @@ RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 MAX_WAIT_S = 86400
 
 
-class CompletionRequest:
+class CompletionRequest(Record):
     """One prompt for a backend. Treated as immutable once built."""
 
-    __slots__ = ("user_text", "system_text", "temperature", "max_tokens", "stop_sequences")
+    __slots__ = _fields = ("user_text", "system_text", "temperature", "max_tokens",
+                           "stop_sequences")
 
     def __init__(self, user_text: str, system_text: str = "", temperature: float = 0.7,
                  max_tokens: int = 256, stop_sequences: tuple[str, ...] = ()):
@@ -48,21 +50,13 @@ class CompletionRequest:
         self.max_tokens = max_tokens
         self.stop_sequences = stop_sequences
 
-    def _key(self) -> tuple:
-        return (self.user_text, self.system_text, self.temperature, self.max_tokens,
-                self.stop_sequences)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._values())
 
 
-class CompletionResult:
-    __slots__ = ("text", "prompt_tokens", "completion_tokens", "latency")
+class CompletionResult(Record):
+    __slots__ = _fields = ("text", "prompt_tokens", "completion_tokens", "latency")
 
     def __init__(self, text: str, prompt_tokens: int | None = None,
                  completion_tokens: int | None = None, latency: float = 0.0):
@@ -71,16 +65,10 @@ class CompletionResult:
         self.completion_tokens = completion_tokens
         self.latency = latency
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.text, self.prompt_tokens, self.completion_tokens, self.latency)
-                == (other.text, other.prompt_tokens, other.completion_tokens,
-                    other.latency))
 
-
-class BackendConfig:
-    __slots__ = ("base_url", "model", "api_key_env", "timeout", "retries", "backoff_base")
+class BackendConfig(Record):
+    __slots__ = _fields = ("base_url", "model", "api_key_env", "timeout", "retries",
+                           "backoff_base")
 
     def __init__(self, base_url: str, model: str = "", api_key_env: str = "",
                  timeout: float = 30.0, retries: int = 2, backoff_base: float = 0.5):
@@ -101,14 +89,6 @@ class BackendConfig:
         self.timeout = timeout
         self.retries = retries
         self.backoff_base = backoff_base
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.base_url, self.model, self.api_key_env, self.timeout, self.retries,
-                 self.backoff_base)
-                == (other.base_url, other.model, other.api_key_env, other.timeout,
-                    other.retries, other.backoff_base))
 
 
 def request_digest(request: CompletionRequest) -> str:

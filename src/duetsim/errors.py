@@ -1,4 +1,5 @@
-"""Exception hierarchy and value-kind checks shared across the package."""
+"""Exception hierarchy, value-kind checks and the record base shared across
+the package."""
 
 import copyreg
 
@@ -209,3 +210,23 @@ def require_type(name: str, value, kind: type) -> None:
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "a list"
         raise TypeError(f"{name}: expected {expected}, got {value!r}")
+
+
+# --- records ---
+
+class Record:
+    """Base of the package's plain record classes. Two records are equal when
+    they are of one type and their ``_fields`` are equal; caches a record
+    keeps beside its fields are not among them. A record is unhashable
+    unless its class defines ``__hash__``, as ``hash(self._values())``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()

@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .acts import DEFAULT_TURN_CAP, encode_record
 from .agenda import AgendaUserSimulator
-from .errors import CassetteIOError, ConfigError, DuetSimError, WorkerFailed, require_string
+from .errors import (CassetteIOError, ConfigError, DuetSimError, Record, WorkerFailed,
+                     require_string)
 from .system import SystemAgent
 from .world import generate_goal, load_world
 
@@ -80,11 +81,12 @@ def _loop_config(**fields) -> LoopConfig:
     return LoopConfig(**fields)
 
 
-class ExperimentConfig:
+class ExperimentConfig(Record):
     # the fields, which are also the keys a config file may hold
-    __slots__ = ("simulator", "world", "dialogues", "seed", "turn_cap", "parallelism",
-                 "output_dir", "context_mode", "omit_goal", "omit_history", "loop",
-                 "generator_backend", "verifier_backend", "cassette")
+    __slots__ = _fields = ("simulator", "world", "dialogues", "seed", "turn_cap",
+                           "parallelism", "output_dir", "context_mode", "omit_goal",
+                           "omit_history", "loop", "generator_backend", "verifier_backend",
+                           "cassette")
 
     def __init__(self, simulator: str = "agenda", world: str | None = None,
                  dialogues: int = 100, seed: int = 0, turn_cap: int = DEFAULT_TURN_CAP,
@@ -107,12 +109,6 @@ class ExperimentConfig:
         self.generator_backend = {} if generator_backend is None else generator_backend
         self.verifier_backend = {} if verifier_backend is None else verifier_backend
         self.cassette = {} if cassette is None else cassette
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ([getattr(self, name) for name in self.__slots__]
-                == [getattr(other, name) for name in self.__slots__])
 
     def validate(self) -> None:
         for name, kind in _FIELD_TYPES.items():
@@ -206,7 +202,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     doc = _interpolate_env(doc)
     doc.update({k: v for k, v in overrides.items() if v is not None})
     for key in doc:
-        if key not in ExperimentConfig.__slots__:
+        if key not in ExperimentConfig._fields:
             raise ConfigError(key, "unknown field")
     loop_doc = doc.pop("loop", {})
     _check_type("loop", loop_doc, dict)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .acts import DialogueAct, DialogueContext, INTENTS, SOCIAL_INTENTS
 from .backend import CompletionRequest
-from .errors import EmptyTranslation, StepParseFailure
+from .errors import EmptyTranslation, Record, StepParseFailure
 from .prompts import (
     Feedback,
     PromptConfig,
@@ -28,30 +28,20 @@ NLG_TEMPERATURE = 0.7
 _EMPTY_MARKERS = {"", "none", "-", "n/a", "null", "empty"}
 
 
-class DraftActs:
-    __slots__ = ("acts", "step_transcript")
+class DraftActs(Record):
+    __slots__ = _fields = ("acts", "step_transcript")
 
     def __init__(self, acts: list[DialogueAct], step_transcript: dict[str, str] | None = None):
         self.acts = acts
         self.step_transcript = {} if step_transcript is None else step_transcript
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.acts, self.step_transcript) == (other.acts, other.step_transcript)
 
-
-class Utterance:
-    __slots__ = ("plain", "enhanced")
+class Utterance(Record):
+    __slots__ = _fields = ("plain", "enhanced")
 
     def __init__(self, plain: str, enhanced: str):
         self.plain = plain
         self.enhanced = enhanced  # the rewrite, or the plain text when it came back blank
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.plain, self.enhanced) == (other.plain, other.enhanced)
 
 
 def split_candidates(text: str) -> list[str]:

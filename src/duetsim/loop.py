@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .acts import (DEFAULT_TURN_CAP, DialogueAct, DialogueContext, DialogueLog,
                    derive_annotations)
-from .errors import TurnAborted
+from .errors import Record, TurnAborted
 from .generator import DraftActs, Utterance, generate_acts_cot, realize_utterance
 from .prompts import (
     DEFAULT_GENERATOR_REQUIREMENTS,
@@ -25,10 +25,10 @@ USE_LAST_DRAFT = "use_last_draft"
 ABORT_TURN = "abort_turn"
 
 
-class LoopConfig:
+class LoopConfig(Record):
     """Treated as immutable once built."""
 
-    __slots__ = ("max_iterations", "on_exhaustion")
+    __slots__ = _fields = ("max_iterations", "on_exhaustion")
 
     def __init__(self, max_iterations: int = 3, on_exhaustion: str = USE_LAST_DRAFT):
         if not isinstance(max_iterations, int) or isinstance(max_iterations, bool):
@@ -40,29 +40,18 @@ class LoopConfig:
         self.max_iterations = max_iterations
         self.on_exhaustion = on_exhaustion
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.max_iterations, self.on_exhaustion)
-                == (other.max_iterations, other.on_exhaustion))
-
     def __hash__(self):
-        return hash((self.max_iterations, self.on_exhaustion))
+        return hash(self._values())
 
 
-class TurnTrace:
+class TurnTrace(Record):
     """The drafts of one user turn, in order, each with its verdict (None
     without a verifier). The last draft is the one the turn uses."""
 
-    __slots__ = ("attempts",)
+    __slots__ = _fields = ("attempts",)
 
     def __init__(self, attempts: list[tuple[DraftActs, Verdict | None]] | None = None):
         self.attempts = [] if attempts is None else attempts
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.attempts == other.attempts
 
     @property
     def iterations(self) -> int:
@@ -73,7 +62,7 @@ class TurnTrace:
         return self.attempts[-1][0].acts
 
 
-class DuetSession:
+class DuetSession(Record):
     """One simulated user: goal, backends and config. The dialogue history
     is not kept here; run_dialogue passes it to each turn.
 
@@ -81,8 +70,9 @@ class DuetSession:
     turn takes its first draft, and the generator sees both requirement sets.
     """
 
-    __slots__ = ("goal", "ontology", "generator_backend", "verifier_backend", "loop_config",
-                 "prompt_config", "generator_requirements", "verifier_requirements")
+    __slots__ = _fields = ("goal", "ontology", "generator_backend", "verifier_backend",
+                           "loop_config", "prompt_config", "generator_requirements",
+                           "verifier_requirements")
 
     def __init__(self, goal: UserGoal, ontology: Ontology, generator_backend: object,
                  verifier_backend: object | None, loop_config: LoopConfig = LoopConfig(),
@@ -99,16 +89,6 @@ class DuetSession:
         self.prompt_config = prompt_config
         self.generator_requirements = generator_requirements
         self.verifier_requirements = verifier_requirements
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.goal, self.ontology, self.generator_backend, self.verifier_backend,
-                 self.loop_config, self.prompt_config, self.generator_requirements,
-                 self.verifier_requirements)
-                == (other.goal, other.ontology, other.generator_backend,
-                    other.verifier_backend, other.loop_config, other.prompt_config,
-                    other.generator_requirements, other.verifier_requirements))
 
 
 def next_user_turn(session: DuetSession,

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from itertools import repeat
 
-from .errors import EmptyLogSet, ShortStream, ZeroFactors
+from .errors import EmptyLogSet, Record, ShortStream, ZeroFactors
 from .world import query_entities
 
 MSTTR_SEGMENT = 50
@@ -151,9 +151,9 @@ def mtld(stream, threshold: float = MTLD_THRESHOLD) -> float:
     return (forward + backward) / 2.0
 
 
-class DiversityReport:
-    __slots__ = ("unigrams", "bigrams", "trigrams", "entropy", "conditional_entropy",
-                 "msttr", "hdd", "mtld")
+class DiversityReport(Record):
+    __slots__ = _fields = ("unigrams", "bigrams", "trigrams", "entropy",
+                           "conditional_entropy", "msttr", "hdd", "mtld")
 
     def __init__(self, unigrams: int, bigrams: int, trigrams: int, entropy: float,
                  conditional_entropy: float, msttr: float | None, hdd: float | None,
@@ -166,11 +166,6 @@ class DiversityReport:
         self.msttr = msttr
         self.hdd = hdd
         self.mtld = mtld
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()  # every field
 
     def to_dict(self) -> dict:
         return {
@@ -214,9 +209,9 @@ def diversity(utterances) -> DiversityReport:
 
 # --- goal fulfillment ---
 
-class DialogueScore:
-    __slots__ = ("complete", "success", "precision", "recall", "f1", "booking_subtasks",
-                 "bookings_matched", "turns")
+class DialogueScore(Record):
+    __slots__ = _fields = ("complete", "success", "precision", "recall", "f1",
+                           "booking_subtasks", "bookings_matched", "turns")
 
     def __init__(self, complete: bool, success: bool, precision: float, recall: float,
                  f1: float, booking_subtasks: int, bookings_matched: int, turns: int):
@@ -229,18 +224,10 @@ class DialogueScore:
         self.bookings_matched = bookings_matched
         self.turns = turns
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.complete, self.success, self.precision, self.recall, self.f1,
-                 self.booking_subtasks, self.bookings_matched, self.turns)
-                == (other.complete, other.success, other.precision, other.recall, other.f1,
-                    other.booking_subtasks, other.bookings_matched, other.turns))
 
-
-class FulfillmentReport:
-    __slots__ = ("complete_rate", "success_rate", "precision", "recall", "f1", "book_rate",
-                 "avg_turns", "dialogues")
+class FulfillmentReport(Record):
+    __slots__ = _fields = ("complete_rate", "success_rate", "precision", "recall", "f1",
+                           "book_rate", "avg_turns", "dialogues")
 
     def __init__(self, complete_rate: float, success_rate: float, precision: float,
                  recall: float, f1: float, book_rate: float | None, avg_turns: float,
@@ -253,12 +240,6 @@ class FulfillmentReport:
         self.book_rate = book_rate  # None when no goal had a booking subtask
         self.avg_turns = avg_turns
         self.dialogues = [] if dialogues is None else dialogues
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        # to_dict holds every field but the dialogues
-        return (self.to_dict(), self.dialogues) == (other.to_dict(), other.dialogues)
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .acts import DialogueContext, render_act_list
-from .errors import EmptyActList, EmptyUtterance, MissingPriorStep, TemplateError
+from .errors import EmptyActList, EmptyUtterance, MissingPriorStep, Record, TemplateError
 from .world import UserGoal
 
 STEP_ORDER = ("intent", "domain", "slot", "value")
@@ -26,11 +26,12 @@ class Requirement(NamedTuple):
     text: str
 
 
-class RequirementSet:
+class RequirementSet(Record):
     """Numbered requirements of one kind. Treated as immutable once built:
     the rendered list and the id set are built once, here."""
 
-    __slots__ = ("kind", "items", "_text", "_ids")
+    _fields = ("kind", "items")
+    __slots__ = (*_fields, "_text", "_ids")
 
     def __init__(self, kind: str, items: tuple[Requirement, ...]):
         ids = [r.id for r in items]
@@ -43,13 +44,8 @@ class RequirementSet:
         self._text = "\n".join(f"{r.id}. {r.text}" for r in items)
         self._ids = frozenset(ids)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.kind, self.items) == (other.kind, other.items)
-
     def __hash__(self):
-        return hash((self.kind, self.items))
+        return hash(self._values())
 
     def merged(self, other: "RequirementSet") -> "RequirementSet":
         return RequirementSet(self.kind, self.items + other.items)

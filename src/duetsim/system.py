@@ -10,24 +10,19 @@ from __future__ import annotations
 import random
 
 from .acts import DONTCARE, GENERAL_DOMAIN, DialogueAct, template_nlg
-from .errors import InvalidBookingSlot, UnbookableDomain
+from .errors import InvalidBookingSlot, Record, UnbookableDomain
 from .world import BookingLedger, Ontology, query_entities
 
 UNDERDETERMINED = 5  # more matches than this and the system asks for a constraint
 
 
-class SystemState:
-    __slots__ = ("constraints", "ledger")
+class SystemState(Record):
+    __slots__ = _fields = ("constraints", "ledger")
 
     def __init__(self, constraints: dict[str, dict[str, str]] | None = None,
                  ledger: BookingLedger | None = None):
         self.constraints = {} if constraints is None else constraints
         self.ledger = BookingLedger() if ledger is None else ledger
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.constraints, self.ledger) == (other.constraints, other.ledger)
 
 
 def _requery(state: SystemState, domain: str, ontology: Ontology, entities) -> list:

@@ -18,6 +18,7 @@ from .errors import (
     EmptyWorld,
     InvalidBookingSlot,
     ParseError,
+    Record,
     SchemaViolation,
     UnbookableDomain,
     UnknownDomain,
@@ -33,11 +34,12 @@ class DomainSchema(NamedTuple):
     bookable: dict[str, tuple[str, ...]]    # slot -> candidate values
 
 
-class Ontology:
+class Ontology(Record):
     """The domains of a world by name. Treated as immutable once built: each
     domain's slot set is built once, here."""
 
-    __slots__ = ("domains", "_slots")
+    _fields = ("domains",)
+    __slots__ = (*_fields, "_slots")
 
     def __init__(self, domains: dict[str, DomainSchema]):
         self.domains = domains
@@ -45,11 +47,6 @@ class Ontology:
             name: frozenset(schema.informable).union(schema.requestable,
                                                      schema.bookable)
             for name, schema in domains.items()}
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.domains == other.domains
 
     def has_domain(self, domain: str) -> bool:
         return domain in self.domains
@@ -120,17 +117,14 @@ class DomainGoal(NamedTuple):
     book: dict[str, str] | None = None
 
 
-class UserGoal:
+class UserGoal(Record):
     """A user's goal. Treated as immutable once built: its prompt text is
     rendered once and cached."""
 
+    _fields = ("domains",)
+
     def __init__(self, domains: dict[str, DomainGoal]):
         self.domains = domains
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.domains == other.domains
 
     @cached_property
     def description(self) -> str:

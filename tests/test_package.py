@@ -4,7 +4,10 @@ Its modules import one another in layers, with no cycle."""
 
 import ast
 import graphlib
+import importlib
 import json
+import pkgutil
+import sys
 from pathlib import Path
 
 import duetsim
@@ -52,12 +55,16 @@ def test_setup_path_loads_only_what_it_uses():
 
 def test_setup_path_loads_no_dataclasses_or_ast():
     """The probe's records are NamedTuples and plain classes, and only
-    ``parse_act_list`` needs ``ast``."""
+    ``parse_act_list`` needs ``ast``. From Python 3.12 on,
+    ``importlib.resources`` loads ``inspect`` and with it ``ast``, so there
+    only ``dataclasses`` is checked."""
     _, loaded = run_fresh(
         "import duetsim\n"
         "from duetsim.world import load_world\nload_world()\n"
         "from duetsim.prompts import lint_all_templates\nlint_all_templates()")
-    assert not {"dataclasses", "ast"} & loaded
+    assert "dataclasses" not in loaded
+    if sys.version_info < (3, 12):
+        assert "ast" not in loaded
 
 
 def test_no_module_loads_dataclasses():
@@ -67,6 +74,23 @@ def test_no_module_loads_dataclasses():
         "    importlib.import_module(f'duetsim.{m.name}')")
     assert {"duetsim.cli", "duetsim.loop", "duetsim.verifier"} <= loaded
     assert "dataclasses" not in loaded
+
+
+def test_every_record_compares_every_field():
+    """A plain record's ``==`` and ``hash`` read its ``_fields``: each slot
+    but the underscored caches and ``__weakref__``."""
+    from duetsim.errors import Record
+
+    for m in pkgutil.iter_modules(duetsim.__path__):
+        importlib.import_module(f"duetsim.{m.name}")
+    records = Record.__subclasses__()
+    assert len(records) == 19
+    for cls in records:
+        if "__slots__" in vars(cls):
+            public = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+            assert public == cls._fields, cls.__name__
+        else:  # UserGoal keeps a __dict__ for its cached description
+            assert cls._fields == ("domains",), cls.__name__
 
 
 def test_one_name_loads_its_home():
