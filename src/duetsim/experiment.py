@@ -5,7 +5,7 @@
 ``workers()`` > 1, writing ``logs.jsonl``, ``manifest.json`` and, if
 recording, the cassette. Worker processes claim chunks of seeds from a
 shared counter and send their records back on their own pipes; this process
-writes them in seed order (see ``_records``). It imports no click; ``duetsim.cli`` calls it.
+writes them in seed order (see ``_records``). ``duetsim.cli`` calls it.
 The loop, the backends and the prompts load only when a config or a run is
 built, so importing this module (and the CLI) loads none of them.
 """

@@ -216,6 +216,8 @@ def _parse_world(doc: dict, source: str) -> tuple[Ontology, EntityIndex]:
                        "candidate values must be a non-empty list")
                 _check_normal(f"{loc}.{part}.{slot}", values, lower=False)
             parts[part] = {k: tuple(v) for k, v in slots.items()}
+        # a goal's constraints are drawn from the informable slots
+        _check(parts["informable"], f"{loc}.informable", "must name at least one slot")
         domains[name] = DomainSchema(requestable=tuple(requestable), **parts)
     ontology = Ontology(domains)
 

@@ -1,8 +1,11 @@
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -62,6 +65,25 @@ def make_log(goal, turns, reason="user_bye", seed=None):
 def simple_goal(info=None, reqt=(), book=None, domain="restaurant"):
     return UserGoal({domain: DomainGoal(info=dict(info or {}),
                                         reqt=tuple(reqt), book=book)})
+
+
+class Invoked(NamedTuple):
+    exit_code: int
+    output: str
+
+
+def invoke(*args) -> Invoked:
+    """Run one ``duetsim`` command in this process: its exit code, and its
+    stdout and stderr interleaved as they were written."""
+    from duetsim.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            main([str(a) for a in args])
+        except SystemExit as e:
+            return Invoked(e.code, out.getvalue())
+    return Invoked(0, out.getvalue())
 
 
 def run_fresh(code):

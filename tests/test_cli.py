@@ -11,21 +11,19 @@ import weakref
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from duetsim.acts import DialogueLog
 from duetsim.backend import CompletionResult
 from duetsim.cli import (
     ExperimentConfig,
     load_config,
-    main,
     read_logs,
     run_experiment,
 )
 from duetsim.errors import ConfigError, EmptyWorld, LogParseError, WorkerFailed
 from duetsim.experiment import _DialogueRunner
 
-from conftest import PERFBENCH, load_perfbench, src_env
+from conftest import PERFBENCH, invoke, load_perfbench, src_env
 
 
 @pytest.fixture
@@ -219,7 +217,7 @@ def booked(log, constraints):
 
 class TestCommands:
     def invoke(self, *args):
-        return CliRunner().invoke(main, list(args))
+        return invoke(*args)
 
     def test_simulate_then_evaluate(self, tmp_path):
         out = tmp_path / "run"
@@ -694,15 +692,89 @@ class TestCommands:
 
 class TestDeterminism:
     def test_same_seed_same_logs(self, tmp_path):
-        runner = CliRunner()
         paths = []
         for name in ("a", "b"):
             out = tmp_path / name
-            result = runner.invoke(main, ["simulate", "-n", "5", "--seed", "11",
-                                          "-o", str(out)])
+            result = invoke("simulate", "-n", "5", "--seed", "11", "-o", str(out))
             assert result.exit_code == 0, result.output
             paths.append(out / "logs.jsonl")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+SIMULATE_FLAGS = ("--config", "-c", "--simulator", "--world", "--dialogues", "-n",
+                  "--seed", "--turn-cap", "--parallelism", "--output-dir", "-o",
+                  "--context-mode", "--omit-goal", "--omit-history")
+
+
+class TestCommandLine:
+    def test_help_lists_every_command(self):
+        result = invoke("--help")
+        assert result.exit_code == 0, result.output
+        for command in ("simulate", "evaluate", "goals"):
+            assert command in result.output
+
+    @pytest.mark.parametrize("command,flags", [
+        ("simulate", SIMULATE_FLAGS),
+        ("evaluate", ("LOG_PATHS", "--world", "--format")),
+        ("goals", ("--seed", "--count", "--world")),
+    ])
+    def test_command_help_lists_every_flag(self, command, flags):
+        result = invoke(command, "--help")
+        assert result.exit_code == 0, result.output
+        listed = set(re.findall(r"(?<![\w-])-[-\w]+|LOG_PATHS", result.output))
+        assert listed == {"--help", *flags}
+
+    @pytest.mark.parametrize("args", [
+        ["bogus"],
+        [],
+        ["evaluate"],
+        ["simulate", "-n", "abc"],
+        ["simulate", "--simulator", "bogus"],
+        ["goals", "--cou", "2"],
+        ["goals", "-h"],
+    ], ids=["unknown_command", "no_command", "no_log_paths", "dialogues_not_int",
+            "unknown_simulator", "abbreviated_flag", "short_help"])
+    def test_usage_error_exit_2(self, tmp_path, monkeypatch, args):
+        """A usage error is exit 2 with a usage line; no flag may be
+        abbreviated, and only ``--help`` asks for help."""
+        monkeypatch.chdir(tmp_path)
+        result = invoke(*args)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("usage: duetsim")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_log_paths_may_follow_options(self, tmp_path):
+        paths = []
+        for seed in ("0", "5"):
+            out = tmp_path / seed
+            assert invoke("simulate", "-n", "3", "--seed", seed, "-o", out).exit_code == 0
+            paths.append(out / "logs.jsonl")
+        intermixed = invoke("evaluate", paths[0], "--format", "json", paths[1])
+        assert intermixed.exit_code == 0, intermixed.output
+        assert intermixed == invoke("evaluate", *paths, "--format", "json")
+        assert intermixed != invoke("evaluate", paths[0], "--format", "json")
+
+    def test_interrupt_prints_aborted_exit_1(self, monkeypatch):
+        import duetsim.cli
+
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(duetsim.cli, "run_experiment", interrupted)
+        assert invoke("simulate", "-n", "1") == (1, "\nAborted!\n")
+
+    def test_closed_stdout_exit_1_without_traceback(self):
+        """Output to a reader that has gone (``duetsim goals | head -1``)
+        ends the command with exit 1 and no traceback."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "duetsim.cli", "goals", "--count", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env())
+        assert proc.stdout.readline().startswith("[goal seed=0] ")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
 class RecordingResponder:
@@ -1114,8 +1186,8 @@ def test_readme_config_replays_offline(tmp_path, monkeypatch, fake_server_url,
         config = readme_config(tmp_path, mode, dialogues=4,
                                cassette=dict(cassette, mode=mode))
         out = tmp_path / mode
-        result = CliRunner().invoke(main, ["simulate", "-c", config, "-o", str(out),
-                                           "--parallelism", parallelism])
+        result = invoke("simulate", "-c", config, "-o", str(out),
+                        "--parallelism", parallelism)
         assert result.exit_code == 0, result.output
         assert json.loads((out / "manifest.json").read_text())["failures"] == []
         logs.append((out / "logs.jsonl").read_bytes())
@@ -1238,6 +1310,14 @@ def test_import_does_not_load_http_hashing_or_yaml(imported_modules):
     manifest hashes, and only a config file loads PyYAML."""
     assert not {"http.client", "ssl", "email.parser", "urllib.request",
                 "hashlib", "base64", "yaml"} & imported_modules
+
+
+def test_import_does_not_load_click(imported_modules):
+    """The command line is parsed by argparse; before Python 3.12 nothing
+    the CLI imports loads ``inspect`` either."""
+    assert not {m for m in imported_modules if m == "click" or m.startswith("click.")}
+    if sys.version_info < (3, 12):
+        assert "inspect" not in imported_modules
 
 
 # Run in a fresh interpreter that has imported only the CLI, so every module

@@ -6,11 +6,12 @@ import json
 import re
 
 import pytest
-from click.testing import CliRunner
 
 from duetsim.acts import read_logs
-from duetsim.cli import ExperimentConfig, main, run_experiment
+from duetsim.cli import ExperimentConfig, run_experiment
 from duetsim.errors import LogParseError
+
+from conftest import invoke
 
 # sha256 of `evaluate --format json` on the agenda logs of seeds 0-199
 # (turn_cap 20, bundled world), recorded before the evaluate path was
@@ -20,7 +21,7 @@ EVALUATE_AGENDA_SEEDS_0_199_SHA256 = (
 
 
 def evaluate_json(path) -> str:
-    result = CliRunner().invoke(main, ["evaluate", str(path), "--format", "json"])
+    result = invoke("evaluate", str(path), "--format", "json")
     assert result.exit_code == 0, result.output
     return result.output
 
@@ -150,5 +151,5 @@ def test_goal_in_unknown_domain_is_rejected(tmp_path, ontology):
     with pytest.raises(LogParseError, match=f"^{re.escape(message)}$"):
         read_logs([path], ontology)
     assert "spaceport" in read_logs([path])[2].goal.domains
-    result = CliRunner().invoke(main, ["evaluate", str(path)])
+    result = invoke("evaluate", str(path))
     assert (result.exit_code, result.output) == (2, f"error: {message}\n")

@@ -2,10 +2,8 @@ import json
 from importlib import resources
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from duetsim.cli import main
 from duetsim.errors import (
     InvalidBookingSlot,
     ParseError,
@@ -23,6 +21,8 @@ from duetsim.world import (
     load_world,
     query_entities,
 )
+
+from conftest import invoke
 
 
 def rename(mapping: dict, old: str, new: str) -> None:
@@ -98,6 +98,10 @@ class TestLoadWorld:
          "ontology.restaurant.informable.food"),
         (lambda doc: doc["ontology"]["restaurant"].update(informable=[]),
          "ontology.restaurant.informable"),
+        (lambda doc: doc["ontology"]["restaurant"].update(informable={}),
+         "ontology.restaurant.informable"),
+        (lambda doc: doc["ontology"]["hotel"].pop("informable"),
+         "ontology.hotel.informable"),
         (lambda doc: doc["entities"][0].update(attributes=[]), "entities[0].attributes"),
         (lambda doc: doc["ontology"]["restaurant"]["informable"].update(area="centre"),
          "ontology.restaurant.informable.area"),
@@ -121,6 +125,7 @@ class TestLoadWorld:
         (lambda doc: doc["entities"][0].update(id=["r000"]), "entities[0].id"),
     ], ids=["domain_case", "slot_padded", "requestable_case", "candidate_padded",
             "entity_value_padded", "candidates_number", "informable_list",
+            "informable_empty", "informable_missing",
             "attributes_list", "candidates_string", "bookable_string",
             "requestable_string", "entities_object", "entity_domain_list",
             "entity_value_null", "entity_value_bool", "entity_value_list",
@@ -136,9 +141,26 @@ class TestLoadWorld:
         with pytest.raises(SchemaViolation) as e:
             load_world(str(path))
         assert e.value.location == location
-        result = CliRunner().invoke(main, ["goals", "--world", str(path)])
+        result = invoke("goals", "--world", str(path))
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: {location}: ")
+
+    def test_domain_without_informable_slots(self, tmp_path):
+        """A goal's constraints are drawn from the informable slots, so a
+        domain with none is a world error, not a traceback when a goal is
+        drawn: ``goals`` and ``simulate`` print the same one line and exit
+        2, in this process or with workers."""
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edited_bundled_world(
+            lambda doc: doc["ontology"]["restaurant"].update(informable={}))))
+        outputs = []
+        for args in (["goals"], *(["simulate", "-n", "3", "--parallelism", p,
+                                   "-o", tmp_path / p] for p in ("1", "2"))):
+            result = invoke(*args, "--world", path)
+            assert result.exit_code == 2, (args, result.output)
+            outputs.append(result.output)
+        assert outputs == [
+            "error: ontology.restaurant.informable: must name at least one slot\n"] * 3
 
     def test_number_values_are_stringified(self, tmp_path):
         """A number is the one non-string an entity id or attribute value

@@ -91,7 +91,7 @@ def cli(*args) -> str:
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            main.main(args, prog_name="duetsim", standalone_mode=False)
+            main(args)
     except SystemExit as e:
         if e.code:
             raise CommandFailed(f"duetsim {' '.join(args)}: exit {e.code}") from e
