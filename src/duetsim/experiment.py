@@ -58,12 +58,24 @@ _CASSETTE_FIELDS = {"mode": str, "path": str}
 _LOOP_FIELDS = {"max_iterations": int, "on_exhaustion": str}  # LoopConfig's
 
 
+def _is_exponent(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return "e" in text.lower()
+
+
 def _check_type(name: str, value, kind: type) -> None:
     # bool is a subclass of int, but `seed: true` is not a seed
     if not isinstance(value, (int, float) if kind is float else kind) or (
             kind in (int, float) and isinstance(value, bool)):
+        hint = (" (YAML reads an exponent as a number only with a dot and a signed "
+                "exponent, as in 5.0e-1 or 1.0e+12)"
+                if kind is float and isinstance(value, str) and _is_exponent(value)
+                else "")
         raise ConfigError(name, f"must be {_TYPE_NAMES[kind]}, "
-                                f"not {type(value).__name__}")
+                                f"not {type(value).__name__}{hint}")
 
 
 def _check_block(block: dict, types: dict, prefix: str) -> None:

@@ -1,17 +1,19 @@
 """Deterministic rule-based dialogue system used as the simulator's counterpart.
 
-The policy is priority-ordered and honest: every informed value comes
-straight from the current candidate entity, so logs can be scored against
-the database as ground truth.
+``track`` records the user's informs and re-queries the entities;
+``rule_policy`` chooses the acts. The policy is priority-ordered and honest:
+every informed value comes straight from the current candidate entity, so
+logs can be scored against the database as ground truth.
 """
 
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from .acts import DONTCARE, GENERAL_DOMAIN, DialogueAct, template_nlg
 from .errors import InvalidBookingSlot, Record, UnbookableDomain
-from .world import BookingLedger, Ontology, query_entities
+from .world import BookingLedger, Entity, Ontology, query_entities
 
 UNDERDETERMINED = 5  # more matches than this and the system asks for a constraint
 
@@ -25,72 +27,75 @@ class SystemState(Record):
         self.ledger = BookingLedger() if ledger is None else ledger
 
 
-def _requery(state: SystemState, domain: str, ontology: Ontology, entities) -> list:
-    constraints = {s: v for s, v in state.constraints.get(domain, {}).items()
-                   if v != DONTCARE}
-    return query_entities(entities, ontology, domain, constraints)
+class DomainView(NamedTuple):
+    """One domain the user touched this turn, as the tracker sees it."""
+    domain: str
+    matches: list[Entity]         # meeting the domain's constraints, by id; [] if unknown
+    requests: list[str]           # requested slots, in the user's order
+    book: dict[str, str] | None   # booking slots, or None: no booking asked
 
 
-def system_turn(state: SystemState, user_acts, ontology: Ontology,
-                entities) -> tuple[list[DialogueAct], str]:
-    """One policy step: updates ``state`` in place and returns the system
-    acts and their utterance. A user bye ends the dialogue before the system
-    is asked (``run_dialogue``), so it has no rule here."""
-    acts: list[DialogueAct] = []
+def track(state: SystemState, user_acts, ontology: Ontology,
+          entities) -> list[DomainView]:
+    """Records the user's informs in ``state.constraints`` and returns a view
+    of each domain the user informed, requested or booked in, in name order.
+    A domain the ontology lacks gains no constraints and matches nothing."""
     informs: dict[str, dict[str, str]] = {}
     requests: dict[str, list[str]] = {}
     books: dict[str, dict[str, str]] = {}
     for a in user_acts:
-        if a.intent == "inform" and a.domain != GENERAL_DOMAIN and a.slot:
-            informs.setdefault(a.domain, {})[a.slot] = a.value
-        elif a.intent == "request" and a.domain != GENERAL_DOMAIN and a.slot:
-            requests.setdefault(a.domain, []).append(a.slot)
-        elif a.intent == "book" and a.domain != GENERAL_DOMAIN:
-            books.setdefault(a.domain, {})
-            if a.slot:
-                books[a.domain][a.slot] = a.value
-
-    domains = sorted(set(informs) | set(requests) | set(books))
-    for domain in domains:
-        if not ontology.has_domain(domain):
-            acts.append(DialogueAct("nooffer", domain))
+        if a.domain == GENERAL_DOMAIN:
             continue
-        # 1. record user informs and re-query
-        if domain in informs:
-            state.constraints.setdefault(domain, {}).update(informs[domain])
-        matches = _requery(state, domain, ontology, entities)
+        if a.intent == "inform" and a.slot:
+            informs.setdefault(a.domain, {})[a.slot] = a.value
+        elif a.intent == "request" and a.slot:
+            requests.setdefault(a.domain, []).append(a.slot)
+        elif a.intent == "book":
+            book = books.setdefault(a.domain, {})
+            if a.slot:
+                book[a.slot] = a.value
 
-        # 2. nothing matches the accumulated constraints
+    views = []
+    for domain in sorted(informs.keys() | requests.keys() | books.keys()):
+        matches = []
+        if ontology.has_domain(domain):
+            if domain in informs:
+                state.constraints.setdefault(domain, {}).update(informs[domain])
+            wanted = {s: v for s, v in state.constraints.get(domain, {}).items()
+                      if v != DONTCARE}
+            matches = query_entities(entities, ontology, domain, wanted)
+        views.append(DomainView(domain, matches, requests.get(domain, []),
+                                books.get(domain)))
+    return views
+
+
+def rule_policy(views: list[DomainView], state: SystemState,
+                ontology: Ontology) -> list[DialogueAct]:
+    """The acts answering a turn, view by view: ``nooffer`` when nothing
+    matches; else answer the requests and book the first match (in
+    ``state.ledger``); else ask for a constraint when more than
+    ``UNDERDETERMINED`` match; else recommend the first match. ``reqmore``
+    when there is no view."""
+    acts: list[DialogueAct] = []
+    for domain, matches, requests, book in views:
         if not matches:
             acts.append(DialogueAct("nooffer", domain))
             continue
         candidate = matches[0]
-
-        handled = False
-        # 3. answer requested slots from the candidate entity
-        for slot in requests.get(domain, ()):
+        for slot in requests:
             value = candidate.get(slot)
-            if value:
-                acts.append(DialogueAct("inform", domain, slot, value))
-            else:
-                acts.append(DialogueAct("nooffer", domain))
-            handled = True
-
-        # 4. book the candidate when the user asked to book
-        if domain in books:
+            acts.append(DialogueAct("inform", domain, slot, value) if value
+                        else DialogueAct("nooffer", domain))
+        if book is not None:
             try:
-                code = state.ledger.book(candidate, books[domain], ontology)
+                code = state.ledger.book(candidate, book, ontology)
                 acts.append(DialogueAct("offer_booked", domain, "ref", code))
                 acts.append(DialogueAct("offer_booked", domain, "name",
                                         candidate.get("name")))
             except (UnbookableDomain, InvalidBookingSlot):
                 acts.append(DialogueAct("nobook", domain))
-            handled = True
-
-        if handled:
+        if requests or book is not None:
             continue
-
-        # 5. narrow down an underdetermined search
         if len(matches) > UNDERDETERMINED:
             informable = sorted(ontology.domains[domain].informable)
             open_slots = [s for s in informable
@@ -99,12 +104,16 @@ def system_turn(state: SystemState, user_acts, ontology: Ontology,
             if open_slots:
                 acts.append(DialogueAct("request", domain, open_slots[0]))
                 continue
-
-        # otherwise put a concrete option on the table
         acts.append(DialogueAct("recommend", domain, "name", candidate.get("name")))
+    return acts or [DialogueAct("reqmore", GENERAL_DOMAIN)]
 
-    if not acts:
-        acts = [DialogueAct("reqmore", GENERAL_DOMAIN)]
+
+def system_turn(state: SystemState, user_acts, ontology: Ontology,
+                entities) -> tuple[list[DialogueAct], str]:
+    """One step: ``track``, ``rule_policy``, then template NLG; updates
+    ``state`` in place. A user bye ends the dialogue before the system is
+    asked (``run_dialogue``), so it has no rule here."""
+    acts = rule_policy(track(state, user_acts, ontology, entities), state, ontology)
     return acts, template_nlg(acts, side="system")
 
 

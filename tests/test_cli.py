@@ -536,9 +536,13 @@ class TestCommands:
          {"simulator": "duet-no-verifier",
           "verifier_backend": {**HTTP, "backoff_base": "0.5"}},
          "must be a number, not str"),
+        ("generator_backend.backoff_base",
+         {"generator_backend": {**HTTP, "backoff_base": "5e-1"}},
+         "must be a number, not str (YAML reads an exponent as a number only "
+         "with a dot and a signed exponent, as in 5.0e-1 or 1.0e+12)"),
     ], ids=["cassette_path", "script_file", "retries_bool", "retries_float",
             "timeout_bool", "timeout_str", "api_key_env", "model",
-            "unused_verifier_backoff"])
+            "unused_verifier_backoff", "backoff_exponent"])
     def test_mistyped_backend_or_cassette_value_exit_1(self, tmp_path, field,
                                                        doc, message):
         """A value of the wrong type in a backend spec or the cassette block

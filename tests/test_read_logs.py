@@ -81,13 +81,12 @@ assert "yaml" not in sys.modules
 out = run_experiment(load_config(config_path, {}))
 assert "yaml" in sys.modules
 assert [log.seed for log in read_logs([out / "logs.jsonl"])] == [5, 6]
-assert "click" not in sys.modules
 """
 
 
-def test_library_path_loads_no_click(pinned_runs, tmp_path):
+def test_library_path_loads_yaml_only_for_a_config(pinned_runs, tmp_path):
     """``duetsim.experiment`` and ``duetsim.acts`` run and read without
-    click, and without PyYAML until a config file is read."""
+    PyYAML until a config file is read."""
     config = tmp_path / "exp.yaml"
     config.write_text(f"dialogues: 2\nseed: 5\noutput_dir: {tmp_path / 'run'}\n")
     out = subprocess.run([sys.executable, "-c", LIBRARY_PATH, str(pinned_runs[0]),

@@ -1,7 +1,14 @@
+import pytest
+
 from duetsim.acts import DialogueAct
-from duetsim.system import SystemAgent, SystemState, system_turn
+from duetsim.errors import UnbookableDomain
+from duetsim.system import (DomainView, SystemAgent, SystemState, rule_policy,
+                            system_turn, track)
+from duetsim.world import BookingLedger, DomainSchema, Entity, Ontology
 
 from conftest import act
+
+DUCKLING = Entity("restaurant", "r0", {"name": "ugly duckling", "phone": "01223176749"})
 
 
 class TestPolicy:
@@ -93,6 +100,62 @@ class TestPolicy:
         for user_acts in script:
             assert system_turn(state, user_acts, ontology, entities) == \
                 agent.respond(user_acts)
+
+
+class TestTracker:
+    def test_views_in_domain_name_order(self, ontology, entities):
+        state = SystemState()
+        views = track(state, [act("inform", "restaurant", "name", "ugly duckling"),
+                              act("request", "hotel", "phone"),
+                              act("book", "restaurant")], ontology, entities)
+        assert [(v.domain, v.requests, v.book) for v in views] == [
+            ("hotel", ["phone"], None), ("restaurant", [], {})]
+        assert [e.get("name") for e in views[1].matches] == ["ugly duckling"]
+        assert len(views[0].matches) == sum(e.domain == "hotel" for e in entities)
+
+    def test_request_only_turn_records_nothing(self, ontology, entities):
+        state = SystemState({"restaurant": {"food": "chinese"}})
+        track(state, [act("request", "restaurant", "phone"),
+                      act("request", "hotel", "phone")], ontology, entities)
+        assert state.constraints == {"restaurant": {"food": "chinese"}}
+
+    def test_unknown_domain_records_nothing_and_matches_nothing(self, ontology,
+                                                                entities):
+        state = SystemState()
+        views = track(state, [act("inform", "attraction", "area", "centre")],
+                      ontology, entities)
+        assert views == [DomainView("attraction", [], [], None)]
+        assert state.constraints == {}
+
+
+class TestRulePolicy:
+    def test_request_for_a_slot_the_candidate_lacks_gives_nooffer(self, ontology):
+        """The duet generator may request any ontology slot, a booking slot
+        among them; no entity carries one."""
+        views = [DomainView("restaurant", [DUCKLING], ["phone", "book day"], None)]
+        assert rule_policy(views, SystemState(), ontology) == [
+            DialogueAct("inform", "restaurant", "phone", "01223176749"),
+            DialogueAct("nooffer", "restaurant")]
+
+    def test_booking_in_an_unbookable_domain_gives_nobook(self):
+        schema = DomainSchema(informable={"area": ("north",)}, requestable=("phone",),
+                              bookable={})
+        ontology = Ontology({"taxi": schema})
+        taxi = Entity("taxi", "t0", {"name": "blue cab", "area": "north"})
+        with pytest.raises(UnbookableDomain):
+            BookingLedger().book(taxi, {}, ontology)
+        views = [DomainView("taxi", [taxi], [], {})]
+        assert rule_policy(views, SystemState(), ontology) == [
+            DialogueAct("nobook", "taxi")]
+
+    def test_two_domain_turn_answers_in_domain_name_order(self, ontology, entities):
+        acts, _ = system_turn(SystemState(),
+                              [act("inform", "restaurant", "name", "ugly duckling"),
+                               act("inform", "hotel", "name", "acorn guest house")],
+                              ontology, entities)
+        assert acts == [
+            DialogueAct("recommend", "hotel", "name", "acorn guest house"),
+            DialogueAct("recommend", "restaurant", "name", "ugly duckling")]
 
 
 class TestDeterminism:
