@@ -14,6 +14,7 @@ import json
 import os
 import time
 import urllib.parse
+from typing import NamedTuple
 
 from .errors import (
     CassetteIOError,
@@ -55,15 +56,11 @@ class CompletionRequest(Record):
         return hash(self._values())
 
 
-class CompletionResult(Record):
-    __slots__ = _fields = ("text", "prompt_tokens", "completion_tokens", "latency")
-
-    def __init__(self, text: str, prompt_tokens: int | None = None,
-                 completion_tokens: int | None = None, latency: float = 0.0):
-        self.text = text
-        self.prompt_tokens = prompt_tokens
-        self.completion_tokens = completion_tokens
-        self.latency = latency
+class CompletionResult(NamedTuple):
+    text: str
+    prompt_tokens: int | None = None
+    completion_tokens: int | None = None
+    latency: float = 0.0
 
 
 class BackendConfig(Record):

@@ -43,8 +43,6 @@ def evaluate(args):
     try:
         ontology, entities = load_world(args.world)
         logs = read_logs(args.log_paths, ontology)
-        if not logs:
-            raise EmptyLogSet("no log records found")
         f_report = fulfillment(logs, ontology, entities)
         d_report = diversity(user_utterances(logs))
     except (LogParseError, LogReadError, EmptyLogSet, WorldError) as e:

@@ -8,6 +8,8 @@ act list followed by a conversational rewrite.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .acts import DialogueAct, DialogueContext, INTENTS, SOCIAL_INTENTS
 from .backend import CompletionRequest
 from .errors import EmptyTranslation, Record, StepParseFailure
@@ -36,12 +38,9 @@ class DraftActs(Record):
         self.step_transcript = {} if step_transcript is None else step_transcript
 
 
-class Utterance(Record):
-    __slots__ = _fields = ("plain", "enhanced")
-
-    def __init__(self, plain: str, enhanced: str):
-        self.plain = plain
-        self.enhanced = enhanced  # the rewrite, or the plain text when it came back blank
+class Utterance(NamedTuple):
+    plain: str
+    enhanced: str  # the rewrite, or the plain text when it came back blank
 
 
 def split_candidates(text: str) -> list[str]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import repeat
+from typing import NamedTuple
 
-from .errors import EmptyLogSet, Record, ShortStream, ZeroFactors
+from .errors import EmptyLogSet, ShortStream, ZeroFactors
 from .world import query_entities
 
 MSTTR_SEGMENT = 50
@@ -151,29 +152,18 @@ def mtld(stream, threshold: float = MTLD_THRESHOLD) -> float:
     return (forward + backward) / 2.0
 
 
-class DiversityReport(Record):
-    __slots__ = _fields = ("unigrams", "bigrams", "trigrams", "entropy",
-                           "conditional_entropy", "msttr", "hdd", "mtld")
-
-    def __init__(self, unigrams: int, bigrams: int, trigrams: int, entropy: float,
-                 conditional_entropy: float, msttr: float | None, hdd: float | None,
-                 mtld: float | None):
-        self.unigrams = unigrams
-        self.bigrams = bigrams
-        self.trigrams = trigrams
-        self.entropy = entropy
-        self.conditional_entropy = conditional_entropy
-        self.msttr = msttr
-        self.hdd = hdd
-        self.mtld = mtld
+class DiversityReport(NamedTuple):
+    unigrams: int
+    bigrams: int
+    trigrams: int
+    entropy: float
+    conditional_entropy: float
+    msttr: float | None
+    hdd: float | None
+    mtld: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "unigrams": self.unigrams, "bigrams": self.bigrams,
-            "trigrams": self.trigrams, "entropy": self.entropy,
-            "conditional_entropy": self.conditional_entropy,
-            "msttr": self.msttr, "hdd": self.hdd, "mtld": self.mtld,
-        }
+        return self._asdict()
 
 
 def diversity(utterances) -> DiversityReport:
@@ -209,45 +199,31 @@ def diversity(utterances) -> DiversityReport:
 
 # --- goal fulfillment ---
 
-class DialogueScore(Record):
-    __slots__ = _fields = ("complete", "success", "precision", "recall", "f1",
-                           "booking_subtasks", "bookings_matched", "turns")
-
-    def __init__(self, complete: bool, success: bool, precision: float, recall: float,
-                 f1: float, booking_subtasks: int, bookings_matched: int, turns: int):
-        self.complete = complete
-        self.success = success
-        self.precision = precision
-        self.recall = recall
-        self.f1 = f1
-        self.booking_subtasks = booking_subtasks
-        self.bookings_matched = bookings_matched
-        self.turns = turns
+class DialogueScore(NamedTuple):
+    complete: bool
+    success: bool
+    precision: float
+    recall: float
+    f1: float
+    booking_subtasks: int
+    bookings_matched: int
+    turns: int
 
 
-class FulfillmentReport(Record):
-    __slots__ = _fields = ("complete_rate", "success_rate", "precision", "recall", "f1",
-                           "book_rate", "avg_turns", "dialogues")
-
-    def __init__(self, complete_rate: float, success_rate: float, precision: float,
-                 recall: float, f1: float, book_rate: float | None, avg_turns: float,
-                 dialogues: list[DialogueScore] | None = None):
-        self.complete_rate = complete_rate
-        self.success_rate = success_rate
-        self.precision = precision
-        self.recall = recall
-        self.f1 = f1
-        self.book_rate = book_rate  # None when no goal had a booking subtask
-        self.avg_turns = avg_turns
-        self.dialogues = [] if dialogues is None else dialogues
+class FulfillmentReport(NamedTuple):
+    complete_rate: float
+    success_rate: float
+    precision: float
+    recall: float
+    f1: float
+    book_rate: float | None  # None when no goal had a booking subtask
+    avg_turns: float
+    dialogues: tuple[DialogueScore, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "complete_rate": self.complete_rate,
-            "success_rate": self.success_rate,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "book_rate": self.book_rate, "avg_turns": self.avg_turns,
-        }
+        d = self._asdict()
+        del d["dialogues"]
+        return d
 
 
 def _harmonic(p: float, r: float) -> float:
@@ -319,7 +295,7 @@ def fulfillment(logs, ontology, entities) -> FulfillmentReport:
     """Aggregate fulfillment metrics over a set of dialogue logs."""
     if not logs:
         raise EmptyLogSet("no logs to evaluate")
-    scores = [score_dialogue(log, ontology, entities) for log in logs]
+    scores = tuple(score_dialogue(log, ontology, entities) for log in logs)
     n = len(scores)
     precision = sum(s.precision for s in scores) / n
     recall = sum(s.recall for s in scores) / n
@@ -341,6 +317,19 @@ def user_utterances(logs) -> list[str]:
     return [t.utterance for log in logs for t in log.turns if t.speaker == "user"]
 
 
+# (column header, report field) for each table render_report prints
+_FULFILLMENT_COLUMNS = (
+    ("Complete", "complete_rate"), ("Success", "success_rate"),
+    ("Precision", "precision"), ("Recall", "recall"), ("F1", "f1"),
+    ("Book", "book_rate"), ("Turn", "avg_turns"),
+)
+_DIVERSITY_COLUMNS = (
+    ("Unigrams", "unigrams"), ("Bigrams", "bigrams"), ("Trigrams", "trigrams"),
+    ("Entropy", "entropy"), ("CE", "conditional_entropy"), ("MSTTR", "msttr"),
+    ("HDD", "hdd"), ("MTLD", "mtld"),
+)
+
+
 def render_report(fulfillment_report: FulfillmentReport,
                   diversity_report: DiversityReport) -> str:
     """Human-readable aligned tables, fulfillment then diversity."""
@@ -351,20 +340,11 @@ def render_report(fulfillment_report: FulfillmentReport,
             return str(v)
         return f"{v:.3f}"
 
-    f = fulfillment_report.to_dict()
-    d = diversity_report.to_dict()
-    lines = ["Goal fulfillment"]
-    header = ["Complete", "Success", "Precision", "Recall", "F1", "Book", "Turn"]
-    values = [f["complete_rate"], f["success_rate"], f["precision"], f["recall"],
-              f["f1"], f["book_rate"], f["avg_turns"]]
-    lines.append("  ".join(f"{h:>9}" for h in header))
-    lines.append("  ".join(f"{fmt(v):>9}" for v in values))
-    lines.append("")
-    lines.append("Utterance diversity")
-    header = ["Unigrams", "Bigrams", "Trigrams", "Entropy", "CE", "MSTTR",
-              "HDD", "MTLD"]
-    values = [d["unigrams"], d["bigrams"], d["trigrams"], d["entropy"],
-              d["conditional_entropy"], d["msttr"], d["hdd"], d["mtld"]]
-    lines.append("  ".join(f"{h:>9}" for h in header))
-    lines.append("  ".join(f"{fmt(v):>9}" for v in values))
-    return "\n".join(lines)
+    tables = []
+    for title, report, columns in (
+            ("Goal fulfillment", fulfillment_report, _FULFILLMENT_COLUMNS),
+            ("Utterance diversity", diversity_report, _DIVERSITY_COLUMNS)):
+        header = "  ".join(f"{h:>9}" for h, _ in columns)
+        values = "  ".join(f"{fmt(getattr(report, name)):>9}" for _, name in columns)
+        tables.append(f"{title}\n{header}\n{values}")
+    return "\n\n".join(tables)

@@ -18,6 +18,9 @@ from conftest import invoke
 # rewritten. Any change to it means a change in what evaluate reports.
 EVALUATE_AGENDA_SEEDS_0_199_SHA256 = (
     "6424bef5cd9528f2d72ea081ed1f44db23d89fd67df859f7dc606ec70a6595ec")
+# sha256 of `evaluate` in its default table format on the same logs.
+EVALUATE_TABLE_AGENDA_SEEDS_0_199_SHA256 = (
+    "37143f51d6cdb5e3a50c2463c1b179477d66da8dff2c0674922a861e72afd05f")
 
 
 def evaluate_json(path) -> str:
@@ -33,6 +36,16 @@ def test_agenda_evaluate_pinned(tmp_path):
     output = evaluate_json(out / "logs.jsonl")
     assert hashlib.sha256(output.encode()).hexdigest() == \
         EVALUATE_AGENDA_SEEDS_0_199_SHA256
+
+
+def test_agenda_evaluate_table_pinned(tmp_path):
+    out = run_experiment(ExperimentConfig(simulator="agenda", dialogues=200, seed=0,
+                                          turn_cap=20, parallelism=1,
+                                          output_dir=str(tmp_path / "run")))
+    result = invoke("evaluate", str(out / "logs.jsonl"))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == \
+        EVALUATE_TABLE_AGENDA_SEEDS_0_199_SHA256
 
 
 def _turn(index, speaker, acts, utterance):

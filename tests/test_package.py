@@ -84,7 +84,7 @@ def test_every_record_compares_every_field():
     for m in pkgutil.iter_modules(duetsim.__path__):
         importlib.import_module(f"duetsim.{m.name}")
     records = Record.__subclasses__()
-    assert len(records) == 19
+    assert len(records) == 14
     for cls in records:
         if "__slots__" in vars(cls):
             public = tuple(s for s in cls.__slots__ if not s.startswith("_"))
