@@ -4,8 +4,8 @@ Every prompt in the framework flows through the single ``complete`` entry
 point, so any backend that satisfies the Backend protocol (an object with
 ``complete(request) -> CompletionResult``) can drive a simulation.
 
-The HTTP/TLS stack and hashing are imported inside the code that uses them,
-so a run without an http backend or a cassette does not load them.
+The socket and TLS modules and hashing are imported inside the code that
+uses them, so a run without an http backend or a cassette does not load them.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import NamedTuple
 from .errors import (
     CassetteIOError,
     CassetteMiss,
+    ConfigError,
     EndpointError,
     MalformedResponse,
     Record,
@@ -78,7 +79,9 @@ class BackendConfig(Record):
         if not 0 <= retries <= 5:
             raise ValueError("retries must be between 0 and 5")
         url = urllib.parse.urlsplit(base_url)
-        if url.scheme not in ("http", "https") or not url.hostname:
+        # it is sent as it is, in a request line that ends at a space
+        if url.scheme not in ("http", "https") or not url.hostname or " " in base_url \
+                or not (base_url.isascii() and base_url.isprintable()):
             raise ValueError(f"base_url {base_url!r} is not an http(s) URL")
         self.base_url = base_url
         self.model = model
@@ -135,23 +138,28 @@ class HTTPBackend:
     up to ``config.retries`` times with exponential backoff; other 4xx
     responses and malformed bodies fail immediately.
 
-    The backend keeps one keep-alive connection, so it is not shared
-    between threads: each worker process runs its own copy. The connection is
-    closed and forgotten after a transport error or a response that ends it;
-    one the server closed while it sat idle is replaced without spending a
-    retry. ``http_proxy``, ``https_proxy`` and ``no_proxy`` are read from
-    the environment when the backend is built, and TLS is verified against
-    the system trust store. ``close`` closes the connection.
+    The backend speaks HTTP/1.1 on one kept socket, so it is not shared
+    between threads: each worker process runs its own copy. A request is
+    one write; a reply that breaks its framing is a transport error. The
+    socket is closed and forgotten after a transport error or a reply that
+    ends it; one the server closed while it sat idle is replaced without
+    spending a retry. ``http_proxy``, ``https_proxy`` and ``no_proxy`` are
+    read from the environment when the backend is built, and TLS is
+    verified against the system trust store. ``close`` closes the socket.
     """
 
     def __init__(self, config: BackendConfig, sleep=time.sleep):
         self.config = config
         self._sleep = sleep
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock = self._reader = None
 
         url = urllib.parse.urlsplit(config.base_url)
         self._https = url.scheme == "https"
-        self._address = (url.hostname, url.port or (443 if self._https else 80))
+        default_port = 443 if self._https else 80
+        self._address = (url.hostname, url.port or default_port)
+        host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+        self._authority = f"{host}:{self._address[1]}"  # what CONNECT names
+        self._host = host if self._address[1] == default_port else self._authority
         self._ssl_context = None
         if self._https:
             import ssl
@@ -159,22 +167,24 @@ class HTTPBackend:
             self._ssl_context = ssl.create_default_context()
         self._target = url.path.rstrip("/") + "/chat/completions" + \
             (f"?{url.query}" if url.query else "")
-        self._proxy, self._proxy_headers = resolve_proxy(url)
+        self._proxy, proxy_headers = resolve_proxy(url)
+        self._proxy_lines = "".join(f"{name}: {value}\r\n"
+                                    for name, value in proxy_headers.items())
         if self._proxy and not self._https:
             self._target = f"http://{url.netloc.rpartition('@')[2]}{self._target}"
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json", "User-Agent": "duetsim"}
+    def _head(self, length: int) -> bytes:
+        """The request line and headers of a request with a ``length``-byte body."""
         key = os.environ.get(self.config.api_key_env) if self.config.api_key_env else None
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        if not self._https:
-            headers.update(self._proxy_headers)
-        return headers
+        if key and ("\r" in key or "\n" in key):  # it would end the header
+            raise ConfigError("api_key_env", f"${self.config.api_key_env} holds a line break")
+        return (f"POST {self._target} HTTP/1.1\r\nHost: {self._host}\r\n"
+                f"Accept-Encoding: identity\r\nContent-Length: {length}\r\n"
+                "Content-Type: application/json\r\nUser-Agent: duetsim\r\n"
+                + (f"Authorization: Bearer {key}\r\n" if key else "")
+                + ("" if self._https else self._proxy_lines) + "\r\n").encode("latin-1")
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        import http.client  # bound here for the except clause below
-
         messages = []
         if request.system_text:
             messages.append({"role": "system", "content": request.system_text})
@@ -188,7 +198,7 @@ class HTTPBackend:
         if request.stop_sequences:
             payload["stop"] = list(request.stop_sequences)
         body = json.dumps(payload).encode("utf-8")
-        headers = self._headers()
+        message = self._head(len(body)) + body
 
         last_error: Exception | None = None
         for attempt in range(self.config.retries + 1):
@@ -196,11 +206,11 @@ class HTTPBackend:
                 self._sleep(self.config.backoff_base * (2 ** (attempt - 1)))
             start = time.monotonic()
             try:
-                status, data = self._post(body, headers)
+                status, data = self._post(message)
             except TimeoutError as e:
                 last_error = Timeout(str(e) or "timed out")
                 continue
-            except (OSError, http.client.HTTPException) as e:
+            except OSError as e:  # BadReply included
                 last_error = e
                 continue
             if status in RETRYABLE_STATUS:
@@ -219,48 +229,134 @@ class HTTPBackend:
             f"{self.config.retries + 1} attempts failed; last: {last_error}"
         ) from last_error
 
-    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
-        """POST on the kept connection; returns (status, body)."""
-        conn = self._conn
-        if conn is not None:
+    def _post(self, message: bytes) -> tuple[int, bytes]:
+        """Send a request on the kept socket; returns (status, body)."""
+        if self._sock is not None:
             try:
-                return self._exchange(conn, body, headers)
+                return self._exchange(message)
             except ConnectionError:
                 pass  # closed by the server while idle: resend on a new one
-        conn = self._connect()
-        return self._exchange(conn, body, headers)
+        self._connect()
+        return self._exchange(message)
 
-    def _connect(self) -> http.client.HTTPConnection:
-        import http.client
+    def _connect(self) -> None:
+        import socket
 
-        host, port = self._proxy or self._address
-        if self._https:
-            conn = http.client.HTTPSConnection(host, port, timeout=self.config.timeout,
-                                               context=self._ssl_context)
-            if self._proxy:
-                conn.set_tunnel(*self._address, headers=self._proxy_headers)
-        else:
-            conn = http.client.HTTPConnection(host, port, timeout=self.config.timeout)
-        self._conn = conn
-        return conn
-
-    def _exchange(self, conn, body: bytes, headers: dict) -> tuple[int, bytes]:
+        sock = socket.create_connection(self._proxy or self._address, self.config.timeout)
         try:
-            conn.request("POST", self._target, body, headers)
-            resp = conn.getresponse()
-            data = resp.read()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._https and self._proxy:  # a tunnel through the proxy
+                sock.sendall((f"CONNECT {self._authority} HTTP/1.1\r\nHost: {self._authority}"
+                              f"\r\n{self._proxy_lines}\r\n").encode("latin-1"))
+                with sock.makefile("rb") as reader:
+                    status = _read_head(reader)[0]
+                if not 200 <= status < 300:
+                    raise OSError(f"proxy refused the tunnel with status {status}")
+            if self._https:
+                sock = self._ssl_context.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._reader = sock, sock.makefile("rb")
+
+    def _exchange(self, message: bytes) -> tuple[int, bytes]:
+        try:
+            self._sock.sendall(message)
+            status, ends, data = _read_reply(self._reader)
         except BaseException:
             self.close()
             raise
-        if resp.will_close:
+        if ends:
             self.close()
-        return resp.status, data
+        return status, data
 
     def close(self) -> None:
-        """Close the connection, if one is open; a later call reconnects."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        """Close the socket, if one is open; a later call reconnects."""
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
+
+
+# A reply's limits, as in http.client: bytes in a header line, lines in a head.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+
+class BadReply(OSError):
+    """A reply that breaks HTTP/1.1 framing: a transport error, retried."""
+
+
+def _read_fields(reader) -> dict[bytes, bytes]:
+    """{lower-cased name: value} of the header lines up to a blank line."""
+    fields = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = reader.readline(MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line.endswith(b"\n") or len(line) > MAX_LINE:
+            raise BadReply(f"header line cut short or over {MAX_LINE} bytes")
+        name, _, value = line.partition(b":")
+        fields[name.strip().lower()] = value.strip()
+    raise BadReply(f"more than {MAX_HEADERS} header lines")
+
+
+def _read_head(reader) -> tuple[int, bool, dict[bytes, bytes]]:
+    """(status, whether it is HTTP/1.0, headers) of the next reply that is
+    not a 1xx interim one."""
+    status = 0
+    while status < 200:
+        line = reader.readline(MAX_LINE + 1)
+        if not line:
+            raise ConnectionResetError("connection closed before a reply")
+        version, _, rest = line.partition(b" ")
+        status = int(rest[:3]) if rest[:3].isdigit() else 0
+        if status < 100 or rest[3:4].strip() or not version.startswith(b"HTTP/") \
+                or len(line) > MAX_LINE:
+            raise BadReply(f"bad status line {line[:80]!r}")
+        headers = _read_fields(reader)
+    return status, version == b"HTTP/1.0", headers
+
+
+def _read_reply(reader) -> tuple[int, bool, bytes]:
+    """(status, whether the connection ends with it, body) of one reply."""
+    status, http10, headers = _read_head(reader)
+    connection = headers.get(b"connection", b"").lower()
+    ends = b"close" in connection or (http10 and b"keep-alive" not in connection)
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, ends, _read_chunked(reader)
+    length = headers.get(b"content-length")
+    if length is None:
+        return status, True, reader.read()
+    if not length.isdigit():
+        raise BadReply(f"bad Content-Length {length[:80]!r}")
+    return status, ends, _read_exact(reader, int(length))
+
+
+def _read_chunked(reader) -> bytes:
+    """A chunked body; chunk extensions and the trailer are read past."""
+    parts = []
+    while True:
+        line = reader.readline(MAX_LINE + 1)
+        size = line.partition(b";")[0].strip()
+        if not size or size.strip(b"0123456789abcdefABCDEF") or len(line) > MAX_LINE:
+            raise BadReply(f"bad chunk size line {line[:80]!r}")
+        if not int(size, 16):
+            _read_fields(reader)
+            return b"".join(parts)
+        parts.append(_read_exact(reader, int(size, 16) + 2)[:-2])  # less its CRLF
+
+
+def _read_exact(reader, size: int) -> bytes:
+    """The next ``size`` bytes, read at most 1 MiB at a time, so a false
+    length takes memory only as bytes arrive."""
+    parts = []
+    while size > 0:
+        parts.append(reader.read(min(size, 1 << 20)))
+        if not parts[-1]:
+            raise BadReply("reply body ended early")
+        size -= len(parts[-1])
+    return b"".join(parts)
 
 
 def resolve_proxy(url) -> tuple[tuple[str, int] | None, dict[str, str]]:

@@ -424,15 +424,17 @@ def run_experiment(config: ExperimentConfig) -> Path:
     lint_all_templates()
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "logs.jsonl"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        log_file = open(out_dir / "logs.jsonl", "w", encoding="utf-8")
+    except OSError as e:
+        raise ConfigError("output_dir", f"{out_dir}: {e.strerror or e}") from e
 
     seeds = range(config.seed, config.seed + config.dialogues)
     started = time.time()
     failures = []
     try:
-        with open(log_path, "w", encoding="utf-8") as log_file, \
-                _open_cassette(config.cassette) as cassette_file, \
+        with log_file, _open_cassette(config.cassette) as cassette_file, \
                 closing(_records(runner, seeds, config.workers())) as records:
             # Records arrive in seed order and each is dropped once written.
             for line, failure, cassette_lines in records:

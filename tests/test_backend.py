@@ -1,8 +1,10 @@
 import json
 import math
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,6 +22,7 @@ from duetsim.backend import (
 from duetsim.errors import (
     CassetteIOError,
     CassetteMiss,
+    ConfigError,
     EndpointError,
     MalformedResponse,
     RetriesExhausted,
@@ -72,7 +75,8 @@ class TestRequestValidation:
         config = BackendConfig(base_url="http://x", timeout=86400, backoff_base=86400)
         assert (config.timeout, config.backoff_base) == (86400, 86400)
 
-    @pytest.mark.parametrize("url", ["example.com/v1", "ftp://x", "http://"])
+    @pytest.mark.parametrize("url", ["example.com/v1", "ftp://x", "http://",
+                                     "http://x/a b", "http://x/\u20ac", "http://x/\tv1"])
     def test_base_url_must_be_http(self, url):
         with pytest.raises(ValueError):
             BackendConfig(base_url=url, model="m")
@@ -98,7 +102,9 @@ class _Handler(BaseHTTPRequestHandler):
     An outcome is ``(status, body)`` (a dict body is sent as JSON, bytes as
     they are), ``"drop"`` (close without answering), ``"close"`` (answer
     with ``Connection: close``), ``"vanish"`` (answer as if keeping the
-    connection alive, then close it) or ``("stall", seconds)``.
+    connection alive, then close it), ``("stall", seconds)`` or
+    ``("raw", data, close)`` (write ``data`` as the whole reply, then close
+    the connection if ``close``).
     """
     protocol_version = "HTTP/1.1"
 
@@ -117,6 +123,10 @@ class _Handler(BaseHTTPRequestHandler):
         if isinstance(outcome, tuple) and outcome[0] == "stall":
             time.sleep(outcome[1])
             outcome = _ok()
+        if isinstance(outcome, tuple) and outcome[0] == "raw":
+            self.wfile.write(outcome[1])
+            self.close_connection = outcome[2]
+            return
         status, payload = _ok() if isinstance(outcome, str) else outcome
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
@@ -135,9 +145,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_error(407)
 
 
+DATA = Path(__file__).parent / "data"
+# Self-signed for IP 127.0.0.1, valid 2000-2100.
+CERT, KEY = DATA / "localhost-cert.pem", DATA / "localhost-key.pem"
+
+
 class _Server(ThreadingHTTPServer):
-    def __init__(self, outcomes=()):
+    def __init__(self, outcomes=(), tls=False):
         super().__init__(("127.0.0.1", 0), _Handler)
+        self.scheme = "http"
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(CERT, KEY)
+            self.socket = context.wrap_socket(self.socket, server_side=True)
+            self.scheme = "https"
         self.lock = threading.Lock()
         self.outcomes = list(outcomes)
         self.requests = []
@@ -161,7 +182,7 @@ class _Server(ThreadingHTTPServer):
 
     @property
     def url(self):
-        return f"http://127.0.0.1:{self.server_address[1]}"
+        return f"{self.scheme}://127.0.0.1:{self.server_address[1]}"
 
 
 @pytest.fixture
@@ -171,8 +192,8 @@ def serve():
     the test; clients from ``client`` are closed before that."""
     servers = []
 
-    def start(outcomes=()):
-        server = _Server(outcomes)
+    def start(outcomes=(), tls=False):
+        server = _Server(outcomes, tls)
         thread = threading.Thread(target=server.serve_forever, args=(0.05,),
                                   daemon=True)
         thread.start()
@@ -213,16 +234,17 @@ def without_proxy_env(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
 
 
+@pytest.fixture
+def backend(serve, client):
+    """backend(outcomes, retries) -> (backend, server) on a new server."""
+    def make(outcomes, retries=2, **kwargs):
+        server = serve(outcomes)
+        return client(server.url + "/v1", retries, **kwargs), server
+
+    return make
+
+
 class TestHTTP:
-    @pytest.fixture
-    def backend(self, serve, client):
-        """backend(outcomes, retries) -> (backend, server) on a new server."""
-        def make(outcomes, retries=2, **kwargs):
-            server = serve(outcomes)
-            return client(server.url + "/v1", retries, **kwargs), server
-
-        return make
-
     def test_success(self, backend):
         b, server = backend([_ok("yo")])
         result = b.complete(req())
@@ -304,6 +326,13 @@ class TestHTTP:
         b.complete(req())
         assert server.requests[0][2]["Authorization"] == "Bearer sk-test"
 
+    def test_api_key_with_line_break_not_sent(self, backend, monkeypatch):
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test\r\nX-Injected: 1")
+        b, server = backend([], api_key_env="TEST_LLM_KEY")
+        with pytest.raises(ConfigError, match=r"\$TEST_LLM_KEY holds a line break"):
+            b.complete(req())
+        assert server.requests == []
+
     def test_http_proxy(self, serve, client, monkeypatch):
         proxy = serve()
         monkeypatch.setenv("http_proxy", proxy.url.replace("//", "//u%40x:p@"))
@@ -333,14 +362,138 @@ class TestHTTP:
     def test_close_closes_every_connection(self, backend):
         b, server = backend([])
         b.complete(req())
-        conn = b._conn
         b.close()
-        assert conn.sock is None
+        # the server's handler for the connection ends when it reads the close
+        server.handlers[0].join(timeout=5)
+        assert not server.handlers[0].is_alive()
         assert b.complete(req()).text == "hi"  # reconnects
         assert server.connections == 2
 
     def test_import_does_not_load_requests(self, imported_modules):
         assert not {"requests", "urllib3"} & imported_modules
+
+    def test_host_and_accept_encoding_headers(self, serve, client, monkeypatch):
+        """Host names the port only when it is not the scheme's default."""
+        server, proxy = serve(), serve()
+        client(server.url + "/v1").complete(req())
+        monkeypatch.setenv("http_proxy", proxy.url)
+        client("http://llm.invalid/v1").complete(req())
+        direct, proxied = server.requests[0][2], proxy.requests[0][2]
+        assert direct["Host"] == f"127.0.0.1:{server.server_address[1]}"
+        assert proxied["Host"] == "llm.invalid"
+        assert direct["Accept-Encoding"] == proxied["Accept-Encoding"] == "identity"
+
+
+BODY = json.dumps(OK_BODY).encode()
+
+
+def _sized(head=b"", length=len(BODY)):
+    """A raw 200 reply with ``head`` lines, Content-Length ``length`` and BODY."""
+    return b"HTTP/1.1 200 OK\r\n%sContent-Length: %d\r\n\r\n%s" % (head, length, BODY)
+
+
+class TestReplyFraming:
+    """The reply framings an endpoint may use, each served raw."""
+
+    def test_chunked(self, backend):
+        """Chunk extensions and the trailer are read past, so the
+        connection serves the next call."""
+        chunks = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(part), part)
+                          for part in (BODY[:10], BODY[10:]))
+        b, server = backend([("raw", b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                                     + chunks + b"0\r\nX-Trailer: t\r\n\r\n", False)])
+        assert [b.complete(req()).text for _ in range(2)] == ["hi", "hi"]
+        assert server.connections == 1
+
+    def test_http10_without_length_read_to_end(self, backend):
+        b, server = backend([("raw", b"HTTP/1.0 200 OK\r\n\r\n" + BODY, True)])
+        assert [b.complete(req()).text for _ in range(2)] == ["hi", "hi"]
+        assert server.connections == 2
+
+    def test_connection_close_header(self, backend):
+        """The server keeps the connection open after saying it closes it;
+        the next call still opens connection 2."""
+        b, server = backend([("raw", _sized(b"Connection: close\r\n"), False)])
+        assert [b.complete(req()).text for _ in range(2)] == ["hi", "hi"]
+        assert server.connections == 2
+
+    def test_interim_reply_skipped(self, backend):
+        b, server = backend([("raw", b"HTTP/1.1 100 Continue\r\n\r\n" + _sized(), False)])
+        assert [b.complete(req()).text for _ in range(2)] == ["hi", "hi"]
+        assert server.connections == 1
+
+    def test_short_body_retried(self, backend):
+        b, server = backend([("raw", _sized(length=len(BODY) + 5), True)] * 3, retries=2)
+        with pytest.raises(RetriesExhausted):
+            b.complete(req())
+        assert len(server.requests) == 3
+
+    def test_false_length_read_as_bytes_arrive(self, backend):
+        """A length far beyond the body is not allocated before reading."""
+        b, server = backend([("raw", _sized(length=10 ** 14), True)], retries=0)
+        with pytest.raises(RetriesExhausted):
+            b.complete(req())
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\n" + b"X-Many: y\r\n" * 101 + b"\r\n",
+        b"HTCPCP/1.0 418 I'm a teapot\r\n\r\n",
+        b"HTTP/1.1 OK\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+    ], ids=["long_header_line", "too_many_headers", "bad_protocol", "no_status_code",
+            "bad_chunk_size", "bad_length", "negative_length"])
+    def test_framing_fault_is_a_transport_error(self, backend, reply):
+        """A reply that breaks framing fails the attempt at once, with the
+        connection still open: no wait for the timeout, no ValueError."""
+        b, server = backend([("raw", reply, False)], retries=0, timeout=3.0)
+        with pytest.raises(RetriesExhausted) as e:
+            b.complete(req())
+        assert not isinstance(e.value.__cause__, (Timeout, ValueError))
+        assert len(server.requests) == 1
+
+    @pytest.fixture
+    def endpoint(self, backend):
+        """One server and client for every example of a property test."""
+        return backend([], retries=0, timeout=3.0)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from([
+        b"HTTP/1.1 200 OK\r\n", b"HTTP/1.0 503 Busy\r\n", b"HTTP/1.1 100 Continue\r\n",
+        b"HTTP/1.1 2000\r\n", b"Content-Length: 4\r\n", b"Content-Length: x\r\n",
+        b"Transfer-Encoding: chunked\r\n", b"Connection: close\r\n", b"\r\n",
+        b"4\r\n", b"0\r\n", b"-4;x\r\n", b"null", b'{"choices": []}', BODY,
+        b"\xff\xfe", b"\n"]), max_size=8))
+    def test_any_reply_is_typed(self, endpoint, pieces):
+        """Whatever the endpoint writes before it closes, ``complete``
+        returns a result or raises a typed error."""
+        b, server = endpoint
+        server.outcomes.append(("raw", b"".join(pieces), True))
+        try:
+            b.complete(req())
+        except (EndpointError, MalformedResponse):
+            pass
+        except RetriesExhausted as e:
+            assert not isinstance(e.__cause__, (Timeout, ValueError))
+
+
+class TestHTTPS:
+    def test_verified_against_ssl_cert_file(self, serve, client, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+        server = serve(tls=True)
+        b = client(server.url + "/v1")
+        assert [b.complete(req()).text for _ in range(2)] == ["hi", "hi"]
+        assert server.connections == 1
+
+    def test_unknown_certificate_refused(self, serve, client, monkeypatch):
+        for name in ("SSL_CERT_FILE", "SSL_CERT_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        server = serve(tls=True)
+        with pytest.raises(RetriesExhausted) as e:
+            client(server.url + "/v1", retries=0).complete(req())
+        assert isinstance(e.value.__cause__, ssl.SSLCertVerificationError)
 
 
 def record(seed, responses, *prompts):

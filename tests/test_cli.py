@@ -594,6 +594,18 @@ class TestCommands:
         assert message in result.output
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("output_dir", ["file", "file/sub", "run"])
+    def test_unusable_output_dir_exit_1(self, tmp_path, output_dir):
+        """An output directory that cannot be made, or a logs file that
+        cannot be opened in it, is an error line before any dialogue runs."""
+        (tmp_path / "file").write_text("")
+        (tmp_path / "run" / "logs.jsonl").mkdir(parents=True)
+        result = self.invoke("simulate", "-n", "2", "-o", str(tmp_path / output_dir))
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(
+            f"error: config field 'output_dir': {tmp_path / output_dir}: ")
+        assert "Traceback" not in result.output
+
     def test_unwritable_cassette_exit_2(self, tmp_path):
         cassette = tmp_path / "absent" / "cassette.jsonl"
         path = tmp_path / "exp.yaml"
@@ -1317,10 +1329,11 @@ def test_import_does_not_load_http_hashing_or_yaml(imported_modules):
                 "hashlib", "base64", "yaml"} & imported_modules
 
 
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from Python 3.12 importlib.resources._common imports inspect")
 def test_cli_import_loads_no_inspect(imported_modules):
     """Before Python 3.12 nothing the CLI imports loads ``inspect``."""
-    if sys.version_info < (3, 12):
-        assert "inspect" not in imported_modules
+    assert "inspect" not in imported_modules
 
 
 # Run in a fresh interpreter that has imported only the CLI, so every module
