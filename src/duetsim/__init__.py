@@ -12,19 +12,20 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it is the home of
 _EXPORTS = {
-    "acts": ("DialogueAct", "DialogueContext", "DialogueLog", "DialogueTurn",
-             "parse_act_list", "render_act_list", "template_nlg", "validate_acts"),
+    "acts": ("DialogueAct", "DialogueContext", "DialogueLog", "DialogueTurn", "DraftActs",
+             "Feedback", "TurnTrace", "Utterance", "Verdict", "parse_act_list",
+             "render_act_list", "template_nlg", "validate_acts"),
     "agenda": ("AgendaUserSimulator", "agenda_step", "init_agenda"),
     "backend": ("BackendConfig", "CassetteBackend", "CompletionRequest",
                 "CompletionResult", "HTTPBackend", "ScriptedBackend", "load_cassette"),
-    "generator": ("DraftActs", "Utterance", "generate_acts_cot", "realize_utterance"),
-    "loop": ("DuetSession", "DuetUserSimulator", "LoopConfig", "TurnTrace",
-             "next_user_turn", "run_dialogue"),
+    "generator": ("generate_acts_cot", "realize_utterance"),
+    "loop": ("DuetSession", "DuetUserSimulator", "LoopConfig", "next_user_turn",
+             "run_dialogue"),
     "metrics": ("diversity", "fulfillment"),
     "prompts": ("DEFAULT_GENERATOR_REQUIREMENTS", "DEFAULT_VERIFIER_REQUIREMENTS",
-                "Feedback", "PromptConfig", "RequirementSet"),
+                "PromptConfig", "RequirementSet"),
     "system": ("SystemAgent", "system_turn"),
-    "verifier": ("Verdict", "verify"),
+    "verifier": ("verify",),
     "world": ("BookingLedger", "Entity", "Ontology", "UserGoal", "describe_goal",
               "generate_goal", "load_world", "query_entities"),
 }

@@ -433,6 +433,52 @@ class DialogueLog(Record):
                    seed if seed is None else require_int("seed", seed))
 
 
+# --- turn traces: the drafts of a duet user turn, each with its verdict ---
+
+UNSPECIFIED_ID = "unspecified"  # the id a REJECT naming no known one is charged to
+
+
+class Feedback(NamedTuple):
+    requirement_id: str
+    text: str
+
+
+class Verdict(NamedTuple):
+    """A verifier's reading of a draft: it accepts exactly when it has no feedback."""
+
+    feedback: Feedback | None
+    raw_text: str
+
+    @property
+    def accepted(self) -> bool:
+        return self.feedback is None
+
+
+class DraftActs(NamedTuple):
+    acts: list[DialogueAct]
+    step_transcript: dict[str, str]  # step -> its reply, stripped
+
+
+class Utterance(NamedTuple):
+    plain: str
+    enhanced: str  # the rewrite, or the plain text when it came back blank
+
+
+class TurnTrace(NamedTuple):
+    """The drafts of one user turn, in order, each with its verdict (None
+    without a verifier). The last draft is the one the turn uses."""
+
+    attempts: tuple[tuple[DraftActs, Verdict | None], ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.attempts)
+
+    @property
+    def final_acts(self) -> list[DialogueAct]:
+        return self.attempts[-1][0].acts
+
+
 # --- log records ---
 
 LOG_SCHEMA_VERSION = 1

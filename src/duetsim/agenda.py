@@ -19,24 +19,21 @@ class Agenda(Record):
     __slots__ = _fields = ("goal", "stack", "request_status", "ask_counts", "informed",
                            "booking_done", "relaxed", "failed")
 
-    def __init__(self, goal: UserGoal, stack: list[DialogueAct] | None = None,
-                 request_status: dict | None = None, ask_counts: dict | None = None,
-                 informed: list | None = None, booking_done: dict | None = None,
-                 relaxed: bool = False, failed: bool = False):
+    def __init__(self, goal: UserGoal):
         self.goal = goal
-        self.stack = [] if stack is None else stack
+        self.stack: list[DialogueAct] = []
         # (domain, slot) -> obtained value, or None while pending
-        self.request_status = {} if request_status is None else request_status
-        self.ask_counts = {} if ask_counts is None else ask_counts
-        self.informed = [] if informed is None else informed  # (domain, slot) in emit order
-        self.booking_done = {} if booking_done is None else booking_done  # domain -> bool
-        self.relaxed = relaxed
-        self.failed = failed
+        self.request_status = {}
+        self.ask_counts = {}
+        self.informed = []  # (domain, slot) in emit order
+        self.booking_done = {}  # domain -> bool
+        self.relaxed = False
+        self.failed = False
 
 
 def init_agenda(goal: UserGoal) -> Agenda:
     """Seed the stack bottom-up: bye, booking acts, requests, informs."""
-    agenda = Agenda(goal=goal)
+    agenda = Agenda(goal)
     agenda.stack.append(DialogueAct("bye", "general"))
     for domain in sorted(goal.domains, reverse=True):
         g = goal.domains[domain]

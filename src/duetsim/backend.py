@@ -221,8 +221,8 @@ class HTTPBackend:
             text, usage = parse_completion(data)
             return CompletionResult(
                 text=text,
-                prompt_tokens=usage.get("prompt_tokens"),
-                completion_tokens=usage.get("completion_tokens"),
+                prompt_tokens=_token_count(usage.get("prompt_tokens")),
+                completion_tokens=_token_count(usage.get("completion_tokens")),
                 latency=time.monotonic() - start,
             )
         raise RetriesExhausted(
@@ -403,6 +403,11 @@ def parse_completion(data: bytes) -> tuple[str, dict]:
         raise MalformedResponse("choices[0].message.content is not a string")
     usage = doc.get("usage")
     return content, usage if isinstance(usage, dict) else {}
+
+
+def _token_count(value) -> int | None:
+    """A usage count as sent if it is a non-negative int (not a bool), else None."""
+    return value if type(value) is int and value >= 0 else None
 
 
 def load_cassette(path: str) -> dict[tuple[int, str, int], str]:

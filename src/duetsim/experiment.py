@@ -312,22 +312,23 @@ class _DialogueRunner:
                 "".join(line for cassette in cassettes for line in cassette.lines))
 
 
-def _work(runner: _DialogueRunner, chunks: list[range], counter, window, sender) -> None:
+def _work(runner: _DialogueRunner, seeds: range, size: int, counter, window, sender) -> None:
     """A worker process: take a place in ``window``, claim the next chunk
-    from ``counter`` and send ``(index, records)`` for it, until no chunk is
-    left; then send None. The first chunk that raises is sent as ``(index,
-    error)`` instead, which ends the worker."""
+    from ``counter``, cut its ``size`` seeds and send ``(index, records)``,
+    until a chunk is empty; then send None. The first chunk that raises is
+    sent as ``(index, error)`` instead, which ends the worker."""
     with sender:
         while True:
             window.acquire()
             with counter.get_lock():
                 index = counter.value
                 counter.value += 1
-            if index >= len(chunks):
+            chunk = seeds[index * size:(index + 1) * size]
+            if not chunk:
                 sender.send(None)
                 return
             try:
-                sender.send((index, [runner(seed) for seed in chunks[index]]))
+                sender.send((index, [runner(seed) for seed in chunk]))
             except Exception as e:
                 # A package error reads as at one worker, e.g. a goal not
                 # drawn; another, e.g. a record that cannot be pickled, is
@@ -362,7 +363,7 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
     context = multiprocessing.get_context("fork" if fork else "spawn")
     # Several chunks per worker even out the finish.
     size = max(1, min(MAX_CHUNK, len(seeds) // (4 * workers)))
-    chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    chunks = -(-len(seeds) // size)  # how many; each worker cuts its own
     counter = context.Value("i", 0)  # the next chunk to claim
     window = context.Semaphore(WINDOW_PER_WORKER * workers)
     pipes = {}  # receiving end -> the worker that sends on it
@@ -370,12 +371,12 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
         for _ in range(workers):
             receiver, sender = context.Pipe(duplex=False)
             worker = context.Process(target=_work, daemon=True,
-                                     args=(runner, chunks, counter, window, sender))
+                                     args=(runner, seeds, size, counter, window, sender))
             worker.start()
             sender.close()  # so the pipe closes when the worker ends
             pipes[receiver] = worker
         arrived = {}  # chunk index -> its records or error, until yielded
-        for index in range(len(chunks)):
+        for index in range(chunks):
             while index not in arrived:
                 for receiver in wait(list(pipes)):
                     try:

@@ -8,13 +8,11 @@ act list followed by a conversational rewrite.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .acts import DialogueAct, DialogueContext, INTENTS, SOCIAL_INTENTS
+from .acts import (DialogueAct, DialogueContext, DraftActs, Feedback, INTENTS,
+                   SOCIAL_INTENTS, Utterance)
 from .backend import CompletionRequest
-from .errors import EmptyTranslation, Record, StepParseFailure
+from .errors import EmptyTranslation, StepParseFailure
 from .prompts import (
-    Feedback,
     PromptConfig,
     RequirementSet,
     STEP_ORDER,
@@ -28,19 +26,6 @@ GENERATION_TEMPERATURE = 0.7
 NLG_TEMPERATURE = 0.7
 
 _EMPTY_MARKERS = {"", "none", "-", "n/a", "null", "empty"}
-
-
-class DraftActs(Record):
-    __slots__ = _fields = ("acts", "step_transcript")
-
-    def __init__(self, acts: list[DialogueAct], step_transcript: dict[str, str] | None = None):
-        self.acts = acts
-        self.step_transcript = {} if step_transcript is None else step_transcript
-
-
-class Utterance(NamedTuple):
-    plain: str
-    enhanced: str  # the rewrite, or the plain text when it came back blank
 
 
 def split_candidates(text: str) -> list[str]:

@@ -7,18 +7,17 @@ into every step prompt of iteration i. NLG runs only on the final acts.
 
 from __future__ import annotations
 
-from .acts import (DEFAULT_TURN_CAP, DialogueAct, DialogueContext, DialogueLog,
-                   derive_annotations)
+from .acts import (DEFAULT_TURN_CAP, DialogueContext, DialogueLog, Feedback, TurnTrace,
+                   Utterance, derive_annotations)
 from .errors import Record, TurnAborted
-from .generator import DraftActs, Utterance, generate_acts_cot, realize_utterance
+from .generator import generate_acts_cot, realize_utterance
 from .prompts import (
     DEFAULT_GENERATOR_REQUIREMENTS,
     DEFAULT_VERIFIER_REQUIREMENTS,
-    Feedback,
     PromptConfig,
     RequirementSet,
 )
-from .verifier import Verdict, verify
+from .verifier import verify
 from .world import Ontology, UserGoal
 
 USE_LAST_DRAFT = "use_last_draft"
@@ -42,24 +41,6 @@ class LoopConfig(Record):
 
     def __hash__(self):
         return hash(self._values())
-
-
-class TurnTrace(Record):
-    """The drafts of one user turn, in order, each with its verdict (None
-    without a verifier). The last draft is the one the turn uses."""
-
-    __slots__ = _fields = ("attempts",)
-
-    def __init__(self, attempts: list[tuple[DraftActs, Verdict | None]] | None = None):
-        self.attempts = [] if attempts is None else attempts
-
-    @property
-    def iterations(self) -> int:
-        return len(self.attempts)
-
-    @property
-    def final_acts(self) -> list[DialogueAct]:
-        return self.attempts[-1][0].acts
 
 
 class DuetSession(Record):
@@ -96,7 +77,7 @@ def next_user_turn(session: DuetSession,
     """Run the draft/verify loop for one user turn after the history in
     ``context``. The context is only read; its owner appends the turn."""
     cfg = session.loop_config
-    trace = TurnTrace()
+    attempts = []
     feedback: Feedback | None = None
     for _ in range(cfg.max_iterations):
         draft = generate_acts_cot(
@@ -104,12 +85,12 @@ def next_user_turn(session: DuetSession,
             session.generator_requirements, session.ontology,
             feedback=feedback, config=session.prompt_config)
         if session.verifier_backend is None:
-            trace.attempts.append((draft, None))
+            attempts.append((draft, None))
             break
         verdict = verify(session.verifier_backend, session.goal, context,
                          session.verifier_requirements, draft,
                          config=session.prompt_config)
-        trace.attempts.append((draft, verdict))
+        attempts.append((draft, verdict))
         if verdict.accepted:
             break
         feedback = verdict.feedback
@@ -117,6 +98,7 @@ def next_user_turn(session: DuetSession,
         if cfg.on_exhaustion == ABORT_TURN:
             raise TurnAborted(f"all {cfg.max_iterations} drafts rejected")
 
+    trace = TurnTrace(tuple(attempts))
     utterance = realize_utterance(session.generator_backend, trace.final_acts,
                                   context)
     return trace, utterance

@@ -12,7 +12,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .acts import DialogueContext, render_act_list
+from .acts import DialogueContext, Feedback, render_act_list
 from .errors import EmptyActList, EmptyUtterance, MissingPriorStep, Record, TemplateError
 from .world import UserGoal
 
@@ -86,11 +86,6 @@ class PromptText(NamedTuple):
     @property
     def length(self) -> int:
         return len(self.user_text)
-
-
-class Feedback(NamedTuple):
-    requirement_id: str
-    text: str
 
 
 class PromptConfig(NamedTuple):

@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import NamedTuple
 
-from .acts import DialogueContext
+from .acts import UNSPECIFIED_ID, DialogueContext, Feedback, Verdict
 from .backend import CompletionRequest
 from .errors import UnparseableVerdict
-from .prompts import Feedback, PromptConfig, RequirementSet, verifier_prompt
+from .prompts import PromptConfig, RequirementSet, verifier_prompt
 from .world import UserGoal
 
 VERIFICATION_TEMPERATURE = 0.0
-
-UNSPECIFIED_ID = "unspecified"
 
 _REJECT_RE = re.compile(
     r"\breject\b(?P<tail>[\s:]*(?:[A-Za-z][A-Za-z0-9_]*)?\s*:?\s*(?P<reason>.*))",
@@ -45,16 +42,6 @@ def _id_pattern(known_ids: frozenset[str]) -> re.Pattern:
     return re.compile(rf"\b({ids})\b\s*:?\s*(.*)", re.DOTALL)
 
 
-class Verdict(NamedTuple):
-    decision: str  # "accept" | "reject"
-    feedback: Feedback | None
-    raw_text: str
-
-    @property
-    def accepted(self) -> bool:
-        return self.decision == "accept"
-
-
 def parse_verdict(text: str, known_ids: frozenset[str] | set[str]) -> Verdict | None:
     """Extract a verdict from the raw reply; None when neither keyword appears.
 
@@ -77,9 +64,9 @@ def parse_verdict(text: str, known_ids: frozenset[str] | set[str]) -> Verdict | 
         else:
             reason = match["reason"].strip() if match else ""
             feedback = Feedback(UNSPECIFIED_ID, reason or text.strip())
-        return Verdict("reject", feedback, text)
+        return Verdict(feedback, text)
     if _ACCEPT_RE.search(text):
-        return Verdict("accept", None, text)
+        return Verdict(None, text)
     return None
 
 

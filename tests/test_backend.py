@@ -256,6 +256,16 @@ class TestHTTP:
         assert (method, path) == ("POST", "/v1/chat/completions")
         assert json.loads(body)["messages"] == [{"role": "user", "content": "hello"}]
 
+    @pytest.mark.parametrize("count,kept", [
+        (0, 0), (12, 12), ("12", None), (True, None), (False, None), (1.5, None),
+        (12.0, None), (-1, None), ([1], None), ({"n": 1}, None), (None, None)])
+    def test_token_counts_kept_only_as_non_negative_ints(self, backend, count, kept):
+        b, _ = backend([(200, dict(OK_BODY, usage={"prompt_tokens": count,
+                                                   "completion_tokens": count}))])
+        result = b.complete(req())
+        assert (result.prompt_tokens, result.completion_tokens) == (kept, kept)
+        assert type(result.prompt_tokens) is type(kept)
+
     def test_retries_then_succeeds(self, backend):
         b, server = backend([(500, b"boom"), (429, b"slow down"), _ok()])
         assert b.complete(req()).text == "hi"

@@ -1058,6 +1058,30 @@ def test_workers_wait_for_a_slow_chunk_to_be_written(tmp_path, monkeypatch):
     assert 0 < len(other) <= allowed, f"{len(other)} dialogues ran ahead of seed 0's chunk"
 
 
+@pytest.mark.usefixtures("no_handler_threads")
+def test_parallel_run_builds_no_chunk_list():
+    """Each worker cuts the chunk it claims from the seed range, so a run of
+    a million seeds costs this process no list of its 250,000 chunks (about
+    30 MiB). Two worker processes."""
+    import multiprocessing
+    import tracemalloc
+    from contextlib import closing
+    from itertools import islice
+
+    from duetsim.experiment import _records
+
+    tracemalloc.start()
+    try:
+        with closing(_records(str, range(10**6), 2)) as records:
+            first = list(islice(records, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [str(seed) for seed in range(8)]
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert multiprocessing.active_children() == []
+
+
 # A backend spec that validates; no test below sends a request to it.
 CLOSED_PORT = {"kind": "http", "base_url": "http://127.0.0.1:9"}
 

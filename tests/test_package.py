@@ -84,7 +84,7 @@ def test_every_record_compares_every_field():
     for m in pkgutil.iter_modules(duetsim.__path__):
         importlib.import_module(f"duetsim.{m.name}")
     records = Record.__subclasses__()
-    assert len(records) == 14
+    assert len(records) == 12
     for cls in records:
         if "__slots__" in vars(cls):
             public = tuple(s for s in cls.__slots__ if not s.startswith("_"))
@@ -108,6 +108,33 @@ def test_every_public_name_is_its_home_modules_object():
         "    if getattr(duetsim, name) is not\n"
         "    getattr(importlib.import_module(f'duetsim.{home}'), name))))")
     assert json.loads(out) == []
+
+
+def test_turn_trace_records_live_in_acts():
+    """The loop's turn trace is defined once, in ``acts`` below the modules
+    that build it, which bind the same objects; a verdict stores its
+    outcome once, as its feedback."""
+    from duetsim import acts, generator, loop, prompts, verifier
+
+    def defined(module):
+        """The names a module's top level defines by a class or an assignment."""
+        names = set()
+        for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        return names
+
+    users = {"Feedback": prompts, "Verdict": verifier, "UNSPECIFIED_ID": verifier,
+             "DraftActs": generator, "Utterance": generator, "TurnTrace": loop}
+    in_acts = defined(acts)
+    for name, user in users.items():
+        assert name in in_acts and name not in defined(user), name
+        assert getattr(user, name) is getattr(acts, name), name
+        if name != "UNSPECIFIED_ID":
+            assert issubclass(getattr(acts, name), tuple), name  # a NamedTuple
+    assert acts.Verdict._fields == ("feedback", "raw_text")
 
 
 def test_star_import_binds_every_public_name():

@@ -11,7 +11,7 @@ from duetsim.verifier import UNSPECIFIED_ID, _id_pattern, parse_verdict, verify
 from conftest import act, simple_goal
 
 GOAL = simple_goal(info={"food": "chinese"}, reqt=("phone",))
-DRAFT = DraftActs(acts=[act("request", "restaurant", "phone")])
+DRAFT = DraftActs(acts=[act("request", "restaurant", "phone")], step_transcript={})
 IDS = DEFAULT_VERIFIER_REQUIREMENTS.ids()
 
 
@@ -61,7 +61,7 @@ class TestGrammar:
     ])
     def test_first_known_id_after_reject(self, text, req_id, reason):
         verdict = parse_verdict(text, IDS)
-        assert verdict.decision == "reject"
+        assert not verdict.accepted
         assert verdict.feedback.requirement_id == req_id
         assert verdict.feedback.text == reason
 
@@ -104,7 +104,7 @@ class TestKeywords:
     ])
     def test_negated_accept_or_reject_word_rejects(self, text):
         verdict = parse_verdict(text, IDS)
-        assert verdict.decision == "reject"
+        assert not verdict.accepted
         assert verdict.feedback.requirement_id == UNSPECIFIED_ID
         assert verdict.feedback.text == text.strip()
 
