@@ -14,6 +14,7 @@ A dialogue log is stored as one JSON record per line, ``{"v": 1, "log":
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from functools import lru_cache
 from importlib import resources
@@ -235,7 +236,8 @@ class DialogueTurn(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict, acts: ActTable | None = None) -> "DialogueTurn":
-        """``acts`` shares equal acts between the turns read with it."""
+        """``acts`` shares equal acts, act tuples and utterances between the
+        turns read with it."""
         acts = ActTable() if acts is None else acts
         speaker, utterance, turn_acts = d["speaker"], d["utterance"], d["acts"]
         if speaker not in ("user", "system"):  # a wrong type is reported first
@@ -251,12 +253,23 @@ class DialogueTurn(NamedTuple):
             if not isinstance(fields, list):
                 raise TypeError(f"acts: expected a list of lists, got {turn_acts!r}")
             read.append(acts[tuple(fields)])
-        return cls(speaker, tuple(read), utterance,
+        read = tuple(read)
+        # one str per speaker, not one per turn
+        return cls(sys.intern(speaker), acts.act_lists.setdefault(read, read),
+                   acts.utterances.setdefault(utterance, utterance),
                    require_int("turn_index", d["turn_index"]))
 
 
 class ActTable(dict):
-    """Act quadruple -> DialogueAct, building each missing act once."""
+    """Act quadruple -> DialogueAct, building each missing act once. The
+    turns read with one table also share each equal utterance and act tuple."""
+
+    __slots__ = ("utterances", "act_lists")
+
+    def __init__(self):
+        super().__init__()
+        self.utterances: dict[str, str] = {}
+        self.act_lists: dict[tuple[DialogueAct, ...], tuple[DialogueAct, ...]] = {}
 
     def __missing__(self, fields: tuple) -> DialogueAct:
         if len(fields) != 4:
@@ -421,7 +434,8 @@ class DialogueLog(Record):
 
     @classmethod
     def from_dict(cls, d: dict, acts: ActTable | None = None) -> "DialogueLog":
-        """``acts`` shares equal acts between the logs read with it."""
+        """``acts`` shares equal acts, act tuples and utterances between the
+        logs read with it."""
         acts = ActTable() if acts is None else acts
         reason, seed = d["termination_reason"], d.get("seed")
         if reason not in TERMINATION_REASONS:
@@ -429,7 +443,7 @@ class DialogueLog(Record):
                              f"of {', '.join(TERMINATION_REASONS)}")
         return cls(goal_from_dict(d["goal"]),
                    [DialogueTurn.from_dict(t, acts) for t in d["turns"]],
-                   LogAnnotations.from_dict(d["annotations"]), reason,
+                   LogAnnotations.from_dict(d["annotations"]), sys.intern(reason),
                    seed if seed is None else require_int("seed", seed))
 
 
@@ -524,7 +538,7 @@ def read_logs(paths, ontology=None) -> list[DialogueLog]:
     section or a booking in a domain it does not know is an error that
     names the record."""
     logs = []
-    acts = ActTable()  # equal acts of this call share one DialogueAct
+    acts = ActTable()  # equal acts, act tuples and utterances of this call are one object
     for path in paths:
         try:
             f = open(path, "rb")  # each line is decoded where its errors are caught

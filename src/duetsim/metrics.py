@@ -26,12 +26,24 @@ _PUNCT = ".,;:!?\"'()[]{}<>"
 # --- tokenization and diversity ---
 
 def tokenize(utterances) -> list[str]:
-    """Lowercase, split on whitespace, strip edge punctuation, drop empties."""
+    """Lowercase, split on whitespace, strip edge punctuation, drop empties.
+
+    Each distinct utterance is tokenized once, and equal tokens are one
+    ``str``, so the stream holds one object per token type.
+    """
     if isinstance(utterances, str):
         utterances = [utterances]
-    # a space between utterances keeps their tokens apart
-    raw = " ".join(utterances).lower().split()
-    return list(filter(None, map(str.strip, raw, repeat(_PUNCT))))
+    forms: dict[str, str] = {}  # token -> its one shared str
+    tokens_of: dict[str, list[str]] = {}  # utterance -> its tokens
+    stream: list[str] = []
+    for utterance in utterances:
+        tokens = tokens_of.get(utterance)
+        if tokens is None:
+            raw = list(filter(None, map(str.strip, utterance.lower().split(),
+                                        repeat(_PUNCT))))
+            tokens = tokens_of[utterance] = list(map(forms.setdefault, raw, raw))
+        stream += tokens
+    return stream
 
 
 def _ngrams(stream, n: int):
@@ -77,6 +89,8 @@ def conditional_bigram_entropy(stream) -> float:
 
 def msttr(stream, segment_length: int = MSTTR_SEGMENT) -> float:
     """Mean type-token ratio over consecutive full segments."""
+    if segment_length < 1:
+        raise ValueError(f"segment_length must be >= 1, got {segment_length}")
     if len(stream) < segment_length:
         raise ShortStream(f"need at least {segment_length} tokens, got {len(stream)}")
     ratios = []
@@ -107,6 +121,8 @@ def hdd(stream, sample_size: int = HDD_SAMPLE, *,
 
     ``counts`` may pass ``Counter(stream)`` in when the caller has it.
     """
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     total = len(stream)
     if total < sample_size:
         raise ShortStream(f"need at least {sample_size} tokens, got {total}")

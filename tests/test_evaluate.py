@@ -12,6 +12,7 @@ from duetsim.cli import ExperimentConfig, run_experiment
 from duetsim.errors import LogParseError
 
 from conftest import invoke
+from test_read_logs import pinned_runs  # noqa: F401  (a fixture)
 
 # sha256 of `evaluate --format json` on the agenda logs of seeds 0-199
 # (turn_cap 20, bundled world), recorded before the evaluate path was
@@ -21,6 +22,11 @@ EVALUATE_AGENDA_SEEDS_0_199_SHA256 = (
 # sha256 of `evaluate` in its default table format on the same logs.
 EVALUATE_TABLE_AGENDA_SEEDS_0_199_SHA256 = (
     "37143f51d6cdb5e3a50c2463c1b179477d66da8dff2c0674922a861e72afd05f")
+# sha256 of `evaluate --format json` on the duet logs of seeds 0-9 pinned as
+# DUET_SEEDS_0_9_SHA256, recorded before tokenize cached each utterance's
+# tokens. Their user turns repeat one sentence.
+EVALUATE_DUET_SEEDS_0_9_SHA256 = (
+    "ccecaf712bd7f72da61e4b66911046dd1d526f4da06ec223b073438f04e48505")
 
 
 def evaluate_json(path) -> str:
@@ -46,6 +52,12 @@ def test_agenda_evaluate_table_pinned(tmp_path):
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == \
         EVALUATE_TABLE_AGENDA_SEEDS_0_199_SHA256
+
+
+def test_duet_evaluate_pinned(pinned_runs):
+    output = evaluate_json(pinned_runs[1])
+    assert hashlib.sha256(output.encode()).hexdigest() == \
+        EVALUATE_DUET_SEEDS_0_9_SHA256
 
 
 def _turn(index, speaker, acts, utterance):

@@ -57,6 +57,12 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
 
+    def test_one_object_per_token_type(self):
+        # multi-character tokens: CPython shares one-character strings anyway
+        stream = tokenize(["Book it, please.", "book IT", "Book it, please."])
+        assert stream == ["book", "it", "please", "book", "it", "book", "it", "please"]
+        assert len({id(token) for token in stream}) == len(set(stream)) == 3
+
 
 class TestNgrams:
     def test_counts(self):
@@ -129,6 +135,13 @@ class TestMsttr:
         stream = varied_stream()
         swapped = stream[10:20] + stream[0:10] + stream[20:]
         assert msttr(stream, 10) == pytest.approx(msttr(swapped, 10), abs=TOL)
+
+
+@pytest.mark.parametrize("metric, size", [
+    (hdd, 0), (hdd, -3), (msttr, 0), (msttr, -1)])
+def test_sizes_below_one_are_rejected(metric, size):
+    with pytest.raises(ValueError, match=f"must be >= 1, got {size}$"):
+        metric(["a", "b"] * 30, size)
 
 
 class TestHdd:

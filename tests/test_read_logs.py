@@ -59,6 +59,15 @@ def test_equal_acts_are_one_object_across_files(pinned_runs):
     assert len({id(a) for a in agenda + duet}) == len(set(agenda + duet))
 
 
+@pytest.mark.parametrize("field", ["utterance", "acts"])
+def test_equal_turn_values_are_one_object_across_files(pinned_runs, field):
+    logs = read_logs(pinned_runs)
+    agenda, duet = ([getattr(turn, field) for log in part for turn in log.turns]
+                    for part in (logs[:200], logs[200:]))
+    assert set(agenda) & set(duet)  # some utterance or act tuple is in both files
+    assert len({id(v) for v in agenda + duet}) == len(set(agenda + duet))
+
+
 def test_logged_acts_are_normal(pinned_runs):
     """The agenda, the system and template NLG take the package's own acts
     as they are, so every act both simulators log must already be normal."""
