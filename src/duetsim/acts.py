@@ -290,7 +290,7 @@ def _turn_line(turn: DialogueTurn, mode: str) -> str:
 
 class DialogueContext(Record):
     """The turn history of one dialogue, renderable as utterances or as act
-    lists. The dialogue loop owns it; simulators only read it.
+    lists. The dialogue loop owns it; the speakers only read it.
 
     ``render`` memoises its text per mode, keyed by the number of turns, and
     extends it with only the turns added since; each prompt builder fills

@@ -120,14 +120,13 @@ def run_dialogue(goal: UserGoal, user, system,
                  seed: int | None = None) -> DialogueLog:
     """Alternate user and system turns, starting with the user.
 
-    The simulators are ``user.next_turn(context) -> (acts, utterance)`` and
-    ``system.respond(user_acts) -> (acts, utterance)``. This function owns
-    the dialogue's one history: it appends both speakers' turns to a
-    ``DialogueContext``, hands that context to the user on every turn and
-    builds the log from it.
+    Both speakers answer ``next_turn(context) -> (acts, utterance)``. This
+    function owns the dialogue's one history: it appends each turn to a
+    ``DialogueContext``, hands that context to every ``next_turn`` call (so
+    the system answers ``context.turns[-1]``) and builds the log from it.
 
     Terminates on a user bye act, on the turn cap, or on an exception from
-    either simulator. An exception is not raised: the log ends with the
+    either speaker. An exception is not raised: the log ends with the
     turns before it, termination_reason "error" and ``error`` set to
     "Class: message". This is the one place a dialogue's error is caught.
     """
@@ -135,13 +134,11 @@ def run_dialogue(goal: UserGoal, user, system,
     reason, error = "turn_cap", None
     try:
         for _ in range(max_user_turns):
-            user_acts, user_utterance = user.next_turn(context)
-            context.append("user", user_acts, user_utterance)
-            if any(a.intent == "bye" for a in user_acts):
+            context.append("user", *user.next_turn(context))
+            if any(a.intent == "bye" for a in context.turns[-1].acts):
                 reason = "user_bye"
                 break
-            system_acts, system_utterance = system.respond(user_acts)
-            context.append("system", system_acts, system_utterance)
+            context.append("system", *system.next_turn(context))
     except Exception as e:
         reason, error = "error", f"{type(e).__name__}: {e}"
     return DialogueLog(goal=goal, turns=context.turns,

@@ -313,8 +313,8 @@ def fulfillment(logs, ontology, entities) -> FulfillmentReport:
         raise EmptyLogSet("no logs to evaluate")
     scores = tuple(score_dialogue(log, ontology, entities) for log in logs)
     n = len(scores)
-    precision = sum(s.precision for s in scores) / n
-    recall = sum(s.recall for s in scores) / n
+    precision = math.fsum(s.precision for s in scores) / n
+    recall = math.fsum(s.recall for s in scores) / n
     subtasks = sum(s.booking_subtasks for s in scores)
     matched = sum(s.bookings_matched for s in scores)
     return FulfillmentReport(
@@ -330,7 +330,13 @@ def fulfillment(logs, ontology, entities) -> FulfillmentReport:
 
 
 def user_utterances(logs) -> list[str]:
-    return [t.utterance for log in logs for t in log.turns if t.speaker == "user"]
+    """The user utterances of ``logs``, record by record in seed order.
+    Records that share a seed are ordered by their user utterances, so the
+    stream, and every figure of it, does not depend on the read order."""
+    per_log = sorted((log.seed is None, log.seed or 0,
+                      [t.utterance for t in log.turns if t.speaker == "user"])
+                     for log in logs)
+    return [u for *_, utterances in per_log for u in utterances]
 
 
 # (column header, report field) for each table render_report prints

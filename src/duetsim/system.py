@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .acts import DONTCARE, GENERAL_DOMAIN, DialogueAct, template_nlg
+from .acts import DONTCARE, GENERAL_DOMAIN, DialogueAct, DialogueContext, template_nlg
 from .errors import InvalidBookingSlot, Record, UnbookableDomain
 from .world import BookingLedger, Entity, Ontology, query_entities
 
@@ -118,12 +118,14 @@ def system_turn(state: SystemState, user_acts, ontology: Ontology,
 
 
 class SystemAgent:
-    """Stateful wrapper presenting the respond() interface to run_dialogue."""
+    """Stateful wrapper presenting the speakers' next_turn() to run_dialogue."""
 
     def __init__(self, ontology: Ontology, entities, seed: int = 0):
         self.ontology = ontology
         self.entities = entities
         self.state = SystemState(ledger=BookingLedger(random.Random(seed)))
 
-    def respond(self, user_acts):
+    def next_turn(self, context: DialogueContext):
+        """Answer the user turn at the end of ``context``."""
+        user_acts = context.turns[-1].acts
         return system_turn(self.state, user_acts, self.ontology, self.entities)

@@ -859,9 +859,9 @@ def test_failed_dialogue_same_at_any_parallelism(tmp_path, monkeypatch):
     def failing_system_agent(ontology, entities, seed):
         agent = system_agent(ontology, entities, seed=seed)
         if seed == 13:
-            def respond(user_acts):
+            def next_turn(context):
                 raise RuntimeError("no dialogue for seed 13")
-            agent.respond = respond
+            agent.next_turn = next_turn
         return agent
 
     monkeypatch.setattr(duetsim.experiment, "SystemAgent", failing_system_agent)

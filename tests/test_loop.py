@@ -154,7 +154,7 @@ class TestRunDialogue:
 
     def test_system_error_keeps_the_user_turn(self, ontology, entities):
         class ExplodingSystem:
-            def respond(self, user_acts):
+            def next_turn(self, context):
                 raise KeyError("no such entity")
 
         goal = generate_goal(0, ontology, entities)
@@ -165,23 +165,30 @@ class TestRunDialogue:
         assert [t.speaker for t in log.turns] == ["user"]
         assert log.turns[0].acts
 
-    def test_user_reads_the_one_history(self, ontology, entities):
-        class RecordingUser:
-            def __init__(self):
+    def test_user_reads_the_one_history(self):
+        """Both speakers are asked ``next_turn`` with the one history; the
+        system finds the user turn it answers, utterance and all, at its end."""
+        class RecordingSpeaker:
+            def __init__(self, answer):
+                self.answer = answer
                 self.seen = []
 
             def next_turn(self, context):
-                self.seen.append((context, len(context.turns)))
-                acts = [act("inform", "restaurant", "food", "chinese")]
-                return acts, "I want chinese food."
+                self.seen.append((context, len(context.turns), context.turns[-1:]))
+                return self.answer
 
+        user = RecordingSpeaker(([act("inform", "restaurant", "food", "chinese")],
+                                 "I want chinese food."))
+        system = RecordingSpeaker(([act("reqmore", "general")], "Anything else?"))
         goal = simple_goal(info={"food": "chinese"}, reqt=("phone",))
-        user = RecordingUser()
-        log = run_dialogue(goal, user, SystemAgent(ontology, entities),
-                           max_user_turns=3)
+        log = run_dialogue(goal, user, system, max_user_turns=3)
         context = user.seen[0][0]
-        assert all(seen is context for seen, _ in user.seen)
-        assert [prior for _, prior in user.seen] == [0, 2, 4]
+        assert all(seen is context for seen, _, _ in user.seen + system.seen)
+        assert [prior for _, prior, _ in user.seen] == [0, 2, 4]
+        assert [prior for _, prior, _ in system.seen] == [1, 3, 5]
+        for _, prior, (last,) in system.seen:
+            assert last is context.turns[prior - 1]
+            assert (last.speaker, last.utterance) == ("user", "I want chinese food.")
         assert log.turns == context.turns
         assert [t.turn_index for t in log.turns] == list(range(6))
         assert [t.speaker for t in log.turns] == ["user", "system"] * 3

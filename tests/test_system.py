@@ -1,6 +1,6 @@
 import pytest
 
-from duetsim.acts import DialogueAct
+from duetsim.acts import DialogueAct, DialogueContext
 from duetsim.errors import UnbookableDomain
 from duetsim.system import (DomainView, SystemAgent, SystemState, rule_policy,
                             system_turn, track)
@@ -9,6 +9,13 @@ from duetsim.world import BookingLedger, DomainSchema, Entity, Ontology
 from conftest import act
 
 DUCKLING = Entity("restaurant", "r0", {"name": "ugly duckling", "phone": "01223176749"})
+
+
+def answer(agent, user_acts):
+    """The agent's next turn after a history that ends with ``user_acts``."""
+    context = DialogueContext()
+    context.append("user", user_acts, "")
+    return agent.next_turn(context)
 
 
 class TestPolicy:
@@ -99,7 +106,7 @@ class TestPolicy:
         agent = SystemAgent(ontology, entities, seed=0)
         for user_acts in script:
             assert system_turn(state, user_acts, ontology, entities) == \
-                agent.respond(user_acts)
+                answer(agent, user_acts)
 
 
 class TestTracker:
@@ -165,13 +172,13 @@ class TestDeterminism:
         outputs = []
         for _ in range(2):
             agent = SystemAgent(ontology, entities, seed=7)
-            outputs.append([agent.respond(user_acts) for user_acts in script])
+            outputs.append([answer(agent, user_acts) for user_acts in script])
         assert outputs[0] == outputs[1]
 
     def test_utterance_matches_acts(self, ontology, entities):
         agent = SystemAgent(ontology, entities)
-        acts, utterance = agent.respond(
-            [act("inform", "restaurant", "name", "ugly duckling"),
+        acts, utterance = answer(
+            agent, [act("inform", "restaurant", "name", "ugly duckling"),
              act("request", "restaurant", "phone")])
         assert "01223176749" in utterance
 
