@@ -139,7 +139,8 @@ class HTTPBackend:
     responses and malformed bodies fail immediately.
 
     The backend speaks HTTP/1.1 on one kept socket, so it is not shared
-    between threads: each worker process runs its own copy. A request is
+    between threads: each lane of a parallel run, a thread, builds its own
+    (see ``duetsim.experiment._lanes``). A request is
     one write; a reply that breaks its framing is a transport error. The
     socket is closed and forgotten after a transport error or a reply that
     ends it; one the server closed while it sat idle is replaced without

@@ -89,7 +89,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     sim.add_argument("--seed", type=int)
     sim.add_argument("--turn-cap", type=int)
     sim.add_argument("--parallelism", type=int,
-                     help="Worker processes. Default: 1 for agenda runs, 4 for "
+                     help="Dialogues run at once: on threads of this process "
+                          "for a run that calls an http backend, else on "
+                          "worker processes. Default: 1 for agenda runs, 4 for "
                           "duet runs. A duet run that calls a scripted backend "
                           "always uses 1; a replay calls none.")
     sim.add_argument("--output-dir", "-o")

@@ -169,7 +169,8 @@ class ConfigError(DuetSimError):
 
 
 class WorkerFailed(DuetSimError):
-    """A worker process died, or its result could not be sent back."""
+    """A worker process died, or its result could not be sent back; or a
+    lane's backend was called after its run stopped."""
 
 
 class LogParseError(DuetSimError):

@@ -1,11 +1,14 @@
 """Experiments: the config of a run, its checks, and the run itself.
 
 ``load_config`` reads a YAML config (PyYAML is imported only then) and
-``run_experiment`` simulates its dialogues, in worker processes when
-``workers()`` > 1, writing ``logs.jsonl``, ``manifest.json`` and, if
-recording, the cassette. Worker processes claim chunks of seeds from a
-shared counter and send their records back on their own pipes; this process
-writes them in seed order (see ``_records``). ``duetsim.cli`` calls it.
+``run_experiment`` simulates its dialogues, writing ``logs.jsonl``,
+``manifest.json`` and, if recording, the cassette. When ``workers()`` > 1,
+a run that calls backends waits on them, so it runs its dialogues on that
+many threads of this process ("lanes", see ``_lanes``); any other run
+computes, so it uses worker processes, which claim chunks of seeds from a
+shared counter and send their records back on their own pipes (see
+``_records``). Either way this process writes the records in seed order.
+``duetsim.cli`` calls it.
 The loop, the backends and the prompts load only when a config or a run is
 built, so importing this module (and the CLI) loads none of them.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
 from contextlib import closing, nullcontext
 from pathlib import Path
@@ -34,7 +38,9 @@ if TYPE_CHECKING:
 SIMULATOR_KINDS = ("duet", "duet-no-verifier", "agenda")
 
 MAX_CHUNK = 4  # dialogues per hand-off from a worker process
-WINDOW_PER_WORKER = 4  # chunks claimed and not yet written, per worker process
+# Hand-offs started and not yet written, per worker: chunks of a worker
+# process, dialogues of a lane.
+WINDOW_PER_WORKER = 4
 
 # The type each config field must have; world and parallelism may be null.
 _FIELD_TYPES = {
@@ -173,7 +179,9 @@ class ExperimentConfig(Record):
         """Workers: 1 for a run that calls a scripted backend, which answers
         in call order; else ``parallelism``, or 1 for agenda and 4 for
         (backend-bound) duet runs, but never more than the dialogues. More
-        than one means worker processes, started up front."""
+        than one means lanes, threads of this process, for a run that calls
+        backends (``backend_specs()``), and worker processes for any other,
+        started up front either way."""
         if any(spec.get("kind") == "scripted" for _, spec in self.backend_specs()):
             return 1
         if self.parallelism is not None:
@@ -255,6 +263,21 @@ def _build_backend(spec: dict, role: str):
         raise ConfigError(role, str(e)) from e
 
 
+class _StopCheck:
+    """A lane's backend: once ``stopped`` is set it raises instead of calling
+    ``backend``, so a dialogue still in flight when the run stops ends at its
+    next call."""
+
+    def __init__(self, backend, stopped: threading.Event):
+        self.backend = backend
+        self.stopped = stopped
+
+    def complete(self, request):
+        if self.stopped.is_set():
+            raise WorkerFailed("the run stopped")
+        return self.backend.complete(request)
+
+
 class _DialogueRunner:
     """Runs one dialogue per seed. The one place that builds a run, once and
     only what its dialogues call: the world and, for a duet run, the prompt
@@ -263,9 +286,8 @@ class _DialogueRunner:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.ontology, self.entities = load_world(config.world)
-        # run_experiment closes the backends
-        self.backends = tuple(_build_backend(spec, role)
-                              for role, spec in config.backend_specs())
+        self.backends = self.clients = tuple(_build_backend(spec, role)
+                                             for role, spec in config.backend_specs())
         self.replies = None
         if config.simulator == "agenda":
             return
@@ -282,6 +304,25 @@ class _DialogueRunner:
         """Pickled, as for a spawned worker, the run is rebuilt from its config."""
         return _DialogueRunner, (self.config,)
 
+    def lane(self, stopped: threading.Event) -> _DialogueRunner:
+        """A runner for a lane: it shares this run's world and prompt config
+        and calls backends of its own from ``_build_backend``, since an
+        ``HTTPBackend`` holds one socket; they fail once ``stopped`` is set."""
+        lane = object.__new__(_DialogueRunner)  # copy.copy would rebuild it, by __reduce__
+        vars(lane).update(vars(self))
+        lane.backends = tuple(_build_backend(spec, role)
+                              for role, spec in self.config.backend_specs())
+        lane.clients = tuple(_StopCheck(backend, stopped) for backend in lane.backends)
+        return lane
+
+    def close(self) -> None:
+        """Close the sockets of the HTTP backends this runner built."""
+        from .backend import HTTPBackend
+
+        for backend in self.backends:
+            if isinstance(backend, HTTPBackend):
+                backend.close()
+
     def __call__(self, seed: int) -> tuple[str, dict | None, str]:
         """(record line, failure entry or None, cassette lines recorded)."""
         from .backend import CassetteBackend
@@ -295,11 +336,11 @@ class _DialogueRunner:
         if self.replies is not None:
             cassettes = (CassetteBackend(seed, replies=self.replies),)
         elif config.cassette.get("mode") == "record":
-            cassettes = tuple(CassetteBackend(seed, inner=b) for b in self.backends)
+            cassettes = tuple(CassetteBackend(seed, inner=b) for b in self.clients)
         if config.simulator == "agenda":
             user = AgendaUserSimulator(goal)
         else:
-            clients = cassettes or self.backends
+            clients = cassettes or self.clients
             user = DuetUserSimulator(DuetSession(
                 goal=goal, ontology=self.ontology, generator_backend=clients[0],
                 verifier_backend=clients[-1] if config.simulator == "duet" else None,
@@ -341,16 +382,18 @@ def _work(runner: _DialogueRunner, seeds: range, size: int, counter, window, sen
 
 def _records(runner: _DialogueRunner, seeds: range, workers: int):
     """What ``runner`` returns for each seed, in seed order. More than one
-    worker means worker processes, which inherit ``runner`` when forked and
-    rebuild it from its config when spawned. The seeds are cut into chunks
-    of at most ``MAX_CHUNK``; each worker claims the next chunk from a
-    shared counter, so a slow dialogue holds up one worker only, and sends
-    the chunk's records back on its own pipe. This process holds the chunks
-    that arrive before an earlier one, and yields each record once every
-    earlier one has been yielded. A worker claims a chunk only while fewer
-    than ``WINDOW_PER_WORKER`` chunks per worker are claimed and not yet
-    yielded, so what this process holds stays bounded behind a slow
-    dialogue. A worker that ends before its last message fails the run."""
+    worker means worker processes, for a run that computes rather than
+    waits on backends (a run that waits uses ``_lanes``); they inherit
+    ``runner`` when forked and rebuild it from its config when spawned. The
+    seeds are cut into chunks of at most ``MAX_CHUNK``; each worker claims
+    the next chunk from a shared counter, so a slow dialogue holds up one
+    worker only, and sends the chunk's records back on its own pipe. This
+    process holds the chunks that arrive before an earlier one, and yields
+    each record once every earlier one has been yielded. A worker claims a
+    chunk only while fewer than ``WINDOW_PER_WORKER`` chunks per worker are
+    claimed and not yet yielded, so what this process holds stays bounded
+    behind a slow dialogue. A worker that ends before its last message
+    fails the run."""
     if workers == 1:
         yield from map(runner, seeds)
         return
@@ -405,6 +448,72 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
             worker.join()
 
 
+def _lanes(runner: _DialogueRunner, seeds: range, workers: int):
+    """What ``runner`` returns for each seed, in seed order, from ``workers``
+    threads of this process ("lanes"). A run that waits on backend calls
+    needs no more: a thread blocked on a socket releases the interpreter
+    lock. Each lane runs ``runner.lane``, with backends of its own, and
+    starts the next seed only while fewer than ``WINDOW_PER_WORKER``
+    dialogues per lane are started and not yet yielded, so what this process
+    holds stays bounded behind a slow dialogue. What a lane's runner raises
+    is raised at its seed, once every earlier record is yielded, as at one
+    worker. However this generator ends, the lanes are stopped (a dialogue
+    in flight ends at its next backend call) and joined first."""
+    stopped = threading.Event()
+    runners = [runner.lane(stopped) for _ in range(workers)]
+    changed = threading.Condition()  # guards the three below
+    started = written = 0
+    arrived = {}  # seed index -> its record or what its runner raised, until yielded
+
+    def run_lane(lane: _DialogueRunner) -> None:
+        nonlocal started
+        while True:
+            with changed:
+                while not stopped.is_set() and started < len(seeds) \
+                        and started - written >= WINDOW_PER_WORKER * workers:
+                    changed.wait()
+                if stopped.is_set() or started == len(seeds):
+                    return
+                index = started
+                started += 1
+            try:
+                outcome = lane(seeds[index])
+            except BaseException as e:  # re-raised at its seed, in this generator
+                outcome = e
+            with changed:
+                arrived[index] = outcome
+                changed.notify_all()
+            if isinstance(outcome, BaseException):
+                return
+
+    threads = []
+    try:
+        for lane in runners:
+            thread = threading.Thread(target=run_lane, args=(lane,), name="duetsim-lane",
+                                      daemon=True)
+            thread.start()
+            threads.append(thread)
+        for index in range(len(seeds)):
+            with changed:
+                while index not in arrived:
+                    changed.wait()
+                outcome = arrived.pop(index)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            yield outcome
+            with changed:
+                written += 1
+                changed.notify_all()
+    finally:
+        stopped.set()
+        with changed:
+            changed.notify_all()
+        for thread in threads:
+            thread.join()
+        for lane in runners:
+            lane.close()
+
+
 def _open_cassette(cassette: dict):
     """The cassette file a recording writes, emptied; else a null context."""
     if cassette.get("mode") != "record":
@@ -417,7 +526,6 @@ def _open_cassette(cassette: dict):
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run the configured dialogues; write logs, manifest and, if recording, the cassette."""
-    from .backend import HTTPBackend
     from .prompts import lint_all_templates, templates_digest
 
     config.validate()
@@ -432,11 +540,13 @@ def run_experiment(config: ExperimentConfig) -> Path:
         raise ConfigError("output_dir", f"{out_dir}: {e.strerror or e}") from e
 
     seeds = range(config.seed, config.seed + config.dialogues)
+    workers = config.workers()
+    records = (_lanes if workers > 1 and config.backend_specs() else _records)(
+        runner, seeds, workers)
     started = time.time()
     failures = []
     try:
-        with log_file, _open_cassette(config.cassette) as cassette_file, \
-                closing(_records(runner, seeds, config.workers())) as records:
+        with log_file, _open_cassette(config.cassette) as cassette_file, closing(records):
             # Records arrive in seed order and each is dropped once written.
             for line, failure, cassette_lines in records:
                 if failure:
@@ -447,9 +557,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                     cassette_file.write(cassette_lines)
                     cassette_file.flush()
     finally:
-        for backend in runner.backends:
-            if isinstance(backend, HTTPBackend):
-                backend.close()
+        runner.close()
 
     manifest = {
         "config": {

@@ -101,6 +101,26 @@ def run_fresh(code):
     return printed, set(loaded.split())
 
 
+@pytest.fixture
+def fake_server_url(monkeypatch):
+    """Base URL of the benchmark's fake chat server, with no latency. It
+    runs as a subprocess, so a test that forks holds no server thread."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = subprocess.Popen(
+        [sys.executable, str(PERFBENCH / "fake_server.py"), "--latency-ms", "0"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        line = server.stdout.readline()
+        assert line.startswith("PORT "), line
+        yield f"http://127.0.0.1:{int(line.split()[1])}/v1"
+    finally:
+        server.stdin.close()  # the server shuts down at end of file
+        server.wait(timeout=10)
+        server.stdout.close()
+
+
 @pytest.fixture(scope="session")
 def imported_modules():
     """Modules that importing the CLI loads in a fresh interpreter."""

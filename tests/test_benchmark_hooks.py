@@ -2,6 +2,8 @@
 workload from the loop's public classes and patches a tracer onto every
 layer boundary. A renamed hook fails here, not only in a benchmark run."""
 
+import gzip
+import json
 import sys
 
 import duetsim
@@ -43,6 +45,33 @@ def test_tracer_hooks_install_and_trace(tmp_path, monkeypatch, ontology, entitie
         assert spans.get(name), name
     assert (duetsim.agenda.agenda_step, duetsim.system.system_turn,
             duetsim.loop.next_user_turn, duetsim.loop.run_dialogue) == originals
+
+
+def test_tracer_nests_spans_per_lane(tmp_path, monkeypatch, fake_server_url):
+    """An http run's lanes are threads of this process, so the tracer sees
+    their spans, each nested in its own lane: every backend call's parent is
+    a call site that the harness maps to a role, as ``--trace 1`` needs."""
+    for name in ("responder", "tracer"):
+        monkeypatch.setitem(sys.modules, name, load_perfbench(name))
+    run = load_perfbench("run")
+    tracer = sys.modules["tracer"].Tracer()
+    run.install_tracer(tracer, duetsim)
+    try:
+        duetsim.cli.run_experiment(duetsim.cli.ExperimentConfig(
+            simulator="duet", dialogues=4, parallelism=2, turn_cap=4,
+            output_dir=str(tmp_path / "run"),
+            generator_backend={"kind": "http", "base_url": fake_server_url,
+                               "model": "fake"}))
+    finally:
+        tracer.uninstall()
+
+    parents = {parent for _, _, _, parent in tracer.durations()["backend.complete"]}
+    assert parents == set(run._BACKEND_ROLE)
+    tracer.write(tmp_path / "spans.jsonl.gz")
+    with gzip.open(tmp_path / "spans.jsonl.gz", "rt", encoding="utf-8") as f:
+        spans = [json.loads(line) for line in f]
+    lanes = {span["thread"] for span in spans if span["name"] == "backend.complete"}
+    assert len(lanes) == 2
 
 
 def test_cli_names_are_their_homes_objects():

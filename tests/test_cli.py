@@ -23,7 +23,7 @@ from duetsim.cli import (
 from duetsim.errors import ConfigError, EmptyWorld, LogParseError, WorkerFailed
 from duetsim.experiment import _DialogueRunner
 
-from conftest import PERFBENCH, invoke, load_perfbench, src_env
+from conftest import PERFBENCH, invoke, load_perfbench, run_fresh, src_env
 
 
 @pytest.fixture
@@ -626,16 +626,26 @@ class TestCommands:
         assert result.output == "error: no entities for domain 'hotel'\n"
 
     @pytest.mark.usefixtures("no_handler_threads", "no_goal_for_seed_3")
-    def test_goal_sampling_error_same_at_any_parallelism(self, tmp_path):
-        """An error a worker process raises is reported as the same one
-        line as in this process. Forked workers inherit the patch."""
+    def test_goal_sampling_error_same_at_any_parallelism(self, tmp_path,
+                                                         fake_server_url):
+        """An error a worker process or a lane raises is reported as the
+        same one line as in this process, once the records of the seeds
+        before it are written. Forked workers inherit the patch."""
+        duet = tmp_path / "duet.yaml"
+        duet.write_text(yaml.safe_dump({
+            "simulator": "duet", "turn_cap": 4,
+            "generator_backend": {"base_url": fake_server_url, "model": "fake"}}))
         outputs = []
-        for parallelism in ("1", "2"):
-            result = self.invoke("simulate", "-n", "5", "--parallelism",
-                                 parallelism, "-o", str(tmp_path / parallelism))
-            assert result.exit_code == 2, result.output
-            outputs.append(result.output)
-        assert outputs == ["error: no entities for domain 'hotel'\n"] * 2
+        for config in ([], ["-c", str(duet)]):
+            for parallelism in ("1", "2"):
+                out = tmp_path / f"{len(config)}-{parallelism}"
+                result = self.invoke("simulate", *config, "-n", "5", "--parallelism",
+                                     parallelism, "-o", str(out))
+                assert result.exit_code == 2, result.output
+                outputs.append(result.output)
+                logs = (out / "logs.jsonl").read_text().splitlines()
+                assert [json.loads(line)["log"]["seed"] for line in logs] == [0, 1, 2]
+        assert outputs == ["error: no entities for domain 'hotel'\n"] * 4
 
     @pytest.mark.parametrize("field,doc", [
         ("generator_backend.kind",
@@ -796,7 +806,12 @@ class TestCommandLine:
 
 class RecordingResponder:
     """In-process backend answering with the benchmark's stateless fake
-    model; it keeps every prompt it is sent, in order."""
+    model; it keeps every prompt it is sent, in order. Calls from several
+    lanes take turns: the fake model parses with ``ast``, which CPython 3.11
+    does not guard across threads ("SystemError: AST constructor recursion
+    depth mismatch")."""
+
+    turn = threading.Lock()  # one for every instance
 
     def __init__(self):
         self.responder = load_perfbench("responder")
@@ -804,7 +819,8 @@ class RecordingResponder:
 
     def complete(self, request):
         self.prompts.append((request.system_text, request.user_text))
-        return CompletionResult(text=self.responder.reply(request.user_text))
+        with self.turn:
+            return CompletionResult(text=self.responder.reply(request.user_text))
 
 
 class VaryingResponder(RecordingResponder):
@@ -1088,8 +1104,9 @@ CLOSED_PORT = {"kind": "http", "base_url": "http://127.0.0.1:9"}
 
 @pytest.mark.usefixtures("no_handler_threads")
 def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
-    """A cassette run uses the workers ``parallelism`` asks for, in worker
-    processes, and replies that vary per call replay exactly at any
+    """A cassette run uses the workers ``parallelism`` asks for: a recording
+    calls a backend, so it runs on lanes of this process, and a replay on
+    worker processes. Replies that vary per call replay exactly at any
     parallelism. Forked workers inherit the patches below."""
     import duetsim.experiment
     import duetsim.loop
@@ -1099,7 +1116,7 @@ def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
 
     def logged_run_dialogue(*args, **kwargs):
         with open(ran, "a", encoding="utf-8") as f:
-            f.write(f"{os.getpid()}\n")
+            f.write(f"{os.getpid()} {threading.get_ident()}\n")
         return run_dialogue(*args, **kwargs)
 
     monkeypatch.setattr(duetsim.loop, "run_dialogue", logged_run_dialogue)
@@ -1111,8 +1128,9 @@ def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
         recorded = run_experiment(ExperimentConfig(
             simulator="duet", dialogues=dialogues, output_dir=str(tmp_path / "record"),
             generator_backend=CLOSED_PORT, cassette=cassette))
-    pids = {int(pid) for pid in ran.read_text().split()}
-    assert os.getpid() not in pids
+    entries = [line.split() for line in ran.read_text().splitlines()]
+    assert {int(pid) for pid, _ in entries} == {os.getpid()}
+    assert threading.get_ident() not in {int(thread) for _, thread in entries}
 
     for parallelism in (1, None, 4):
         ran.unlink()
@@ -1124,7 +1142,7 @@ def test_cassette_replay_reproduces_recording(tmp_path, monkeypatch):
         assert json.loads((out / "manifest.json").read_text())["failures"] == []
         assert (out / "logs.jsonl").read_bytes() == \
             (recorded / "logs.jsonl").read_bytes()
-        pids = [int(pid) for pid in ran.read_text().split()]
+        pids = [int(line.split()[0]) for line in ran.read_text().splitlines()]
         assert len(pids) == dialogues
         assert (os.getpid() in pids) == (parallelism == 1)
 
@@ -1489,38 +1507,10 @@ DUET_CASSETTE_SEEDS_0_9_SHA256 = (
     "c87a014bc05765533ce1f5f707de76ac72dbf114c7266fb6e6f75b547d0e7183")
 
 
-@pytest.fixture
-def fake_server_url(monkeypatch):
-    """Base URL of the benchmark's fake chat server, with no latency. It
-    runs as a subprocess, so a test that forks holds no server thread."""
-    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.upper(), raising=False)
-    server = subprocess.Popen(
-        [sys.executable, str(PERFBENCH / "fake_server.py"), "--latency-ms", "0"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-    try:
-        line = server.stdout.readline()
-        assert line.startswith("PORT "), line
-        yield f"http://127.0.0.1:{int(line.split()[1])}/v1"
-    finally:
-        server.stdin.close()  # the server shuts down at end of file
-        server.wait(timeout=10)
-        server.stdout.close()
-
-
-@pytest.mark.usefixtures("no_handler_threads")
-@pytest.mark.parametrize("parallelism,start_methods", [
-    (1, None), (2, None), (2, ["spawn"])], ids=["1", "2", "2-spawn"])
-def test_parallel_http_duet_logs_pinned(tmp_path, monkeypatch, fake_server_url,
-                                        parallelism, start_methods):
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_parallel_http_duet_logs_pinned(tmp_path, fake_server_url, parallelism):
     """Duet dialogues over HTTP give the same logs on one worker and on
-    worker processes, forked or spawned."""
-    import multiprocessing
-
-    if start_methods:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: start_methods)
+    lanes."""
     out = run_experiment(ExperimentConfig(
         simulator="duet", dialogues=10, seed=0, turn_cap=20,
         parallelism=parallelism, output_dir=str(tmp_path / "run"),
@@ -1538,8 +1528,9 @@ def test_parallel_http_duet_logs_pinned(tmp_path, monkeypatch, fake_server_url,
 def test_parallel_http_cassette_pinned(tmp_path, monkeypatch, fake_server_url,
                                        parallelism, start_methods):
     """A cassette recorded over HTTP is the same file on one worker and on
-    worker processes, forked or spawned. Its replay at that parallelism
-    gives the recorded logs, and so does the replay of each seed alone."""
+    lanes. Its replay at that parallelism, on worker processes forked or
+    spawned, gives the recorded logs, and so does the replay of each seed
+    alone."""
     import multiprocessing
 
     if start_methods:
@@ -1568,6 +1559,140 @@ def test_parallel_http_cassette_pinned(tmp_path, monkeypatch, fake_server_url,
     for seed in range(10):
         assert run(f"seed-{seed}", "replay", CLOSED_PORT["base_url"],
                    seed=seed, dialogues=1) == lines[seed]
+
+
+def test_lanes_wait_for_a_slow_dialogue_to_be_written(tmp_path, monkeypatch):
+    """Behind a first dialogue that blocks, the other lane starts only the
+    dialogues the window leaves it, so this process holds a bounded number
+    of records; the logs are those of one worker."""
+    import time
+
+    import duetsim.experiment
+    import duetsim.loop
+
+    monkeypatch.setattr(duetsim.experiment, "_build_backend",
+                        lambda spec, role: RecordingResponder())
+    config = dict(simulator="duet", dialogues=40, turn_cap=4, generator_backend=CLOSED_PORT)
+    alone = run_experiment(ExperimentConfig(parallelism=1, output_dir=str(tmp_path / "1"),
+                                            **config))
+    run_dialogue = duetsim.loop.run_dialogue
+    window = duetsim.experiment.WINDOW_PER_WORKER * 2  # dialogues, for two lanes
+    started, ahead = [], []
+    release = threading.Event()
+
+    def blocking_run_dialogue(*args, **kwargs):
+        started.append(kwargs["seed"])
+        if kwargs["seed"] == 0:
+            deadline = time.monotonic() + 10
+            while len(started) < window and time.monotonic() < deadline:
+                release.wait(0.01)
+            release.wait(0.2)  # time for the other lane to start one more
+            ahead.extend(started)
+        return run_dialogue(*args, **kwargs)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", blocking_run_dialogue)
+    out = run_experiment(ExperimentConfig(parallelism=2, output_dir=str(tmp_path / "2"),
+                                          **config))
+    assert sorted(ahead) == list(range(window))
+    assert sorted(started) == list(range(40))
+    assert (out / "logs.jsonl").read_bytes() == (alone / "logs.jsonl").read_bytes()
+
+
+def test_many_lanes_start_each_seed_once(tmp_path, monkeypatch):
+    """Eight lanes on two CPUs, switching threads as often as the
+    interpreter allows, start every seed exactly once and write the logs of
+    one worker."""
+    import duetsim.experiment
+    import duetsim.loop
+
+    monkeypatch.setattr(duetsim.experiment, "_build_backend",
+                        lambda spec, role: RecordingResponder())
+    config = dict(simulator="duet", dialogues=40, turn_cap=4, generator_backend=CLOSED_PORT)
+    alone = run_experiment(ExperimentConfig(parallelism=1, output_dir=str(tmp_path / "1"),
+                                            **config))
+    run_dialogue = duetsim.loop.run_dialogue
+    started = []
+
+    def counted_run_dialogue(*args, **kwargs):
+        started.append(kwargs["seed"])
+        return run_dialogue(*args, **kwargs)
+
+    monkeypatch.setattr(duetsim.loop, "run_dialogue", counted_run_dialogue)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = run_experiment(ExperimentConfig(parallelism=8, output_dir=str(tmp_path / "8"),
+                                              **config))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(started) == list(range(40))
+    assert (out / "logs.jsonl").read_bytes() == (alone / "logs.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("ending", ["completes", "raises", "write_fails"])
+def test_no_lane_outlives_the_run(tmp_path, monkeypatch, ending):
+    """Every lane has ended when ``run_experiment`` returns or raises, so a
+    later fork copies none. A dialogue still in flight when the run fails
+    ends at its next backend call, not at its last."""
+    import time
+
+    import duetsim.experiment
+
+    calls = []
+
+    class SlowResponder(RecordingResponder):
+        def complete(self, request):
+            calls.append(request)
+            time.sleep(0.02)
+            return super().complete(request)
+
+    monkeypatch.setattr(duetsim.experiment, "_build_backend",
+                        lambda spec, role: SlowResponder())
+    out = tmp_path / "run"
+    expected = None
+    if ending == "raises":
+        generate_goal = duetsim.experiment.generate_goal
+
+        def failing_generate_goal(seed, *args):
+            if seed == 0:
+                raise EmptyWorld("no entities for domain 'hotel'")
+            return generate_goal(seed, *args)
+
+        monkeypatch.setattr(duetsim.experiment, "generate_goal", failing_generate_goal)
+        expected = EmptyWorld
+    elif ending == "write_fails":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        out.mkdir()
+        (out / "logs.jsonl").symlink_to("/dev/full")  # the first flush fails
+        expected = OSError
+    config = ExperimentConfig(simulator="duet", dialogues=4, parallelism=2, turn_cap=2,
+                              output_dir=str(out), generator_backend=CLOSED_PORT)
+    if expected is None:
+        run_experiment(config)
+        assert len((out / "logs.jsonl").read_text().splitlines()) == 4
+    else:
+        with pytest.raises(expected):
+            run_experiment(config)
+    assert [thread for thread in threading.enumerate() if thread.name == "duetsim-lane"] == []
+    if ending == "raises":
+        # seed 1's first user turn alone makes at least 7 calls
+        assert len(calls) < 7, f"{len(calls)} calls after seed 0 failed the run"
+
+
+def test_http_run_loads_no_process_or_thread_pool(tmp_path, fake_server_url):
+    """An http run on four lanes, in a fresh interpreter, imports neither
+    multiprocessing nor concurrent.futures."""
+    printed, loaded = run_fresh(
+        "import json\n"
+        "from duetsim.experiment import ExperimentConfig, run_experiment\n"
+        "out = run_experiment(ExperimentConfig(\n"
+        "    simulator='duet', dialogues=4, parallelism=4, turn_cap=4,\n"
+        f"    output_dir={str(tmp_path / 'run')!r},\n"
+        f"    generator_backend={{'base_url': {fake_server_url!r}, 'model': 'fake'}}))\n"
+        "print(json.loads((out / 'manifest.json').read_text())['failures'])")
+    assert printed == "[]"
+    assert not {"multiprocessing", "concurrent.futures"} & loaded
 
 
 @pytest.mark.parametrize("context_mode", ["utterances", "acts"])
