@@ -254,21 +254,48 @@ class DialogueTurn(NamedTuple):
                 raise TypeError(f"acts: expected a list of lists, got {turn_acts!r}")
             read.append(acts[tuple(fields)])
         read = tuple(read)
-        # one str per speaker, not one per turn
-        return cls(sys.intern(speaker), acts.act_lists.setdefault(read, read),
-                   acts.utterances.setdefault(utterance, utterance),
-                   require_int("turn_index", d["turn_index"]))
+        # One str per speaker, not one per turn. tuple.__new__ builds what
+        # cls(...) does, without the frame of its generated __new__: the
+        # reader builds one turn per logged turn.
+        return tuple.__new__(cls, (sys.intern(speaker), acts.act_lists.setdefault(read, read),
+                                   acts.strings.setdefault(utterance, utterance),
+                                   require_int("turn_index", d["turn_index"])))
+
+
+class _StringTuples(dict):
+    """A tuple of strings -> the one equal tuple kept, whose strings are
+    those of ``strings``; a missing one is built once, on its first lookup."""
+
+    __slots__ = ("strings",)
+
+    def __init__(self, strings: dict[str, str]):
+        super().__init__()
+        self.strings = strings
+
+    def __missing__(self, key: tuple) -> tuple:
+        share = self.strings.setdefault
+        # Built from a list, not a map: tuple() guesses a map's length and
+        # shrinks the tuple to fit, so each miss would move a tuple from
+        # CPython's free list of one size to that of another, a list that
+        # grows with every read.
+        shared = tuple([share(s, s) for s in key])
+        self[shared] = shared
+        return shared
 
 
 class ActTable(dict):
     """Act quadruple -> DialogueAct, building each missing act once. The
-    turns read with one table also share each equal utterance and act tuple."""
+    records read with one table also share each equal string (``strings``:
+    utterances, goal names and values, booking fields), tuple of strings
+    (``tuples``: a goal's requested slots, a provided triple, a booking
+    constraint) and act tuple (``act_lists``)."""
 
-    __slots__ = ("utterances", "act_lists")
+    __slots__ = ("strings", "tuples", "act_lists")
 
     def __init__(self):
         super().__init__()
-        self.utterances: dict[str, str] = {}
+        self.strings: dict[str, str] = {}
+        self.tuples = _StringTuples(self.strings)
         self.act_lists: dict[tuple[DialogueAct, ...], tuple[DialogueAct, ...]] = {}
 
     def __missing__(self, fields: tuple) -> DialogueAct:
@@ -336,11 +363,15 @@ class BookingRecord(NamedTuple):
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BookingRecord":
+    def from_dict(cls, d: dict, acts: ActTable | None = None) -> "BookingRecord":
+        """``acts`` shares equal fields but the ref, which is one booking's."""
         domain, ref, name, constraints = d["domain"], d["ref"], d["entity_name"], d["constraints"]
         require_type("booking constraints", constraints, dict)
         require_strings("booking", (domain, ref, name, *constraints.values()))
-        return cls(domain, ref, name, tuple(sorted(constraints.items())))
+        acts = ActTable() if acts is None else acts
+        share = acts.strings.setdefault
+        return cls(share(domain, domain), ref, share(name, name),
+                   tuple(sorted(map(acts.tuples.__getitem__, constraints.items()))))
 
 
 class LogAnnotations(NamedTuple):
@@ -354,7 +385,9 @@ class LogAnnotations(NamedTuple):
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LogAnnotations":
+    def from_dict(cls, d: dict, acts: ActTable | None = None) -> "LogAnnotations":
+        """``acts`` shares equal provided triples and booking fields."""
+        acts = ActTable() if acts is None else acts
         provided = []
         for triple in d["provided"]:
             # a string would otherwise be read as one field per letter
@@ -364,8 +397,9 @@ class LogAnnotations(NamedTuple):
             if len(triple) != 3:
                 raise TypeError(f"provided: expected 3 fields, got {triple!r}")
             require_strings("provided", triple)
-            provided.append(triple)
-        return cls(tuple(provided), tuple(map(BookingRecord.from_dict, d["bookings"])))
+            provided.append(acts.tuples[triple])
+        return cls(tuple(provided),
+                   tuple(BookingRecord.from_dict(b, acts) for b in d["bookings"]))
 
 
 def derive_annotations(turns) -> LogAnnotations:
@@ -434,16 +468,16 @@ class DialogueLog(Record):
 
     @classmethod
     def from_dict(cls, d: dict, acts: ActTable | None = None) -> "DialogueLog":
-        """``acts`` shares equal acts, act tuples and utterances between the
-        logs read with it."""
+        """``acts`` shares equal strings and tuples between the logs read
+        with it."""
         acts = ActTable() if acts is None else acts
         reason, seed = d["termination_reason"], d.get("seed")
         if reason not in TERMINATION_REASONS:
             raise ValueError(f"termination_reason: got {reason!r}, expected one "
                              f"of {', '.join(TERMINATION_REASONS)}")
-        return cls(goal_from_dict(d["goal"]),
+        return cls(goal_from_dict(d["goal"], acts),
                    [DialogueTurn.from_dict(t, acts) for t in d["turns"]],
-                   LogAnnotations.from_dict(d["annotations"]), sys.intern(reason),
+                   LogAnnotations.from_dict(d["annotations"], acts), sys.intern(reason),
                    seed if seed is None else require_int("seed", seed))
 
 
@@ -508,11 +542,14 @@ def goal_to_dict(goal: UserGoal) -> dict:
     return out
 
 
-def goal_from_dict(d: dict) -> UserGoal:
+def goal_from_dict(d: dict, acts: ActTable | None = None) -> UserGoal:
     """TypeError unless the goal and each of its sections is an object,
     a section's ``info`` and ``book`` are objects and its ``reqt`` is a
-    list, and every goal value and requested slot is a string."""
+    list, and every goal value and requested slot is a string. ``acts``
+    shares equal names, values and tuples of requested slots."""
     require_type("goal", d, dict)
+    acts = ActTable() if acts is None else acts
+    share = acts.strings.setdefault
     domains = {}
     for name, section in d.items():
         require_type("goal", section, dict)
@@ -522,8 +559,10 @@ def goal_from_dict(d: dict) -> UserGoal:
         require_type("goal", reqt, list)
         require_type("goal", book, dict)
         require_strings("goal", (*info.values(), *reqt, *book.values()))
-        domains[name] = DomainGoal(dict(info), tuple(reqt),
-                                   dict(book) if "book" in section else None)
+        domains[share(name, name)] = DomainGoal(
+            {share(k, k): share(v, v) for k, v in info.items()},
+            acts.tuples[tuple(reqt)],
+            {share(k, k): share(v, v) for k, v in book.items()} if "book" in section else None)
     return UserGoal(domains)
 
 
@@ -538,7 +577,7 @@ def read_logs(paths, ontology=None) -> list[DialogueLog]:
     section or a booking in a domain it does not know is an error that
     names the record."""
     logs = []
-    acts = ActTable()  # equal acts, act tuples and utterances of this call are one object
+    acts = ActTable()  # equal acts, strings and tuples of this call are one object
     for path in paths:
         try:
             f = open(path, "rb")  # each line is decoded where its errors are caught

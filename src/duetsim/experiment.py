@@ -5,8 +5,8 @@
 ``manifest.json`` and, if recording, the cassette. When ``workers()`` > 1,
 a run that calls backends waits on them, so it runs its dialogues on that
 many threads of this process ("lanes", see ``_lanes``); any other run
-computes, so it uses worker processes, which claim chunks of seeds from a
-shared counter and send their records back on their own pipes (see
+computes, so it uses worker processes: this process deals them chunks of
+seeds over one pipe each, and each sends its records back on its pipe (see
 ``_records``). Either way this process writes the records in seed order.
 ``duetsim.cli`` calls it.
 The loop, the backends and the prompts load only when a config or a run is
@@ -24,13 +24,13 @@ from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, world
 from .acts import DEFAULT_TURN_CAP, encode_record
 from .agenda import AgendaUserSimulator
 from .errors import (CassetteIOError, ConfigError, DuetSimError, Record, WorkerFailed,
                      require_string)
 from .system import SystemAgent
-from .world import generate_goal, load_world
+from .world import load_world
 
 if TYPE_CHECKING:
     from .loop import LoopConfig
@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 SIMULATOR_KINDS = ("duet", "duet-no-verifier", "agenda")
 
 MAX_CHUNK = 4  # dialogues per hand-off from a worker process
+DEALT_PER_WORKER = 2  # chunks a worker process holds: one running, one queued
 # Hand-offs started and not yet written, per worker: chunks of a worker
 # process, dialogues of a lane.
 WINDOW_PER_WORKER = 4
@@ -329,7 +330,8 @@ class _DialogueRunner:
         from .loop import DuetSession, DuetUserSimulator, run_dialogue
 
         config = self.config
-        goal = generate_goal(seed, self.ontology, self.entities)
+        # looked up on its module at each call, where a caller may patch it
+        goal = world.generate_goal(seed, self.ontology, self.entities)
         cassettes = ()
         # One replay answers both roles: their requests differ in temperature,
         # so no digest is both roles'.
@@ -353,30 +355,27 @@ class _DialogueRunner:
                 "".join(line for cassette in cassettes for line in cassette.lines))
 
 
-def _work(runner: _DialogueRunner, seeds: range, size: int, counter, window, sender) -> None:
-    """A worker process: take a place in ``window``, claim the next chunk
-    from ``counter``, cut its ``size`` seeds and send ``(index, records)``,
-    until a chunk is empty; then send None. The first chunk that raises is
-    sent as ``(index, error)`` instead, which ends the worker."""
-    with sender:
+def _work(runner: _DialogueRunner, seeds: range, size: int, pipe) -> None:
+    """A worker process: receive the index of a chunk on ``pipe``, cut its
+    ``size`` seeds from ``seeds`` and send back ``(index, records)``, until
+    the pipe closes. The first chunk that raises is sent as ``(index,
+    error)`` instead, which ends the worker."""
+    with pipe:
         while True:
-            window.acquire()
-            with counter.get_lock():
-                index = counter.value
-                counter.value += 1
-            chunk = seeds[index * size:(index + 1) * size]
-            if not chunk:
-                sender.send(None)
-                return
             try:
-                sender.send((index, [runner(seed) for seed in chunk]))
+                index = pipe.recv()
+            except EOFError:  # the parent closed its end: the run is over
+                return
+            chunk = seeds[index * size:(index + 1) * size]
+            try:
+                pipe.send((index, [runner(seed) for seed in chunk]))
             except Exception as e:
                 # A package error reads as at one worker, e.g. a goal not
                 # drawn; another, e.g. a record that cannot be pickled, is
                 # the worker's failure.
                 if not isinstance(e, DuetSimError):
                     e = WorkerFailed(f"a worker failed: {type(e).__name__}: {e}")
-                sender.send((index, e))
+                pipe.send((index, e))
                 return
 
 
@@ -385,15 +384,16 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
     worker means worker processes, for a run that computes rather than
     waits on backends (a run that waits uses ``_lanes``); they inherit
     ``runner`` when forked and rebuild it from its config when spawned. The
-    seeds are cut into chunks of at most ``MAX_CHUNK``; each worker claims
-    the next chunk from a shared counter, so a slow dialogue holds up one
-    worker only, and sends the chunk's records back on its own pipe. This
+    seeds are cut into chunks of at most ``MAX_CHUNK``, and this process
+    deals their indices to the workers over one pipe each, ``DEALT_PER_WORKER``
+    at a time, so a worker has its next chunk at hand when it finishes one
+    and a slow dialogue holds up one worker only. A worker cuts the chunk
+    from the seed range and sends its records back on the same pipe. This
     process holds the chunks that arrive before an earlier one, and yields
-    each record once every earlier one has been yielded. A worker claims a
-    chunk only while fewer than ``WINDOW_PER_WORKER`` chunks per worker are
-    claimed and not yet yielded, so what this process holds stays bounded
-    behind a slow dialogue. A worker that ends before its last message
-    fails the run."""
+    each record once every earlier one has been yielded. It deals a chunk
+    only while fewer than ``WINDOW_PER_WORKER`` chunks per worker are dealt
+    and not yet yielded, so what it holds stays bounded behind a slow
+    dialogue. A worker that ends before its last message fails the run."""
     if workers == 1:
         yield from map(runner, seeds)
         return
@@ -407,43 +407,62 @@ def _records(runner: _DialogueRunner, seeds: range, workers: int):
     # Several chunks per worker even out the finish.
     size = max(1, min(MAX_CHUNK, len(seeds) // (4 * workers)))
     chunks = -(-len(seeds) // size)  # how many; each worker cuts its own
-    counter = context.Value("i", 0)  # the next chunk to claim
-    window = context.Semaphore(WINDOW_PER_WORKER * workers)
-    pipes = {}  # receiving end -> the worker that sends on it
+    pipes = {}  # this process's end of a worker's pipe -> the worker
+    dealt = {}  # a pipe -> how many chunks are dealt on it and not sent back
     try:
         for _ in range(workers):
-            receiver, sender = context.Pipe(duplex=False)
+            mine, theirs = context.Pipe()
             worker = context.Process(target=_work, daemon=True,
-                                     args=(runner, seeds, size, counter, window, sender))
+                                     args=(runner, seeds, size, theirs))
             worker.start()
-            sender.close()  # so the pipe closes when the worker ends
-            pipes[receiver] = worker
+            theirs.close()  # so the pipe closes when the worker ends
+            pipes[mine] = worker
+            dealt[mine] = 0
         arrived = {}  # chunk index -> its records or error, until yielded
+        undealt = 0  # the next chunk to deal
         for index in range(chunks):
-            while index not in arrived:
-                for receiver in wait(list(pipes)):
+            # chunks before index are yielded; deal up to the window's end
+            window_end = min(chunks, index + WINDOW_PER_WORKER * workers)
+            while True:
+                while pipes and undealt < window_end:
+                    pipe = min(pipes, key=dealt.get)  # the idlest worker
+                    if dealt[pipe] == DEALT_PER_WORKER:
+                        break
                     try:
-                        message = receiver.recv()
-                    except EOFError:  # the worker ended before its last message
-                        worker = pipes.pop(receiver)
-                        receiver.close()
+                        pipe.send(undealt)
+                    except OSError:
+                        # The worker has ended. Its pipe holds its last
+                        # message, an error at an earlier chunk, or its end,
+                        # which the wait below reads.
+                        pass
+                    dealt[pipe] += 1
+                    undealt += 1
+                if index in arrived:
+                    break
+                for pipe in wait(list(pipes)):
+                    try:
+                        message = pipe.recv()
+                    except (EOFError, ConnectionResetError):
+                        # The worker ended before its last message; what it
+                        # had not read of its pipe resets the connection.
+                        worker = pipes[pipe]
                         worker.join()
                         raise WorkerFailed("a worker process ended with exit code "
                                            f"{worker.exitcode} before it was done") from None
-                    if message is None or isinstance(message[1], DuetSimError):
-                        pipes.pop(receiver).join()  # its last message
-                        receiver.close()
-                    if message is not None:
-                        arrived[message[0]] = message[1]
+                    dealt[pipe] -= 1
+                    if isinstance(message[1], DuetSimError):  # its last message
+                        pipes.pop(pipe).join()
+                        del dealt[pipe]
+                        pipe.close()
+                    arrived[message[0]] = message[1]
             outcome = arrived.pop(index)
             if isinstance(outcome, DuetSimError):
                 raise outcome
             yield from outcome
-            window.release()
     finally:
-        for receiver, worker in pipes.items():
+        for pipe, worker in pipes.items():
             worker.terminate()
-            receiver.close()
+            pipe.close()
         for worker in pipes.values():
             worker.join()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import repeat
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from .errors import EmptyLogSet, ShortStream, ZeroFactors
@@ -47,7 +47,8 @@ def tokenize(utterances) -> list[str]:
 
 
 def _ngrams(stream, n: int):
-    return zip(*(stream[i:] for i in range(n)))
+    # iterators over the stream, not copies of it
+    return zip(*(islice(stream, i, None) for i in range(n)))
 
 
 def unique_ngrams(stream, n: int) -> int:
@@ -134,15 +135,16 @@ def hdd(stream, sample_size: int = HDD_SAMPLE, *,
     return value
 
 
-def _mtld_one_direction(stream, threshold: float) -> float:
+def _mtld_one_direction(tokens, total: int, threshold: float) -> float:
+    """MTLD over ``tokens``, an iterable of ``total`` tokens."""
     factors = 0.0
     types: set[str] = set()
     count = 0
     if threshold >= 1.0:
         # each token's own TTR of 1.0 reaches the threshold: a factor apiece
-        factors = float(len(stream))
+        factors = float(total)
     else:
-        for token in stream:
+        for token in tokens:
             count += 1
             # A new type never lowers the TTR, and a segment's first token
             # has TTR 1.0, so only a repeated token can reach the threshold.
@@ -158,13 +160,13 @@ def _mtld_one_direction(stream, threshold: float) -> float:
             factors += (1.0 - ttr) / (1.0 - threshold)
     if factors == 0.0:
         raise ZeroFactors("type-token ratio never crossed the threshold")
-    return len(stream) / factors
+    return total / factors
 
 
 def mtld(stream, threshold: float = MTLD_THRESHOLD) -> float:
     """Bidirectional factor-based lexical diversity (mean of both scans)."""
-    forward = _mtld_one_direction(stream, threshold)
-    backward = _mtld_one_direction(stream[::-1], threshold)
+    forward = _mtld_one_direction(stream, len(stream), threshold)
+    backward = _mtld_one_direction(reversed(stream), len(stream), threshold)
     return (forward + backward) / 2.0
 
 

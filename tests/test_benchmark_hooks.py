@@ -74,6 +74,24 @@ def test_tracer_nests_spans_per_lane(tmp_path, monkeypatch, fake_server_url):
     assert len(lanes) == 2
 
 
+def test_goal_draws_of_a_run_are_traced(tmp_path, monkeypatch):
+    """``run_experiment`` draws each goal from ``duetsim.world`` at the
+    call, where the harness patches it, so ``--trace 1`` counts one draw
+    per dialogue that runs in this process."""
+    for name in ("responder", "tracer"):
+        monkeypatch.setitem(sys.modules, name, load_perfbench(name))
+    run = load_perfbench("run")
+    tracer = sys.modules["tracer"].Tracer()
+    run.install_tracer(tracer, duetsim)
+    try:
+        duetsim.cli.run_experiment(duetsim.cli.ExperimentConfig(
+            simulator="agenda", dialogues=3, seed=5, parallelism=1,
+            output_dir=str(tmp_path / "run")))
+    finally:
+        tracer.uninstall()
+    assert len(tracer.durations().get("world.generate_goal", ())) == 3
+
+
 def test_cli_names_are_their_homes_objects():
     """The harness reads and patches these names on ``duetsim.cli``; each
     must be the object its home module defines, so that the harness runs

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -30,17 +31,34 @@ from conftest import PERFBENCH, invoke, load_perfbench, run_fresh, src_env
 def no_goal_for_seed_3(monkeypatch):
     """``generate_goal`` raises EmptyWorld for seed 3, as for a world
     without hotels."""
-    import duetsim.experiment
+    import duetsim.world
     from duetsim.errors import EmptyWorld
 
-    generate_goal = duetsim.experiment.generate_goal
+    generate_goal = duetsim.world.generate_goal
 
     def failing_generate_goal(seed, *args):
         if seed == 3:
             raise EmptyWorld("no entities for domain 'hotel'")
         return generate_goal(seed, *args)
 
-    monkeypatch.setattr(duetsim.experiment, "generate_goal", failing_generate_goal)
+    monkeypatch.setattr(duetsim.world, "generate_goal", failing_generate_goal)
+
+
+@pytest.fixture
+def deadline():
+    """The test fails with TimeoutError once it has run 60 s, so a run that
+    stalls fails rather than hangs. A forked worker inherits the handler
+    but not the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -1031,10 +1049,12 @@ def test_workers_claim_chunks_as_they_free_up(tmp_path, monkeypatch):
     assert slow < 20, f"the worker that ran seed 0 ran {slow} of 40 dialogues"
 
 
+@pytest.mark.usefixtures("deadline")
 def test_workers_wait_for_a_slow_chunk_to_be_written(tmp_path, monkeypatch):
     """Behind a slow dialogue the other worker runs only the chunks the
     window leaves it, so this process holds a bounded number of records;
-    the logs are those of one worker. Forked workers inherit the patch below."""
+    the logs are those of one worker, and a stalled window fails at the
+    deadline. Forked workers inherit the patch below."""
     import time
 
     import duetsim.experiment
@@ -1074,6 +1094,50 @@ def test_workers_wait_for_a_slow_chunk_to_be_written(tmp_path, monkeypatch):
     assert 0 < len(other) <= allowed, f"{len(other)} dialogues ran ahead of seed 0's chunk"
 
 
+def _record_read_slowly(seed):
+    import time
+
+    time.sleep(0.3)
+    return str(seed)
+
+
+class _SlowToRead:
+    """A record that this process takes 0.3 s to unpickle."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def __reduce__(self):
+        return _record_read_slowly, (self.seed,)
+
+
+def _fails_at_seed_3(seed):
+    import time
+
+    if seed == 0:
+        time.sleep(0.5)  # the other worker's records arrive first
+    if seed == 3:
+        raise EmptyWorld("no entities for domain 'hotel'")
+    return _SlowToRead(seed) if seed == 1 else str(seed)
+
+
+@pytest.mark.usefixtures("no_handler_threads", "deadline")
+def test_error_is_raised_at_its_seed_after_its_worker_ends():
+    """Seeds 1 and 3 go to one worker, which ends after it sends the error
+    of seed 3 while this process still reads seed 1's record; the chunk
+    this process then deals to it is lost. The error is still raised at
+    seed 3, after the records before it, as at one worker."""
+    from contextlib import closing
+
+    from duetsim.experiment import _records
+
+    got = []
+    with pytest.raises(EmptyWorld), closing(_records(_fails_at_seed_3, range(5), 2)) as records:
+        for record in records:
+            got.append(record)
+    assert got == ["0", "1", "2"]
+
+
 @pytest.mark.usefixtures("no_handler_threads")
 def test_parallel_run_builds_no_chunk_list():
     """Each worker cuts the chunk it claims from the seed range, so a run of
@@ -1096,6 +1160,21 @@ def test_parallel_run_builds_no_chunk_list():
     assert first == [str(seed) for seed in range(8)]
     assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert multiprocessing.active_children() == []
+
+
+def test_parallel_run_loads_no_shared_memory(tmp_path):
+    """Worker processes get their chunks over their pipes, so a parallel
+    run builds no shared counter or lock and loads none of their modules."""
+    out = tmp_path / "run"
+    printed, loaded = run_fresh(
+        "from duetsim.experiment import ExperimentConfig, run_experiment\n"
+        f"out = run_experiment(ExperimentConfig(dialogues=8, parallelism=2, "
+        f"output_dir={str(out)!r}))\n"
+        "print(len((out / 'logs.jsonl').read_text().splitlines()))")
+    assert printed == "8"
+    assert "multiprocessing.popen_fork" in loaded or "multiprocessing.popen_spawn_posix" in loaded
+    assert not {"ctypes", "mmap", "multiprocessing.sharedctypes", "multiprocessing.heap",
+                "multiprocessing.synchronize"} & loaded
 
 
 # A backend spec that validates; no test below sends a request to it.
@@ -1651,14 +1730,14 @@ def test_no_lane_outlives_the_run(tmp_path, monkeypatch, ending):
     out = tmp_path / "run"
     expected = None
     if ending == "raises":
-        generate_goal = duetsim.experiment.generate_goal
+        generate_goal = duetsim.world.generate_goal
 
         def failing_generate_goal(seed, *args):
             if seed == 0:
                 raise EmptyWorld("no entities for domain 'hotel'")
             return generate_goal(seed, *args)
 
-        monkeypatch.setattr(duetsim.experiment, "generate_goal", failing_generate_goal)
+        monkeypatch.setattr(duetsim.world, "generate_goal", failing_generate_goal)
         expected = EmptyWorld
     elif ending == "write_fails":
         if not os.path.exists("/dev/full"):

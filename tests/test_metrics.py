@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -237,6 +239,20 @@ class TestDiversityReport:
         assert report.hdd is not None
         assert report.mtld is not None
         assert report.entropy > 0
+
+    def test_reads_the_stream_without_copying_it(self):
+        """The n-grams and the backward MTLD scan read the token stream in
+        place, so on a long stream of few types, where every count and set
+        is small, the heap peaks below twice the stream's own list."""
+        corpus = ["the cheap hotel in the north please"] * 20_000
+        stream_bytes = sys.getsizeof(tokenize(corpus))
+        tracemalloc.start()
+        try:
+            diversity(corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stream_bytes, f"peak {peak} B, stream {stream_bytes} B"
 
 
 def success_log():

@@ -59,12 +59,47 @@ def test_equal_acts_are_one_object_across_files(pinned_runs):
     assert len({id(a) for a in agenda + duet}) == len(set(agenda + duet))
 
 
-@pytest.mark.parametrize("field", ["utterance", "acts"])
+def goal_values(log):
+    """The names, values and requested slots of a log's goal, and each
+    section's tuple of requested slots."""
+    for name, section in log.goal.domains.items():
+        yield name
+        yield section.reqt
+        yield from section.reqt
+        for fields in (section.info, section.book or {}):
+            yield from fields
+            yield from fields.values()
+
+
+def annotation_values(log):
+    """A log's provided triples and their fields, and the fields of its
+    bookings but the ref, which is one booking's."""
+    for triple in log.annotations.provided:
+        yield triple
+        yield from triple
+    for booking in log.annotations.bookings:
+        yield booking.domain
+        yield booking.entity_name
+        for pair in booking.constraints:
+            yield from pair
+
+
+RECORD_VALUES = {
+    "utterance": lambda log: (turn.utterance for turn in log.turns),
+    "acts": lambda log: (turn.acts for turn in log.turns),
+    "goal": goal_values,
+    "annotations": annotation_values,
+}
+
+
+@pytest.mark.parametrize("field", list(RECORD_VALUES))
 def test_equal_turn_values_are_one_object_across_files(pinned_runs, field):
+    """Equal utterances, act tuples, goal strings and annotation strings
+    and triples of the records one ``read_logs`` call reads are one object."""
     logs = read_logs(pinned_runs)
-    agenda, duet = ([getattr(turn, field) for log in part for turn in log.turns]
+    agenda, duet = ([value for log in part for value in RECORD_VALUES[field](log)]
                     for part in (logs[:200], logs[200:]))
-    assert set(agenda) & set(duet)  # some utterance or act tuple is in both files
+    assert set(agenda) & set(duet)  # some value is in both files
     assert len({id(v) for v in agenda + duet}) == len(set(agenda + duet))
 
 
